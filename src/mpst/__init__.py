@@ -55,6 +55,7 @@ from .typecheck import (
 from .semantics import (
     CommAction,
     FidelityVerdict,
+    InvalidStateBound,
     LockReport,
     SimulationResult,
     StateGraph,

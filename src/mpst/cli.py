@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .core import NodeStore
 from .parser import ParseError, parse_global, parse_process, parse_session, print_global, print_process, print_session
 from .typecheck import IllFormedGlobalType, Mode, ProjectionError, project, typecheck, well_formed
-from .semantics import StateSpaceBoundExceeded, explore, lock_free, simulate
+from .semantics import InvalidStateBound, StateSpaceBoundExceeded, explore, lock_free, simulate
 from .compose import IncompatibleSessions, NoClauseApplies, compatible, connect_globals, connect_sessions, verify_connection
 
 
@@ -278,7 +278,7 @@ def main(argv=None):
                                    args.dot, args.json)
         else:
             outcome = cmd_lockfree(args.file, args.json)
-    except InputProblem as exc:
+    except (InputProblem, InvalidStateBound) as exc:
         outcome = CommandOutcome(2, str(exc))
     text = outcome.render(getattr(args, "json", False))
     if text:

@@ -2,11 +2,24 @@
 
 Behaviours here are regular trees: possibly infinite trees with finitely many
 distinct subtrees, encoded as finite node graphs with back-edges.  A NodeStore
-interns every node it hands out: the incoming graph is minimized up to
-bisimulation and each equivalence class is keyed by an intrinsic serialization
-of its minimal automaton.  Two nodes obtained from the same store are therefore
-bisimilar exactly when they are the same object, and all the structural
+hash-conses every node it hands out, so two nodes obtained from the same store
+are bisimilar exactly when they are the same object, and all the structural
 algorithms in the package lean on that identity.
+
+Interning rests on one fact: the nodes already in a store are canonical.  A
+batch of draft nodes is split into strongly connected components, which are
+resolved children first.  An acyclic draft then has canonical children, so it
+is bisimilar to an existing node exactly when that node has the same shape and
+the same child nids; one store-wide table maps (shape, child nids) to its node
+(hash-consing after Filliatre and Conchon, 2006), in O(1) per draft.  A cyclic
+component is minimised by partition refinement together with the existing
+nodes it reaches, which merges each class bisimilar to one of those.
+An existing node bisimilar to a remaining class is not reachable from it, and
+then its own component is an isomorphic copy of the class's, with the same
+children outside the component.  So the remaining classes are looked up by a
+flat key confined to their component: the component listed breadth first,
+with the edges that leave it recorded by child nid.  Nothing recurses on the
+size of a term, and only a cyclic component walks the nodes below it.
 """
 
 from __future__ import annotations
@@ -111,25 +124,102 @@ def node_branch(n, label):
     raise KeyError(label)
 
 
-def _desc_shape(n):
-    """Shape of a node excluding children, as a hashable tuple."""
-    if isinstance(n, PEnd):
-        return ("pend",)
-    if isinstance(n, PIn):
-        return ("pin", n.peer, node_labels(n))
-    if isinstance(n, POut):
-        return ("pout", n.peer, node_labels(n))
-    if isinstance(n, GEnd):
-        return ("gend",)
-    if isinstance(n, GComm):
-        return ("gcomm", n.sender, n.receiver, node_labels(n))
+_KINDS = {"pend": PEnd, "pin": PIn, "pout": POut, "gend": GEnd, "gcomm": GComm}
+_END_SHAPES = {PEnd: ("pend",), GEnd: ("gend",)}
+
+
+def _split(n):
+    """(shape, children) of a node; a node's hash-cons key is its shape with
+    the nids of its children.
+
+    shape is ("pend",), ("gend",), ("pin" | "pout", peer, labels) or
+    ("gcomm", sender, receiver, labels); children follow the labels.
+    """
+    t = type(n)
+    if t in _END_SHAPES:
+        return _END_SHAPES[t], ()
+    labels = tuple(l for l, _ in n.branches)
+    kids = tuple(c for _, c in n.branches)
+    if t is GComm:
+        return ("gcomm", n.sender, n.receiver, labels), kids
+    if t is PIn or t is POut:
+        return ("pin" if t is PIn else "pout", n.peer, labels), kids
     raise TypeError(n)
 
 
-def _node_children(n):
-    if isinstance(n, (PEnd, GEnd)):
-        return ()
-    return tuple(child for _, child in n.branches)
+def _attach(node, shape, kids):
+    """Give a fresh node the fields its shape and children describe."""
+    if kids:
+        if shape[0] == "gcomm":
+            node.sender, node.receiver = shape[1], shape[2]
+        else:
+            node.peer = shape[1]
+        node.branches = tuple(zip(shape[-1], kids))
+    return node
+
+
+def _draft_sccs(drafts, starts):
+    """Strongly connected components of the drafts reachable from `starts`,
+    each listed only after every component it reaches (Tarjan, 1972, with an
+    explicit stack)."""
+    order = [-1] * len(drafts)
+    low = [0] * len(drafts)
+    succ = [None] * len(drafts)
+    on_stack = [False] * len(drafts)
+    stack = []
+    sccs = []
+    count = 0
+    for start in starts:
+        if order[start] >= 0:
+            continue
+        work = [(start, 0)]
+        while work:
+            v, k = work[-1]
+            if k == 0 and order[v] < 0:
+                desc = drafts[v]
+                if desc is None:
+                    raise RuntimeError("interning a reserved but unfilled draft node")
+                order[v] = low[v] = count
+                count += 1
+                succ[v] = [t for tag, t in desc[1] if tag == "d"]
+                stack.append(v)
+                on_stack[v] = True
+            if k < len(succ[v]):
+                work[-1] = (v, k + 1)
+                w = succ[v][k]
+                if order[w] < 0:
+                    work.append((w, 0))
+                elif on_stack[w] and order[w] < low[v]:
+                    low[v] = order[w]
+                continue
+            work.pop()
+            if work and low[v] < low[work[-1][0]]:
+                low[work[-1][0]] = low[v]
+            if low[v] == order[v]:
+                scc = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    scc.append(w)
+                    if w == v:
+                        break
+                sccs.append(scc)
+    return sccs
+
+
+def _refine(shapes, children):
+    """Block of each unit in the coarsest bisimulation partition: refine the
+    partition by shape until the signatures (own block, children's blocks)
+    stop splitting it."""
+    ids = {}
+    block = [ids.setdefault(s, len(ids)) for s in shapes]
+    while True:
+        sigs = {}
+        new = [sigs.setdefault((block[u], tuple(block[c] for c in kids)), len(sigs))
+               for u, kids in enumerate(children)]
+        if len(sigs) == len(ids):
+            return block
+        block, ids = new, sigs
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +234,15 @@ class NodeStore:
     """
 
     def __init__(self):
-        self._canon = {}          # intrinsic key -> node
+        self._cons = {}           # (shape, child nids) -> node, for every node
+        self._cycles = {}         # flat key of a cyclic component -> node
         self._count = 0
         self._pt = {}             # nid -> frozenset of participants
         self._rel_true = set()    # (rel, nid, nid) proven pairs
         self._rel_false = set()
         self._memos = {}
-        self.end_process = self._intern([("pend",)], [("d", 0)])[0]
-        self.end_global = self._intern([("gend",)], [("d", 0)])[0]
+        self.end_process = self._intern([(("pend",), ())], [("d", 0)])[0]
+        self.end_global = self._intern([(("gend",), ())], [("d", 0)])[0]
 
     def memo(self, name):
         """A named per-store memo table (used by the analyses)."""
@@ -185,143 +276,117 @@ class NodeStore:
     def _intern(self, drafts, roots):
         """Intern a draft graph; returns the canonical node for each root.
 
-        drafts: list of shape tuples whose branch targets are ("d", i) or
-        ("n", node); roots: list of such references.
+        drafts: list of (shape, refs) pairs, the refs in label order and each
+        ("d", i) for a draft or ("n", node) for a node of this store; roots:
+        list of such references.
+
+        Nodes of the store are canonical already, so the drafts reachable
+        from the roots are resolved one strongly connected component at a
+        time, children first.  An acyclic draft then has canonical children
+        and is bisimilar to an existing node exactly when that node has the
+        same shape and child nids: one lookup in the hash-cons table.  A
+        cyclic component goes through `_intern_cycle`.
         """
-        units = []
-        index = {}
-
-        def unit_of(ref):
-            if ref in index:
-                return index[ref]
-            index[ref] = len(units)
-            units.append(ref)
-            return index[ref]
-
-        def raw(ref):
-            if ref[0] == "d":
-                d = drafts[ref[1]]
-                if d is None:
-                    raise RuntimeError("interning a reserved but unfilled draft node")
-                return d
-            n = ref[1]
-            shape = _desc_shape(n)
-            if isinstance(n, (PEnd, GEnd)):
-                return shape
-            return (shape[0], *shape[1:-1], tuple((l, ("n", c)) for l, c in n.branches))
-
-        # closure over reachable units
-        work = [unit_of(r) for r in roots]
-        seen = set(work)
-        while work:
-            u = work.pop()
-            d = raw(units[u])
-            if d[0] in ("pend", "gend"):
+        done = {}
+        for scc in _draft_sccs(drafts, [t for tag, t in roots if tag == "d"]):
+            d = scc[0]
+            shape, refs = drafts[d]
+            if len(scc) > 1 or ("d", d) in refs:
+                self._intern_cycle(drafts, scc, done)
                 continue
-            for _, target in d[-1]:
-                v = unit_of(target)
-                if v not in seen:
-                    seen.add(v)
-                    work.append(v)
-        # normalized shape + child unit ids, in label order
-        shapes = [None] * len(units)
-        children = [None] * len(units)
-        for u, ref in enumerate(units):
-            d = raw(ref)
-            if d[0] == "pend":
-                shapes[u] = ("pend",)
-                children[u] = ()
-            elif d[0] == "gend":
-                shapes[u] = ("gend",)
-                children[u] = ()
-            elif d[0] in ("pin", "pout"):
-                shapes[u] = (d[0], d[1], tuple(l for l, _ in d[2]))
-                children[u] = tuple(index[t] for _, t in d[2])
-            else:
-                shapes[u] = ("gcomm", d[1], d[2], tuple(l for l, _ in d[3]))
-                children[u] = tuple(index[t] for _, t in d[3])
+            kids = tuple(t if tag == "n" else done[t] for tag, t in refs)
+            key = (shape, tuple(c.nid for c in kids))
+            node = self._cons.get(key)
+            if node is None:
+                node = self._cons[key] = _attach(self._make(shape), shape, kids)
+            done[d] = node
+        return [t if tag == "n" else done[t] for tag, t in roots]
 
-        # partition refinement to bisimulation classes
-        block = {}
-        groups = {}
-        for u in range(len(units)):
-            groups.setdefault(shapes[u], []).append(u)
-        for i, g in enumerate(groups.values()):
-            for u in g:
-                block[u] = i
-        while True:
-            sigs = {}
-            for u in range(len(units)):
-                sig = (block[u], tuple(block[c] for c in children[u]))
-                sigs.setdefault(sig, []).append(u)
-            if len(sigs) == len(set(block.values())):
-                break
-            for i, g in enumerate(sigs.values()):
-                for u in g:
-                    block[u] = i
+    def _make(self, shape):
+        node = object.__new__(_KINDS[shape[0]])
+        node.store = self
+        node.nid = self._count
+        self._count += 1
+        return node
 
-        classes = {}
-        for u in range(len(units)):
-            classes.setdefault(block[u], []).append(u)
+    def _intern_cycle(self, drafts, scc, done):
+        """Resolve one cyclic component of drafts into `done`.
 
-        def class_node(cls):
-            for u in classes[cls]:
-                if units[u][0] == "n":
-                    return units[u][1]
-            return None
+        Partition refinement over the component and the existing nodes it
+        reaches merges every class bisimilar to one of those nodes.  Any
+        other existing node bisimilar to a class lies on a cycle that the
+        class does not reach; its component is then isomorphic to the
+        class's, with the same children outside it.  So each remaining class
+        is looked up by a flat key: the component listed breadth first from
+        that class, shape by shape, with inner edges as positions in the
+        listing and edges that leave it as ("n", nid).  Every class has its
+        own key of the component's length, so a component of k new classes
+        costs O(k^2) in time and in key storage.
+        """
+        k = len(scc)
+        unit = {d: u for u, d in enumerate(scc)}
+        shapes = [drafts[d][0] for d in scc]
+        existing = [None] * k      # unit -> node, for the existing units
+        node_unit = {}
 
-        def class_children(cls):
-            u = classes[cls][0]
-            return tuple(block[c] for c in children[u])
+        def unit_of(n):
+            u = node_unit.get(n.nid)
+            if u is None:
+                u = node_unit[n.nid] = len(existing)
+                existing.append(n)
+            return u
 
-        def class_shape(cls):
-            return shapes[classes[cls][0]]
+        children = [[unit[t] if tag == "d" and t in unit
+                     else unit_of(t if tag == "n" else done[t])
+                     for tag, t in drafts[d][1]] for d in scc]
+        u = k
+        while u < len(existing):
+            shape, kids = _split(existing[u])
+            shapes.append(shape)
+            children.append([unit_of(c) for c in kids])
+            u += 1
+        block = _refine(shapes, children)
 
-        def serialize(root_cls):
-            visit = {}
+        image = {block[u]: existing[u] for u in range(k, len(existing))}
+        rep = {}                   # block of no existing node -> one unit
+        for u in range(k):
+            if block[u] not in image:
+                rep.setdefault(block[u], u)
+        if rep:
+            kids_of = {b: [block[c] for c in children[u]] for b, u in rep.items()}
 
-            def emit(cls):
-                if cls in visit:
-                    return ("#", visit[cls])
-                visit[cls] = len(visit)
-                return (class_shape(cls), tuple(emit(c) for c in class_children(cls)))
+            def listing(root):
+                pos = {root: 0}
+                seq = [root]
+                key = []
+                for b in seq:
+                    key.append(shapes[rep[b]])
+                    for c in kids_of[b]:
+                        if c not in rep:
+                            key.append(("n", image[c].nid))
+                            continue
+                        if c not in pos:
+                            pos[c] = len(seq)
+                            seq.append(c)
+                        key.append(pos[c])
+                return tuple(key)
 
-            return emit(root_cls)
-
-        mapped = {}
-
-        def materialize(cls):
-            if cls in mapped:
-                return mapped[cls]
-            existing = class_node(cls)
-            if existing is not None:
-                mapped[cls] = existing
-                return existing
-            key = serialize(cls)
-            hit = self._canon.get(key)
-            if hit is not None:
-                mapped[cls] = hit
-                return hit
-            shape = class_shape(cls)
-            kinds = {"pend": PEnd, "pin": PIn, "pout": POut, "gend": GEnd, "gcomm": GComm}
-            node = object.__new__(kinds[shape[0]])
-            node.store = self
-            node.nid = self._count
-            self._count += 1
-            self._canon[key] = node
-            mapped[cls] = node
-            labels = shape[-1] if shape[0] in ("pin", "pout", "gcomm") else ()
-            kids = tuple(materialize(c) for c in class_children(cls))
-            if shape[0] in ("pin", "pout"):
-                node.peer = shape[1]
-                node.branches = tuple(zip(labels, kids))
-            elif shape[0] == "gcomm":
-                node.sender = shape[1]
-                node.receiver = shape[2]
-                node.branches = tuple(zip(labels, kids))
-            return node
-
-        return [materialize(block[index[r]]) for r in roots]
+            keys = {b: listing(b) for b in rep}
+            for b, key in keys.items():
+                hit = self._cycles.get(key)
+                if hit is not None:
+                    image[b] = hit
+            fresh = [b for b in rep if b not in image]
+            for b in fresh:
+                image[b] = self._make(shapes[rep[b]])
+            for b in fresh:
+                shape = shapes[rep[b]]
+                kids = tuple(image[c] for c in kids_of[b])
+                _attach(image[b], shape, kids)
+                self._cons[(shape, tuple(c.nid for c in kids))] = image[b]
+                self._cycles[keys[b]] = image[b]
+        for u, d in enumerate(scc):
+            done[d] = image[block[u]]
 
     # -- participants -------------------------------------------------------
 
@@ -330,25 +395,19 @@ class NodeStore:
         if cached is not None:
             return cached
         reach = []
-        seen = set()
+        kids = {}
+        own = {}
         stack = [node]
         while stack:
             n = stack.pop()
-            if n.nid in seen:
+            if n.nid in own:
                 continue
-            seen.add(n.nid)
+            shape, kids[n.nid] = _split(n)
+            own[n.nid] = set(shape[1:-1])
             reach.append(n)
-            for c in _node_children(n):
-                if c.nid not in seen:
+            for c in kids[n.nid]:
+                if c.nid not in own and c.nid not in self._pt:
                     stack.append(c)
-        own = {}
-        for n in reach:
-            if isinstance(n, (PIn, POut)):
-                own[n.nid] = {n.peer}
-            elif isinstance(n, GComm):
-                own[n.nid] = {n.sender, n.receiver}
-            else:
-                own[n.nid] = set()
         # fixpoint over the reachable component; cached nodes act as constants
         changed = True
         while changed:
@@ -356,7 +415,7 @@ class NodeStore:
             for n in reach:
                 acc = own[n.nid]
                 before = len(acc)
-                for c in _node_children(n):
+                for c in kids[n.nid]:
                     cached_child = self._pt.get(c.nid)
                     acc |= cached_child if cached_child is not None else own[c.nid]
                 if len(acc) != before:
@@ -395,23 +454,28 @@ class GraphBuilder:
         raise TypeError(f"branch target must be a draft index or node, got {target!r}")
 
     def _copy_foreign(self, node):
-        if node in self._foreign:
-            return self._foreign[node]
-        i = self.reserve()
-        self._foreign[node] = i
-        if isinstance(node, PEnd):
-            self._drafts[i] = ("pend",)
-        elif isinstance(node, GEnd):
-            self._drafts[i] = ("gend",)
-        elif isinstance(node, PIn):
-            self.fill_in(i, node.peer, [(l, c) for l, c in node.branches])
-        elif isinstance(node, POut):
-            self.fill_out(i, node.peer, [(l, c) for l, c in node.branches])
-        else:
-            self.fill_comm(i, node.sender, node.receiver, [(l, c) for l, c in node.branches])
-        return i
+        """Draft index standing for a node of another store; the node's
+        reachable graph is copied once per builder."""
+        index = self._foreign.get(node)
+        if index is not None:
+            return index
+        index = self._foreign[node] = self.reserve()
+        work = [node]
+        while work:
+            n = work.pop()
+            shape, kids = _split(n)
+            refs = []
+            for c in kids:
+                j = self._foreign.get(c)
+                if j is None:
+                    j = self._foreign[c] = self.reserve()
+                    work.append(c)
+                refs.append(("d", j))
+            self._drafts[self._foreign[n]] = (shape, tuple(refs))
+        return index
 
     def _branches(self, branches, proc):
+        """(labels, refs) of a choice, sorted by label."""
         out = []
         seen = set()
         for label, target in branches:
@@ -428,16 +492,19 @@ class GraphBuilder:
         if not out:
             raise TermError("a choice needs at least one branch")
         out.sort(key=lambda item: item[0])
-        return tuple(out)
+        labels, refs = zip(*out)
+        return labels, refs
 
     def fill_in(self, i, peer, branches):
         check_ident(peer, "participant")
-        self._drafts[i] = ("pin", peer, self._branches(branches, proc=True))
+        labels, refs = self._branches(branches, proc=True)
+        self._drafts[i] = (("pin", peer, labels), refs)
         return i
 
     def fill_out(self, i, peer, branches):
         check_ident(peer, "participant")
-        self._drafts[i] = ("pout", peer, self._branches(branches, proc=True))
+        labels, refs = self._branches(branches, proc=True)
+        self._drafts[i] = (("pout", peer, labels), refs)
         return i
 
     def fill_comm(self, i, sender, receiver, branches):
@@ -445,29 +512,24 @@ class GraphBuilder:
         check_ident(receiver, "participant")
         if sender == receiver:
             raise TermError(f"{sender!r} cannot communicate with itself")
-        self._drafts[i] = ("gcomm", sender, receiver, self._branches(branches, proc=False))
+        labels, refs = self._branches(branches, proc=False)
+        self._drafts[i] = (("gcomm", sender, receiver, labels), refs)
         return i
+
+    def _desc(self, target):
+        """(shape, refs) of a draft or node; None while still unfilled."""
+        ref = self._ref(target)
+        if ref[0] == "d":
+            return self._drafts[ref[1]]
+        shape, kids = _split(ref[1])
+        return shape, tuple(("n", c) for c in kids)
 
     def fill_copy(self, i, target):
         """Give draft i the same description as another draft or node."""
-        ref = self._ref(target)
-        if ref[0] == "d":
-            desc = self._drafts[ref[1]]
-            if desc is None:
-                raise TermError("cannot copy an unfilled draft")
-            self._drafts[i] = desc
-        else:
-            n = ref[1]
-            if isinstance(n, PEnd):
-                self._drafts[i] = ("pend",)
-            elif isinstance(n, GEnd):
-                self._drafts[i] = ("gend",)
-            elif isinstance(n, PIn):
-                self.fill_in(i, n.peer, list(n.branches))
-            elif isinstance(n, POut):
-                self.fill_out(i, n.peer, list(n.branches))
-            else:
-                self.fill_comm(i, n.sender, n.receiver, list(n.branches))
+        desc = self._desc(target)
+        if desc is None:
+            raise TermError("cannot copy an unfilled draft")
+        self._drafts[i] = desc
         return i
 
     def shape_of(self, target):
@@ -476,34 +538,22 @@ class GraphBuilder:
         kind is "end", "in", "out", or "comm"; peer is the other participant
         ((sender, receiver) for comm); labels the tuple of branch labels.
         """
-        ref = self._ref(target)
-        if ref[0] == "d":
-            desc = self._drafts[ref[1]]
-            if desc is None:
-                return None
-            tag = desc[0]
-            if tag in ("pend", "gend"):
-                return ("end", None, ())
-            if tag == "gcomm":
-                return ("comm", (desc[1], desc[2]), tuple(l for l, _ in desc[3]))
-            return ("in" if tag == "pin" else "out",
-                    desc[1], tuple(l for l, _ in desc[2]))
-        n = ref[1]
-        if isinstance(n, (PEnd, GEnd)):
+        desc = self._desc(target)
+        if desc is None:
+            return None
+        shape = desc[0]
+        if shape[0] in ("pend", "gend"):
             return ("end", None, ())
-        if isinstance(n, GComm):
-            return ("comm", (n.sender, n.receiver), node_labels(n))
-        return ("in" if isinstance(n, PIn) else "out", n.peer, node_labels(n))
+        if shape[0] == "gcomm":
+            return ("comm", (shape[1], shape[2]), shape[3])
+        return ("in" if shape[0] == "pin" else "out", shape[1], shape[2])
 
     def branch_targets(self, target):
         """[(label, draft index or node)] of a filled draft or node."""
-        ref = self._ref(target)
-        if ref[0] == "n":
-            return list(ref[1].branches)
-        desc = self._drafts[ref[1]]
-        if desc is None or desc[0] in ("pend", "gend"):
+        desc = self._desc(target)
+        if desc is None or not desc[1]:
             raise TermError("target has no branches")
-        return [(l, r[1]) for l, r in desc[-1]]
+        return [(l, t) for l, (_, t) in zip(desc[0][-1], desc[1])]
 
     def add_in(self, peer, branches):
         return self.fill_in(self.reserve(), peer, branches)
@@ -594,22 +644,9 @@ def _intern_term(store, term, defs, proc):
         _assign(slot, r)
 
     def _assign(slot, r):
-        if isinstance(r, Node):
-            if isinstance(r, (PEnd, GEnd)):
-                b._drafts[slot.draft] = ("pend",) if proc else ("gend",)
-            else:
-                b._drafts[slot.draft] = b._drafts[b._copy_foreign(r)] if r.store is not store \
-                    else _desc_of(r)
-        else:
-            b._drafts[slot.draft] = b._drafts[r]
+        b.fill_copy(slot.draft, r)
         slot.alias = None
         slot.state = 2
-
-    def _desc_of(n):
-        shape = _desc_shape(n)
-        if shape[0] in ("pend", "gend"):
-            return shape
-        return (shape[0], *shape[1:-1], tuple((l, ("n", c)) for l, c in n.branches))
 
     if defs:
         for name, body in defs.items():
@@ -704,17 +741,11 @@ def coinductive_closure(rel, a, b, step, reflexive):
 
 
 def _bisim_step(x, y):
-    if type(x) is not type(y):
+    sx, kx = _split(x)
+    sy, ky = _split(y)
+    if sx != sy:
         return None
-    if isinstance(x, (PEnd, GEnd)):
-        return ()
-    if isinstance(x, (PIn, POut)):
-        if x.peer != y.peer or node_labels(x) != node_labels(y):
-            return None
-    else:
-        if x.sender != y.sender or x.receiver != y.receiver or node_labels(x) != node_labels(y):
-            return None
-    return tuple((cx, cy) for (_, cx), (_, cy) in zip(x.branches, y.branches))
+    return tuple(zip(kx, ky))
 
 
 def bisim_process(P, Q):

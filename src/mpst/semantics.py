@@ -52,6 +52,23 @@ class CommAction:
                 "text": str(self)}
 
 
+class InvalidStateBound(ValueError):
+    """MPST_STATE_BOUND is set to something other than a positive integer."""
+
+
+def _env_state_bound():
+    text = os.environ.get("MPST_STATE_BOUND")
+    if text is None:
+        return DEFAULT_STATE_BOUND
+    try:
+        bound = int(text)
+    except ValueError:
+        bound = 0
+    if bound <= 0:
+        raise InvalidStateBound(f"MPST_STATE_BOUND must be a positive integer, got {text!r}")
+    return bound
+
+
 class StateSpaceBoundExceeded(Exception):
     def __init__(self, product, bound):
         super().__init__(
@@ -260,7 +277,7 @@ class StateGraph:
 def explore(M, bound=None):
     """Reachability closure of rule comm over canonical states."""
     if bound is None:
-        bound = int(os.environ.get("MPST_STATE_BOUND", DEFAULT_STATE_BOUND))
+        bound = _env_state_bound()
     init = normalize_session(M)
     product = 1
     for _, P in init.items():

@@ -230,6 +230,14 @@ def test_state_bound_env(cx, capsys, monkeypatch):
     assert code == 2 and "bound" in out.lower()
 
 
+@pytest.mark.parametrize("bound", ["abc", "1.5", "0", "-3", ""])
+def test_state_bound_env_rejects_non_positive_integers(cx, capsys, monkeypatch, bound):
+    monkeypatch.setenv("MPST_STATE_BOUND", bound)
+    code, out = run(capsys, "lockfree", str(cx.path("relay.sess")))
+    assert code == 2
+    assert out.strip() == f"MPST_STATE_BOUND must be a positive integer, got {bound!r}"
+
+
 # ---------------------------------------------------------------------------
 # module entry point and a full corpus pipeline
 

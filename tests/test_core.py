@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from mpst.core import (NodeStore, PEnd, PIn, POut, Session, TermError,
-                       bisim_global, bisim_process, node_branch, node_labels,
-                       normalize_session, participants_of_global,
-                       participants_of_process, sessions_bisimilar)
+from mpst.core import (GComm, GEnd, NodeStore, PEnd, PIn, POut, Session,
+                       TermError, bisim_global, bisim_process,
+                       node_branch, node_labels, normalize_session,
+                       participants_of_global, participants_of_process,
+                       sessions_bisimilar)
 from mpst.parser import (parse_global, parse_process, parse_session,
                          print_global, print_process, print_session)
 from mpst.semantics import session_enabled
@@ -102,6 +103,188 @@ def test_participants_of_global(cx):
     assert participants_of_global(cx.gt("relay.gt")) == frozenset("pqh")
     assert participants_of_global(cx.gt("right.gt")) == frozenset("krs")
     assert participants_of_global(cx.store.end_global) == frozenset()
+
+
+def _naive_bisimilar(a, b):
+    """Independent oracle: close {(a, b)} under the child pairs each pair
+    requires, and check that every pair in the closure agrees on its shape."""
+    def look(n):
+        if isinstance(n, (PEnd, GEnd)):
+            return (type(n),), ()
+        ends = (n.sender, n.receiver) if isinstance(n, GComm) else (n.peer,)
+        return ((type(n), *ends, *(l for l, _ in n.branches)),
+                tuple(c for _, c in n.branches))
+
+    seen = {(a, b)}
+    work = [(a, b)]
+    while work:
+        (sx, kx), (sy, ky) = map(look, work.pop())
+        if sx != sy:
+            return False
+        for pair in zip(kx, ky):
+            if pair not in seen:
+                seen.add(pair)
+                work.append(pair)
+    return True
+
+
+def _intern_checked(b, drafts):
+    """Intern drafts and check, with the naive oracle, that each result
+    unfolds to the same tree as its draft."""
+    nodes = b.intern(drafts)
+    seen = set()
+    work = list(zip(drafts, nodes))
+    while work:
+        target, node = work.pop()
+        if not isinstance(target, int):
+            assert _naive_bisimilar(target, node)
+        elif (target, node) not in seen:
+            seen.add((target, node))
+            assert b.shape_of(target) == b.shape_of(node)
+            if b.shape_of(node)[0] != "end":
+                work.extend((t, c) for (_, t), (_, c)
+                            in zip(b.branch_targets(target), node.branches))
+    return nodes
+
+
+def _fill_like(b, d, n, branches):
+    if isinstance(n, GComm):
+        b.fill_comm(d, n.sender, n.receiver, branches)
+    elif isinstance(n, PIn):
+        b.fill_in(d, n.peer, branches)
+    else:
+        b.fill_out(d, n.peer, branches)
+
+
+def _random_drafts(rng, store, pool, proc):
+    """A few fresh drafts, possibly cyclic, whose branches may also target
+    nodes already in the store."""
+    b = store.builder()
+    drafts = [b.reserve() for _ in range(rng.choice((1, 2, 3, 4, 12, 30)))]
+    for d in drafts:
+        branches = [(l, rng.choice(drafts) if rng.random() < 0.5 else rng.choice(pool))
+                    for l in rng.sample(("a", "b"), rng.randint(1, 2))]
+        if proc:
+            (b.fill_in if rng.random() < 0.3 else b.fill_out)(d, "q", branches)
+        else:
+            b.fill_comm(d, *rng.choice((("p", "q"), ("q", "p"))), branches)
+    return _intern_checked(b, drafts)
+
+
+def _unrolled_copy(rng, store, pool, node):
+    """Drafts retracing the graph below `node`: unrolled a little, folded back
+    onto other drafts or onto the original nodes, now and then redirected to
+    a random node so that near misses occur as well as exact copies."""
+    if isinstance(node, (PEnd, GEnd)):
+        return []
+    b = store.builder()
+    queue = [(node, b.reserve())]
+    twins = {node: [queue[0][1]]}
+    budget = rng.randint(1, 6)
+    for n, d in queue:
+        branches = []
+        for label, child in n.branches:
+            roll = rng.random()
+            if roll < 0.05:
+                target = rng.choice(pool)
+            elif roll < 0.3 or isinstance(child, (PEnd, GEnd)):
+                target = child
+            elif child in twins and (roll < 0.7 or len(queue) >= budget):
+                target = rng.choice(twins[child])
+            elif len(queue) < budget:
+                target = b.reserve()
+                twins.setdefault(child, []).append(target)
+                queue.append((child, target))
+            else:
+                target = child
+            branches.append((label, target))
+        _fill_like(b, d, n, branches)
+    return _intern_checked(b, [d for _, d in queue])
+
+
+def _reachable(nodes):
+    seen = {}
+    stack = list(nodes)
+    while stack:
+        n = stack.pop()
+        if n.nid not in seen:
+            seen[n.nid] = n
+            stack.extend(c for _, c in getattr(n, "branches", ()))
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("proc", [True, False], ids=["process", "global"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_interning_agrees_with_naive_bisimulation(proc, seed):
+    rng = random.Random(seed)
+    store = NodeStore()
+    pool = [store.end_process if proc else store.end_global]
+    folded = 0
+    for _ in range(150):
+        roll = rng.random()
+        if roll < 0.25:
+            make = randgen.random_process if proc else randgen.random_global
+            kwargs = {"peers": ("q",)} if proc else {"participants": ("p", "q")}
+            term = make(rng, NodeStore() if rng.random() < 0.3 else store,
+                        labels=("a", "b"), max_nodes=5, **kwargs)
+            pool.append(store.adopt(term))
+        elif roll < 0.55:
+            pool.extend(_random_drafts(rng, store, pool, proc))
+        else:
+            original = rng.choice(pool)
+            copies = _unrolled_copy(rng, store, pool, original)
+            folded += bool(copies) and copies[0] is original
+            pool.extend(copies)
+    assert folded >= 10  # the hard case, a copy of an existing node, occurred
+    nodes = _reachable(pool)
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1:]:
+            assert not _naive_bisimilar(a, b), (a, b)
+
+
+def test_new_self_loop_folds_onto_existing_cycle(store):
+    E = parse_process("rec X . p!{a . X, b . q!c . X}", store=store)
+    D = node_branch(E, "b")
+    b = store.builder()
+    c = b.reserve()
+    b.fill_out(c, "p", [("a", c), ("b", D)])
+    assert b.intern([c])[0] is E
+
+
+def test_new_acyclic_draft_over_existing_cycle_is_its_root(store):
+    E = parse_process("rec X . p!{a . X, b . q!c . X}", store=store)
+    D = node_branch(E, "b")
+    assert store.process_out("p", [("a", E), ("b", D)]) is E
+
+
+def test_incremental_interning_has_no_depth_limit(store):
+    G = store.end_global
+    for _ in range(10 ** 4):
+        G = store.comm("p", "q", [("l", G)])
+    assert participants_of_global(G) == frozenset("pq")
+    H = parse_global("p -> q : l . " * 3 + "end", store=store)
+    for _ in range(10 ** 4 - 3):
+        H = store.comm("p", "q", [("l", H)])
+    assert H is G
+
+
+def test_long_cycle_with_distinct_labels(store):
+    n = 1000
+
+    def cycle(start):
+        b = store.builder()
+        drafts = [b.reserve() for _ in range(n)]
+        for i in range(n):
+            k = (start + i) % n
+            b.fill_out(drafts[i], "q", [(f"l{k}", drafts[(i + 1) % n])])
+        return b.intern(drafts)
+
+    nodes = cycle(0)
+    assert len({n.nid for n in nodes}) == n
+    assert node_branch(nodes[-1], f"l{n - 1}") is nodes[0]
+    rotated = cycle(7)
+    assert rotated == nodes[7:] + nodes[:7]
+    assert store.adopt(NodeStore().adopt(nodes[3])) is nodes[3]
 
 
 # ---------------------------------------------------------------------------
