@@ -775,6 +775,20 @@ class Session:
                 raise TermError(f"participant {p!r} communicates with itself")
         self._bindings = dict(sorted(items.items()))
 
+    @classmethod
+    def _trusted(cls, bindings):
+        """Wrap `bindings` without validating them.
+
+        Only for a session derived from a validated one by moving
+        participants to children of their own processes, or by dropping
+        bindings: the names were checked already, and a child's participants
+        are a subset of its parent's, so no check could fail.  `bindings` is
+        a dict sorted by participant and is not copied.
+        """
+        M = object.__new__(cls)
+        M._bindings = bindings
+        return M
+
     @property
     def participants(self):
         return tuple(self._bindings)

@@ -8,7 +8,7 @@ communications independent of the root choice, inside every branch at once
 
 State spaces are finite because a stepped process is always a node of the
 original process graph, so exploration is exact rather than bounded, with a
-configurable safety valve on the node-count product.
+configurable safety valve on the number of states discovered.
 """
 
 from __future__ import annotations
@@ -70,33 +70,57 @@ def _env_state_bound():
 
 
 class StateSpaceBoundExceeded(Exception):
-    def __init__(self, product, bound):
+    """Exploration discovered more states than the bound allows."""
+
+    def __init__(self, states, bound):
         super().__init__(
-            f"state space may hold up to {product} states, over the bound {bound}; "
+            f"exploration found more than {bound} states; "
             f"raise MPST_STATE_BOUND to explore anyway")
-        self.product = product
+        self.states = states
         self.bound = bound
 
 
 # ---------------------------------------------------------------------------
 # Session transitions.
 
-def session_enabled(M):
-    """Enabled communications with their successors, rule comm."""
+def _moves(M, memo):
+    """Rule comm: (action, sender's continuation, receiver's continuation).
+
+    Bindings are sorted by participant, branches by label, and a sender
+    talks to one peer, so the moves come out in CommAction order.  `memo`
+    caches the moves of each (sender, process, peer's process) triple.
+    """
     out = []
     for p, P in M.items():
         if not isinstance(P, POut):
             continue
-        q = P.peer
-        Q = M.get(q)
-        if not (isinstance(Q, PIn) and Q.peer == p):
-            continue
-        if not set(node_labels(P)) <= set(node_labels(Q)):
-            continue
-        for l, cont in P.branches:
-            action = CommAction(p, l, q)
-            out.append((action, M.rebind({p: cont, q: node_branch(Q, l)})))
-    out.sort(key=lambda e: e[0])
+        Q = M.get(P.peer)
+        hit = memo.get((p, P, Q))
+        if hit is None:
+            hit = memo[(p, P, Q)] = _pair_moves(p, P, Q)
+        out.extend(hit)
+    return out
+
+
+def _pair_moves(p, P, Q):
+    """The moves of sender p running P while its peer runs Q (or is unbound)."""
+    q = P.peer
+    if not (isinstance(Q, PIn) and Q.peer == p):
+        return ()
+    accept = dict(Q.branches)
+    if not all(l in accept for l, _ in P.branches):
+        return ()
+    return tuple((CommAction(p, l, q), cont, accept[l]) for l, cont in P.branches)
+
+
+def session_enabled(M):
+    """Enabled communications with their successors, rule comm."""
+    out = []
+    for action, P, Q in _moves(M, {}):
+        succ = dict(M.items())
+        succ[action.sender] = P
+        succ[action.receiver] = Q
+        out.append((action, Session._trusted(succ)))
     return out
 
 
@@ -226,19 +250,6 @@ def simulate(M, steps, seed=0):
 # ---------------------------------------------------------------------------
 # Exhaustive exploration.
 
-def _count_nodes(P):
-    seen = set()
-    stack = [P]
-    while stack:
-        n = stack.pop()
-        if n in seen:
-            continue
-        seen.add(n)
-        if not isinstance(n, PEnd):
-            stack.extend(c for _, c in n.branches)
-    return len(seen)
-
-
 def _state_key(M):
     return tuple((p, P.nid) for p, P in M.items())
 
@@ -248,9 +259,6 @@ class StateGraph:
     states: list  # canonical (normalized) sessions, index 0 = initial
     edges: list   # (source index, CommAction, target index)
     initial: int = 0
-
-    def successors(self, i):
-        return [(a, j) for s, a, j in self.edges if s == i]
 
     def to_json(self):
         return {
@@ -275,30 +283,42 @@ class StateGraph:
 
 
 def explore(M, bound=None):
-    """Reachability closure of rule comm over canonical states."""
+    """Reachability closure of rule comm over canonical states.
+
+    States are numbered breadth first and keyed by their (participant, nid)
+    pairs, so each distinct state is built once.  Raises
+    StateSpaceBoundExceeded as soon as more than `bound` states are found.
+    """
     if bound is None:
         bound = _env_state_bound()
     init = normalize_session(M)
-    product = 1
-    for _, P in init.items():
-        product *= _count_nodes(P)
-    if product > bound:
-        raise StateSpaceBoundExceeded(product, bound)
     states = [init]
-    index = {_state_key(init): 0}
+    keys = [_state_key(init)]
+    index = {keys[0]: 0}
     edges = []
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for action, succ in session_enabled(states[i]):
-            succ = normalize_session(succ)
-            key = _state_key(succ)
-            j = index.get(key)
+    memo = {}
+    for i, state in enumerate(states):
+        key = keys[i]
+        pos = {p: k for k, (p, _) in enumerate(key)}
+        for action, P, Q in _moves(state, memo):
+            p, q = action.sender, action.receiver
+            succ_key = list(key)
+            succ_key[pos[p]] = None if isinstance(P, PEnd) else (p, P.nid)
+            succ_key[pos[q]] = None if isinstance(Q, PEnd) else (q, Q.nid)
+            while None in succ_key:
+                succ_key.remove(None)
+            succ_key = tuple(succ_key)
+            j = index.get(succ_key)
             if j is None:
                 j = len(states)
-                index[key] = j
-                states.append(succ)
-                queue.append(j)
+                if j == bound:
+                    raise StateSpaceBoundExceeded(j + 1, bound)
+                index[succ_key] = j
+                keys.append(succ_key)
+                succ = dict(state.items())
+                succ[p], succ[q] = P, Q
+                states.append(Session._trusted(
+                    {r: R for r, R in succ.items() if not isinstance(R, PEnd)}))
             edges.append((i, action, j))
     return StateGraph(states, edges)
 
@@ -311,6 +331,8 @@ class LockReport:
     ok: bool
     deadlock_witness: list | None = None      # actions to a stuck non-final state
     starvation_witness: tuple | None = None   # (actions to the state, participant)
+    states: int = 0                           # size of the explored state graph
+    edges: int = 0
 
     def to_json(self):
         return {
@@ -320,19 +342,18 @@ class LockReport:
             "starvation_witness": None if self.starvation_witness is None
             else {"path": [a.to_json() for a in self.starvation_witness[0]],
                   "participant": self.starvation_witness[1]},
+            "stats": {"states": self.states, "edges": self.edges},
         }
 
 
-def _paths_from_initial(graph):
-    """Shortest action path to each state, by BFS parent tracking."""
+def _paths_from_initial(graph, succ):
+    """Shortest action path to each state, by BFS parent tracking over the
+    adjacency lists `succ`."""
     parent = {graph.initial: None}
     order = deque([graph.initial])
-    fwd = {}
-    for s, a, t in graph.edges:
-        fwd.setdefault(s, []).append((a, t))
     while order:
         i = order.popleft()
-        for a, j in fwd.get(i, ()):
+        for a, j in succ[i]:
             if j not in parent:
                 parent[j] = (i, a)
                 order.append(j)
@@ -348,6 +369,66 @@ def _paths_from_initial(graph):
     return path
 
 
+def _reachable_involvement(succ, bit):
+    """For each state, the participants of the edges reachable from it.
+
+    Participants are bits of a mask (`bit[p]`).  One iterative Tarjan pass:
+    strongly connected components complete sinks first, so a component's
+    mask joins the participants of its own edges with the finished masks of
+    the components its edges lead to, and all its states share that mask.
+    """
+    n = len(succ)
+    order = [-1] * n      # discovery index; -1 while undiscovered
+    low = [0] * n
+    on_stack = [False] * n
+    mask = [0] * n
+    stack = []
+    count = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for _, w in edges:
+                if order[w] < 0:
+                    order[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] != order[v]:
+                    continue
+                component = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    component.append(w)
+                    if w == v:
+                        break
+                # masks of this component are still 0, others are final
+                m = 0
+                for x in component:
+                    for a, y in succ[x]:
+                        m |= bit[a.sender] | bit[a.receiver] | mask[y]
+                for x in component:
+                    mask[x] = m
+    return mask
+
+
 def lock_free(M, bound=None):
     """Exact check of the two lock-freedom conditions on the state graph.
 
@@ -355,31 +436,23 @@ def lock_free(M, bound=None):
     participant still has work, some reachable transition involves it.
     """
     graph = explore(M, bound)
-    path = _paths_from_initial(graph)
-    has_edge = set()
-    for s, _, _ in graph.edges:
-        has_edge.add(s)
-    for i, state in enumerate(graph.states):
-        if i not in has_edge and len(state) > 0:
-            return LockReport(False, deadlock_witness=path(i))
-    participants = sorted({p for state in graph.states for p in state.participants})
-    back = {}
+    states = graph.states
+    succ = [[] for _ in states]
     for s, a, t in graph.edges:
-        back.setdefault(t, []).append(s)
+        succ[s].append((a, t))
+    path = _paths_from_initial(graph, succ)
+    size = {"states": len(states), "edges": len(graph.edges)}
+    for i, state in enumerate(states):
+        if not succ[i] and len(state) > 0:
+            return LockReport(False, deadlock_witness=path(i), **size)
+    participants = sorted({p for state in states for p in state.participants})
+    bit = {p: 1 << k for k, p in enumerate(participants)}
+    reach = _reachable_involvement(succ, bit)
     for p in participants:
-        involved = {s for s, a, _ in graph.edges if a.involves(p)}
-        reach = set(involved)
-        work = deque(involved)
-        while work:
-            t = work.popleft()
-            for s in back.get(t, ()):
-                if s not in reach:
-                    reach.add(s)
-                    work.append(s)
-        for i, state in enumerate(graph.states):
-            if p in state and i not in reach:
-                return LockReport(False, starvation_witness=(path(i), p))
-    return LockReport(True)
+        for i, state in enumerate(states):
+            if p in state and not reach[i] & bit[p]:
+                return LockReport(False, starvation_witness=(path(i), p), **size)
+    return LockReport(True, **size)
 
 
 # ---------------------------------------------------------------------------

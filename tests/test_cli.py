@@ -219,15 +219,31 @@ def test_lockfree_json(cx, capsys):
                     "--json")
     assert code == 1
     data = json.loads(out)
-    assert set(data) == {"ok", "deadlock_witness", "starvation_witness"}
+    assert set(data) == {"ok", "deadlock_witness", "starvation_witness", "stats"}
     assert data == {"ok": False, "deadlock_witness": [],
-                    "starvation_witness": None}
+                    "starvation_witness": None,
+                    "stats": {"states": 1, "edges": 0}}
 
 
 def test_state_bound_env(cx, capsys, monkeypatch):
     monkeypatch.setenv("MPST_STATE_BOUND", "2")
     code, out = run(capsys, "lockfree", str(cx.path("relay.sess")))
     assert code == 2 and "bound" in out.lower()
+
+
+def test_state_bound_counts_reachable_states(cx, capsys, monkeypatch):
+    # composed.sess reaches 54 states; its node-count product is over 10^5
+    monkeypatch.setenv("MPST_STATE_BOUND", "1000")
+    code, out = run(capsys, "lockfree", str(cx.path("composed.sess")))
+    assert code == 0 and out.strip() == "lock-free"
+
+
+def test_lockfree_json_reports_explored_size(cx, capsys):
+    code, out = run(capsys, "lockfree", str(cx.path("composed.sess")), "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["ok"] is True
+    assert data["stats"] == {"states": 54, "edges": 78}
 
 
 @pytest.mark.parametrize("bound", ["abc", "1.5", "0", "-3", ""])

@@ -296,6 +296,18 @@ def test_session_rejects_self_communication(store):
         Session({"p": P})
 
 
+def test_session_and_rebind_validate_their_input(store):
+    M = parse_session("p |> q!l . 0 || q |> p?l . 0", store=store)
+    with pytest.raises(TermError):
+        M.rebind({"q": parse_process("q!l . 0", store=store)})
+    with pytest.raises(TermError):
+        M.rebind({"rec": store.end_process})
+    with pytest.raises(TermError):
+        Session({"not a name": store.end_process})
+    with pytest.raises(TermError):
+        M.rebind({"p": "q!l . 0"})
+
+
 def test_session_accessors(cx):
     M = cx.sess("relay.sess")
     assert M.participants == ("h", "p", "q")

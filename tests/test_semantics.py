@@ -1,16 +1,18 @@
 import os
 import random
+from collections import deque
 
 import pytest
 
-from mpst.core import (PEnd, Session, bisim_global, normalize_session,
+from mpst.core import (NodeStore, PEnd, PIn, POut, Session, bisim_global,
+                       node_branch, node_labels, normalize_session,
                        participants_of_global)
 from mpst.parser import (parse_global, parse_process, parse_session,
                          print_global, print_session)
-from mpst.semantics import (CommAction, StateSpaceBoundExceeded, explore,
-                            fidelity_harness, global_enabled, global_step,
-                            lock_free, session_enabled, session_step,
-                            simulate, standard_witness)
+from mpst.semantics import (CommAction, LockReport, StateSpaceBoundExceeded,
+                            explore, fidelity_harness, global_enabled,
+                            global_step, lock_free, session_enabled,
+                            session_step, simulate, standard_witness)
 from mpst.typecheck import Mode, typecheck
 
 import randgen
@@ -117,6 +119,19 @@ def test_explore_reads_bound_from_environment(cx, monkeypatch):
         explore(cx.sess("right.sess"))
 
 
+def test_explore_bound_counts_discovered_states(cx):
+    for name in cx.names(".sess"):
+        M = cx.sess(name)
+        n = len(explore(M).states)
+        assert len(explore(M, bound=n).states) == n
+        if n == 1:
+            continue
+        with pytest.raises(StateSpaceBoundExceeded) as info:
+            explore(M, bound=n - 1)
+        assert info.value.states == n and info.value.bound == n - 1
+        assert f"found more than {n - 1} states" in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # Subject reduction on the corpus.
 
@@ -184,6 +199,180 @@ def test_deadlock_witness_is_replayable(store):
     for action in report.deadlock_witness:
         state = normalize_session(session_step(state, action))
     assert session_enabled(state) == [] and len(state) > 0
+
+
+# ---------------------------------------------------------------------------
+# Reference engine: the exploration and lock-freedom check that preceded the
+# trusted successors and the SCC pass.  Successors go through the validating
+# Session.rebind and normalize_session, and starvation is decided by one
+# backward BFS per participant.
+
+def _ref_session_enabled(M):
+    out = []
+    for p, P in M.items():
+        if not isinstance(P, POut):
+            continue
+        q = P.peer
+        Q = M.get(q)
+        if not (isinstance(Q, PIn) and Q.peer == p):
+            continue
+        if not set(node_labels(P)) <= set(node_labels(Q)):
+            continue
+        for l, cont in P.branches:
+            action = CommAction(p, l, q)
+            out.append((action, M.rebind({p: cont, q: node_branch(Q, l)})))
+    out.sort(key=lambda e: e[0])
+    return out
+
+
+def _ref_state_key(M):
+    return tuple((p, P.nid) for p, P in M.items())
+
+
+def _ref_explore(M):
+    init = normalize_session(M)
+    states = [init]
+    index = {_ref_state_key(init): 0}
+    edges = []
+    queue = deque([0])
+    while queue:
+        i = queue.popleft()
+        for action, succ in _ref_session_enabled(states[i]):
+            succ = normalize_session(succ)
+            key = _ref_state_key(succ)
+            j = index.get(key)
+            if j is None:
+                j = len(states)
+                index[key] = j
+                states.append(succ)
+                queue.append(j)
+            edges.append((i, action, j))
+    return states, edges
+
+
+def _ref_lock_free(M):
+    states, edges = _ref_explore(M)
+    size = {"states": len(states), "edges": len(edges)}
+    parent = {0: None}
+    order = deque([0])
+    fwd = {}
+    for s, a, t in edges:
+        fwd.setdefault(s, []).append((a, t))
+    while order:
+        i = order.popleft()
+        for a, j in fwd.get(i, ()):
+            if j not in parent:
+                parent[j] = (i, a)
+                order.append(j)
+
+    def path(i):
+        acc = []
+        while parent[i] is not None:
+            i, a = parent[i]
+            acc.append(a)
+        acc.reverse()
+        return acc
+
+    has_edge = {s for s, _, _ in edges}
+    for i, state in enumerate(states):
+        if i not in has_edge and len(state) > 0:
+            return LockReport(False, deadlock_witness=path(i), **size)
+    participants = sorted({p for state in states for p in state.participants})
+    back = {}
+    for s, a, t in edges:
+        back.setdefault(t, []).append(s)
+    for p in participants:
+        involved = {s for s, a, _ in edges if a.involves(p)}
+        reach = set(involved)
+        work = deque(involved)
+        while work:
+            t = work.popleft()
+            for s in back.get(t, ()):
+                if s not in reach:
+                    reach.add(s)
+                    work.append(s)
+        for i, state in enumerate(states):
+            if p in state and i not in reach:
+                return LockReport(False, starvation_witness=(path(i), p), **size)
+    return LockReport(True, **size)
+
+
+def _verdict(report):
+    if report.ok:
+        return "lock-free"
+    return "deadlock" if report.deadlock_witness is not None else "starvation"
+
+
+def _assert_engines_agree(M):
+    states, edges = _ref_explore(M)
+    graph = explore(M)
+    assert [print_session(s) for s in graph.states] == \
+        [print_session(s) for s in states]
+    assert graph.states == states
+    assert graph.edges == edges
+    for state in [M] + states:
+        assert session_enabled(state) == _ref_session_enabled(state)
+    report = lock_free(M)
+    assert report == _ref_lock_free(M)
+    assert (report.states, report.edges) == (len(states), len(edges))
+    return report
+
+
+def test_engine_matches_reference_on_corpus(cx):
+    verdicts = {name: _verdict(_assert_engines_agree(cx.sess(name)))
+                for name in cx.names(".sess")}
+    assert verdicts["crossed_forwarders.sess"] == "deadlock"
+    assert verdicts["composed.sess"] == "lock-free"
+
+
+def test_engine_matches_reference_when_senders_share_a_process(store):
+    # p and q run the same node, which only p's peer can serve first
+    M = parse_session("p |> r!l . 0 || q |> r!l . 0 || r |> p?l . q?l . 0",
+                      store=store)
+    assert M["p"] is M["q"]
+    assert _verdict(_assert_engines_agree(M)) == "lock-free"
+    assert [str(a) for _, a, _ in explore(M).edges] == ["p -l-> r", "q -l-> r"]
+
+
+def _swap_one(rng, store, M):
+    """M with one process swapped for an arbitrary one over the same peers."""
+    p = rng.choice(M.participants)
+    peers = tuple(x for x in M.participants if x != p)
+    return M.rebind({p: randgen.random_process(rng, store, peers=peers, max_nodes=5)})
+
+
+def test_engine_matches_reference_on_random_sessions(cx):
+    rng = random.Random(31)
+    store = NodeStore()
+    relay = parse_session(cx.text("relay.sess"), store=store)
+    forever = parse_session(
+        "x |> rec X . y!ping . y?pong . X || y |> rec Y . x?ping . x!pong . Y",
+        store=store)
+    verdicts = {"lock-free": 0, "deadlock": 0, "starvation": 0}
+    starved_later = 0
+    for _ in range(150):
+        G = randgen.random_wf_global(rng, store, max_nodes=12)
+        H = randgen.random_wf_global(rng, store, participants=("a", "b", "c"),
+                                     max_nodes=12)
+        if G is None or H is None:
+            continue
+        M = randgen.self_projection(store, G)
+        N = randgen.self_projection(store, H)
+        Z = randgen.random_process(rng, store, peers=M.participants, max_nodes=3)
+        cases = [
+            M,
+            _swap_one(rng, store, M).rebind({"z": store.end_process}),
+            M.rebind({"z": Z}),  # z starves wherever the others run forever
+            Session(M.items() + _swap_one(rng, store, N).items()),
+            Session(relay.items() + _swap_one(rng, store, N).items()),
+            Session(forever.items() + _swap_one(rng, store, N).items()),
+        ]
+        for case in cases:
+            report = _assert_engines_agree(case)
+            verdicts[_verdict(report)] += 1
+            starved_later += bool(report.starvation_witness and report.starvation_witness[0])
+    assert all(count >= 50 for count in verdicts.values()), verdicts
+    assert starved_later >= 10
 
 
 # ---------------------------------------------------------------------------
