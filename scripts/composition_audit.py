@@ -30,8 +30,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 import randgen
 from mpst.compose import NoClauseApplies, connect_globals, connect_sessions
-from mpst.core import NodeStore, Session, participants_of_global
-from mpst.semantics import explore, lock_free
+from mpst.core import NodeStore, Session, participants
+from mpst.semantics import lock_free
 from mpst.typecheck import depth, typecheck, well_formed
 
 
@@ -73,7 +73,7 @@ def audit(cfg):
         if not wf.ok:
             ill_formed.append(case)
         else:
-            for p in participants_of_global(composed):
+            for p in participants(composed):
                 max_depth = max(max_depth, depth(composed, p).value)
 
         # a side that never mentions its gateway projects it to End; bind it
@@ -86,7 +86,7 @@ def audit(cfg):
         lf = lock_free(sess)
         if not lf.ok:
             not_lock_free.append((case, lf))
-        max_states = max(max_states, len(explore(sess).states))
+        max_states = max(max_states, lf.states)
 
     return undefined, ill_formed, untyped, not_lock_free, max_states, max_depth
 

@@ -19,11 +19,9 @@ from .core import (
     TermError,
     UnboundVariable,
     UnguardedRecursion,
-    bisim_global,
-    bisim_process,
+    bisimilar,
     normalize_session,
-    participants_of_global,
-    participants_of_process,
+    participants,
     sessions_bisimilar,
 )
 from .parser import (

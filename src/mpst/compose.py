@@ -25,8 +25,7 @@ from .core import (
     POut,
     Session,
     coinductive_closure,
-    participants_of_global,
-    participants_of_process,
+    participants,
 )
 from .typecheck import IllFormedGlobalType, Mode, leq, project, typecheck, well_formed
 
@@ -77,7 +76,7 @@ def gateway(P, h):
     Inputs are kept and re-sent to h; outputs are first requested from h and
     then delivered to the original peer.
     """
-    if h in participants_of_process(P):
+    if h in participants(P):
         raise ParticipantCollision(f"{h!r} already occurs in the process")
     store = P.store
     cache = store.memo("gateway")
@@ -194,7 +193,7 @@ def _projection_or_raise(G, p):
 
 def compatible_globals(G, h, G_prime, k):
     """Disjoint participants and compatible h/k projections."""
-    if participants_of_global(G) & participants_of_global(G_prime):
+    if participants(G) & participants(G_prime):
         return False
     return compatible(_projection_or_raise(G, h),
                       _projection_or_raise(G_prime, k))
@@ -333,15 +332,14 @@ def verify_connection(M, G, M_prime, G_prime, h, k, mode=Mode.Standard):
         return proc if isinstance(proc, (PEnd, PIn, POut)) else None
 
     checks = []
-    for p in sorted(participants_of_global(G) | participants_of_global(G_prime)
-                    | {h, k}):
+    for p in sorted(participants(G) | participants(G_prime) | {h, k}):
         target = projected(composed_global, p)
         if p == h:
             expected = gateway(projected(G, h), k)
         elif p == k:
             expected = gateway(projected(G_prime, k), h)
         else:
-            origin = G if p in participants_of_global(G) else G_prime
+            origin = G if p in participants(G) else G_prime
             expected = projected(origin, p)
         holds = (expected is not None and target is not None
                  and leq(expected, target))

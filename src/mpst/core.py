@@ -62,12 +62,6 @@ def check_ident(name, what="identifier"):
 class Node:
     __slots__ = ("store", "nid")
 
-    def __hash__(self):
-        return object.__hash__(self)
-
-    def __eq__(self, other):
-        return self is other
-
 
 class Process(Node):
     __slots__ = ()
@@ -158,52 +152,44 @@ def _attach(node, shape, kids):
     return node
 
 
-def _draft_sccs(drafts, starts):
-    """Strongly connected components of the drafts reachable from `starts`,
-    each listed only after every component it reaches (Tarjan, 1972, with an
-    explicit stack)."""
-    order = [-1] * len(drafts)
-    low = [0] * len(drafts)
-    succ = [None] * len(drafts)
-    on_stack = [False] * len(drafts)
+def _sccs(starts, succ):
+    """Strongly connected components of the vertices reachable from
+    `starts`, each listed only after every component it reaches (Tarjan,
+    1972, with an explicit stack); `succ(v)` lists the successors of v."""
+    order = {}               # discovery index; inf once v is in a component
+    low = {}
     stack = []
     sccs = []
-    count = 0
+    inf = float("inf")
     for start in starts:
-        if order[start] >= 0:
+        if start in order:
             continue
-        work = [(start, 0)]
+        order[start] = low[start] = len(order)
+        stack.append(start)
+        work = [(start, iter(succ(start)))]
         while work:
-            v, k = work[-1]
-            if k == 0 and order[v] < 0:
-                desc = drafts[v]
-                if desc is None:
-                    raise RuntimeError("interning a reserved but unfilled draft node")
-                order[v] = low[v] = count
-                count += 1
-                succ[v] = [t for tag, t in desc[1] if tag == "d"]
-                stack.append(v)
-                on_stack[v] = True
-            if k < len(succ[v]):
-                work[-1] = (v, k + 1)
-                w = succ[v][k]
-                if order[w] < 0:
-                    work.append((w, 0))
-                elif on_stack[w] and order[w] < low[v]:
+            v, it = work[-1]
+            for w in it:
+                if w not in order:
+                    order[w] = low[w] = len(order)
+                    stack.append(w)
+                    work.append((w, iter(succ(w))))
+                    break
+                if order[w] < low[v]:
                     low[v] = order[w]
-                continue
-            work.pop()
-            if work and low[v] < low[work[-1][0]]:
-                low[work[-1][0]] = low[v]
-            if low[v] == order[v]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    scc.append(w)
-                    if w == v:
-                        break
-                sccs.append(scc)
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    scc = []
+                    while True:
+                        w = stack.pop()
+                        order[w] = inf
+                        scc.append(w)
+                        if w == v:
+                            break
+                    sccs.append(scc)
     return sccs
 
 
@@ -251,16 +237,8 @@ class NodeStore:
     def builder(self):
         return GraphBuilder(self)
 
-    # one-shot constructors (children must already be nodes)
-    def process_in(self, peer, branches):
-        b = self.builder()
-        return b.intern([b.add_in(peer, branches)])[0]
-
-    def process_out(self, peer, branches):
-        b = self.builder()
-        return b.intern([b.add_out(peer, branches)])[0]
-
     def comm(self, sender, receiver, branches):
+        """One-shot communication node; the children must be nodes already."""
         b = self.builder()
         return b.intern([b.add_comm(sender, receiver, branches)])[0]
 
@@ -287,8 +265,13 @@ class NodeStore:
         same shape and child nids: one lookup in the hash-cons table.  A
         cyclic component goes through `_intern_cycle`.
         """
+        def succ(d):
+            if drafts[d] is None:
+                raise RuntimeError("interning a reserved but unfilled draft node")
+            return [t for tag, t in drafts[d][1] if tag == "d"]
+
         done = {}
-        for scc in _draft_sccs(drafts, [t for tag, t in roots if tag == "d"]):
+        for scc in _sccs([t for tag, t in roots if tag == "d"], succ):
             d = scc[0]
             shape, refs = drafts[d]
             if len(scc) > 1 or ("d", d) in refs:
@@ -387,43 +370,6 @@ class NodeStore:
                 self._cycles[keys[b]] = image[b]
         for u, d in enumerate(scc):
             done[d] = image[block[u]]
-
-    # -- participants -------------------------------------------------------
-
-    def participants(self, node):
-        cached = self._pt.get(node.nid)
-        if cached is not None:
-            return cached
-        reach = []
-        kids = {}
-        own = {}
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            if n.nid in own:
-                continue
-            shape, kids[n.nid] = _split(n)
-            own[n.nid] = set(shape[1:-1])
-            reach.append(n)
-            for c in kids[n.nid]:
-                if c.nid not in own and c.nid not in self._pt:
-                    stack.append(c)
-        # fixpoint over the reachable component; cached nodes act as constants
-        changed = True
-        while changed:
-            changed = False
-            for n in reach:
-                acc = own[n.nid]
-                before = len(acc)
-                for c in kids[n.nid]:
-                    cached_child = self._pt.get(c.nid)
-                    acc |= cached_child if cached_child is not None else own[c.nid]
-                if len(acc) != before:
-                    changed = True
-        for n in reach:
-            if n.nid not in self._pt:
-                self._pt[n.nid] = frozenset(own[n.nid])
-        return self._pt[node.nid]
 
 
 class GraphBuilder:
@@ -533,20 +479,10 @@ class GraphBuilder:
         return i
 
     def shape_of(self, target):
-        """(kind, peer, labels) of a draft or node; None while still unfilled.
-
-        kind is "end", "in", "out", or "comm"; peer is the other participant
-        ((sender, receiver) for comm); labels the tuple of branch labels.
-        """
+        """Shape of a draft or node, as `_split` gives it; None while the
+        draft is still unfilled."""
         desc = self._desc(target)
-        if desc is None:
-            return None
-        shape = desc[0]
-        if shape[0] in ("pend", "gend"):
-            return ("end", None, ())
-        if shape[0] == "gcomm":
-            return ("comm", (shape[1], shape[2]), shape[3])
-        return ("in" if shape[0] == "pin" else "out", shape[1], shape[2])
+        return None if desc is None else desc[0]
 
     def branch_targets(self, target):
         """[(label, draft index or node)] of a filled draft or node."""
@@ -585,7 +521,9 @@ class _Slot:
         self.alias = None
 
 
-def _intern_term(store, term, defs, proc):
+def intern_term(store, term, defs=None, glob=False):
+    """Tie a surface term (with optional named equations) into a canonical
+    graph: a global type if `glob`, else a process."""
     b = store.builder()
     slots = {}
     if defs:
@@ -593,7 +531,7 @@ def _intern_term(store, term, defs, proc):
             check_ident(name, "definition name")
             slots[name] = _Slot(b.reserve())
 
-    end_node = store.end_process if proc else store.end_global
+    end_node = store.end_global if glob else store.end_process
 
     def resolve(t, env, guarded):
         tag = t[0]
@@ -619,11 +557,11 @@ def _intern_term(store, term, defs, proc):
             inner[name] = slot
             define(name, slot, body, inner)
             return slot.alias if slot.alias is not None else slot.draft
-        if tag == "in" and proc:
+        if tag == "in" and not glob:
             return b.add_in(t[1], [(l, subref(c, env)) for l, c in t[2]])
-        if tag == "out" and proc:
+        if tag == "out" and not glob:
             return b.add_out(t[1], [(l, subref(c, env)) for l, c in t[2]])
-        if tag == "comm" and not proc:
+        if tag == "comm" and glob:
             return b.add_comm(t[1], t[2], [(l, subref(c, env)) for l, c in t[3]])
         raise TermError(f"unexpected term {t!r}")
 
@@ -677,24 +615,36 @@ def _intern_term(store, term, defs, proc):
     return b.intern([root])[0]
 
 
-def intern_process(store, term, defs=None):
-    """Tie a surface term (with optional named equations) into a canonical graph."""
-    return _intern_term(store, term, defs or {}, proc=True)
-
-
-def intern_global(store, term, defs=None):
-    return _intern_term(store, term, defs or {}, proc=False)
-
-
 # ---------------------------------------------------------------------------
-# Participants and bisimulation.
+# Participants, relations and bisimilarity.
 
-def participants_of_process(P):
-    return P.store.participants(P)
+def participants(node):
+    """Every participant named anywhere in the regular tree of a node.
 
+    Computed for all uncached nodes below `node` at once, one strongly
+    connected component at a time, children first, and cached on the store.
+    """
+    pt = node.store._pt
+    hit = pt.get(node.nid)
+    if hit is not None:
+        return hit
 
-def participants_of_global(G):
-    return G.store.participants(G)
+    def succ(n):
+        return [c for c in _split(n)[1] if c.nid not in pt]
+
+    for scc in _sccs([node], succ):
+        inside = {n.nid for n in scc}
+        acc = set()
+        for n in scc:
+            shape, kids = _split(n)
+            acc.update(shape[1:-1])  # the names between kind and labels
+            for c in kids:
+                if c.nid not in inside:
+                    acc |= pt[c.nid]
+        acc = frozenset(acc)
+        for nid in inside:
+            pt[nid] = acc
+    return pt[node.nid]
 
 
 def coinductive_closure(rel, a, b, step, reflexive):
@@ -740,21 +690,16 @@ def coinductive_closure(rel, a, b, step, reflexive):
     return True
 
 
-def _bisim_step(x, y):
-    sx, kx = _split(x)
-    sy, ky = _split(y)
-    if sx != sy:
-        return None
-    return tuple(zip(kx, ky))
+def bisimilar(a, b):
+    """True iff the infinite tree unfoldings of two nodes are identical.
 
-
-def bisim_process(P, Q):
-    """True iff the infinite tree unfoldings of P and Q are identical."""
-    return coinductive_closure("bisim", P, Q, _bisim_step, reflexive=True)
-
-
-def bisim_global(G, H):
-    return coinductive_closure("bisim", G, H, _bisim_step, reflexive=True)
+    Within one store that is identity.  Nodes of two stores are adopted into
+    a fresh scratch store and compared there, so no store is changed.
+    """
+    if a.store is b.store:
+        return a is b
+    scratch = NodeStore()
+    return scratch.adopt(a) is scratch.adopt(b)
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +716,7 @@ class Session:
             check_ident(p, "participant")
             if not isinstance(proc, Process):
                 raise TermError(f"binding for {p!r} is not a process")
-            if p in participants_of_process(proc):
+            if p in participants(proc):
                 raise TermError(f"participant {p!r} communicates with itself")
         self._bindings = dict(sorted(items.items()))
 
@@ -825,7 +770,7 @@ class Session:
         """All participants occurring in the session, bound or as peers."""
         out = set(self._bindings)
         for proc in self._bindings.values():
-            out |= participants_of_process(proc)
+            out |= participants(proc)
         return frozenset(out)
 
     def is_final(self):
@@ -839,11 +784,12 @@ class Session:
 
 def normalize_session(M):
     """Drop terminated bindings; the result is congruent to the input."""
-    return Session((p, proc) for p, proc in M.items() if not isinstance(proc, PEnd))
+    return Session._trusted({p: proc for p, proc in M.items()
+                             if not isinstance(proc, PEnd)})
 
 
 def sessions_bisimilar(M, N):
     """Equal domains and pairwise bisimilar processes."""
     if M.participants != N.participants:
         return False
-    return all(bisim_process(M[p], N[p]) for p in M.participants)
+    return all(bisimilar(M[p], N[p]) for p in M.participants)

@@ -24,15 +24,15 @@ from .core import (
     GEnd,
     GlobalType,
     PEnd,
+    PIn,
     Process,
     NodeStore,
     Session,
     TermError,
     UnboundVariable,
     UnguardedRecursion,
-    intern_global,
-    intern_process,
-    participants_of_process,
+    intern_term,
+    participants,
 )
 
 
@@ -238,9 +238,7 @@ class _Parser:
 
 def _intern(parser, store, term, defs, glob):
     try:
-        if glob:
-            return intern_global(store, term, defs)
-        return intern_process(store, term, defs)
+        return intern_term(store, term, defs, glob)
     except UnboundVariable as e:
         span = parser.var_spans.get(e.name) or SourceSpan(parser.lx.filename, 1, 1)
         raise ParseError(ParseDiagnostic(span, DiagKind.UnboundVar, str(e), e.name)) from e
@@ -293,7 +291,7 @@ def parse_session(text, store=None, filename="<sess>"):
     resolved = [(part, _intern(p, store, term, defs, glob=False))
                 for part, term in bindings]
     for part, proc in resolved:
-        if part in participants_of_process(proc):
+        if part in participants(proc):
             raise ParseError(ParseDiagnostic(
                 spans[part], DiagKind.SelfCommunication,
                 f"participant {part!r} communicates with itself", part))
@@ -324,7 +322,7 @@ def _print_node(root, glob):
         if glob:
             body = f"{n.sender} -> {n.receiver} : {body_branches}"
         else:
-            op = "?" if type(n).__name__ == "PIn" else "!"
+            op = "?" if isinstance(n, PIn) else "!"
             body = f"{n.peer}{op}{body_branches}"
         name = stack.pop(n)
         if name is not None:

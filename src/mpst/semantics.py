@@ -533,9 +533,10 @@ def standard_witness(M, G):
         sender = state[g.sender]
         branches = []
         for l, cont in sender.branches:
-            succ = state.rebind({g.sender: cont,
-                                 g.receiver: node_branch(state[g.receiver], l)})
-            branches.append((l, go(normalize_session(succ), node_branch(g, l))))
+            succ = dict(state.items())
+            succ[g.sender], succ[g.receiver] = cont, node_branch(state[g.receiver], l)
+            branches.append((l, go(normalize_session(Session._trusted(succ)),
+                                   node_branch(g, l))))
         b.fill_comm(d, g.sender, g.receiver, branches)
         return d
 

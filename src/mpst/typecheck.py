@@ -11,7 +11,8 @@ The merge is computed corecursively over the global graph.  Each global node
 gets a reserved draft; a branch whose projection is still being determined
 contributes that draft as an undecided hole, and the affected merge decisions
 are deferred until the holes fill in.  Decisions that assume two in-flight
-projections equal are verified by bisimulation once the whole run is interned.
+projections equal are verified once the whole run is interned, where equal
+means identical.
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ from .core import (
     POut,
     Process,
     Session,
-    bisim_process,
     check_ident,
     coinductive_closure,
     node_labels,
-    participants_of_global,
+    participants,
 )
 from .parser import print_process
 
@@ -94,74 +94,60 @@ def depth(G, p):
 
 
 def _depth_raw(G, p):
-    if isinstance(G, GEnd) or p not in participants_of_global(G):
+    if isinstance(G, GEnd) or p not in participants(G):
         return DepthValue.finite(0)
     if p in (G.sender, G.receiver):
         return DepthValue.finite(0)
-    # Communications reachable from G before p gets involved.
-    interior = set()
+
+    def meets(c):
+        return isinstance(c, GComm) and p in (c.sender, c.receiver)
+
+    # Communications reachable from G before p gets involved, each with the
+    # ones among them that lead to it.
+    preds = {G: []}
     stack = [G]
+    canreach = set()
     while stack:
         n = stack.pop()
-        if n in interior:
-            continue
-        interior.add(n)
         for _, c in n.branches:
-            if isinstance(c, GComm) and p not in (c.sender, c.receiver):
-                stack.append(c)
+            if meets(c):
+                canreach.add(n)
+            elif isinstance(c, GComm):
+                if c not in preds:
+                    preds[c] = []
+                    stack.append(c)
+                preds[c].append(n)
     # Restrict to nodes from which some path still meets p.
-    canreach = set()
-    changed = True
-    while changed:
-        changed = False
-        for n in interior:
-            if n in canreach:
-                continue
-            for _, c in n.branches:
-                if isinstance(c, GComm) and (p in (c.sender, c.receiver) or c in canreach):
-                    canreach.add(n)
-                    changed = True
-                    break
-    # A cycle that can still reach p makes the prefix unbounded.
-    color = {}
+    stack = list(canreach)
+    while stack:
+        for n in preds[stack.pop()]:
+            if n not in canreach:
+                canreach.add(n)
+                stack.append(n)
+    # A cycle that can still reach p makes the prefix unbounded.  Otherwise
+    # the longest prefix from a node is known once the search finishes it.
+    best = {}
+    active = set()
     for start in canreach:
-        if start in color:
+        if start in best:
             continue
+        active.add(start)
         stack = [(start, iter(start.branches))]
-        color[start] = 1
         while stack:
             n, it = stack[-1]
-            advanced = False
             for _, c in it:
-                if c not in canreach:
-                    continue
-                seen = color.get(c)
-                if seen == 1:
+                if c in active:
                     return DepthValue.infinite()
-                if seen is None:
-                    color[c] = 1
+                if c in canreach and c not in best:
+                    active.add(c)
                     stack.append((c, iter(c.branches)))
-                    advanced = True
                     break
-            if not advanced:
-                color[n] = 2
+            else:
                 stack.pop()
-    # Longest prefix in the remaining DAG.
-    best = {}
-
-    def longest(n):
-        if n in best:
-            return best[n]
-        m = 0
-        for _, c in n.branches:
-            if isinstance(c, GComm) and p in (c.sender, c.receiver):
-                m = max(m, 1)
-            elif c in canreach:
-                m = max(m, 1 + longest(c))
-        best[n] = m
-        return m
-
-    return DepthValue.finite(longest(G))
+                active.remove(n)
+                best[n] = max(1 if meets(c) else 1 + best[c]
+                              for _, c in n.branches if meets(c) or c in canreach)
+    return DepthValue.finite(best.get(G, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +235,15 @@ def _project_run(store, root, p):
             return True
         kinds = {s[0] for s in shapes}
         if len(kinds) > 1:
+            words = {"pend": "end", "pin": "in", "pout": "out"}
             reject(ProjectionErrorKind.MixedShapes, g,
                    f"branches of {g!r} project onto {p!r} with different shapes "
-                   f"({', '.join(sorted(kinds))})")
+                   f"({', '.join(sorted(words[k] for k in kinds))})")
         kind = kinds.pop()
-        if kind == "end":
+        if kind == "pend":
             b.fill_copy(d, ms[0])
             return True
-        if kind == "out":
+        if kind == "pout":
             if len({(s[1], s[2]) for s in shapes}) > 1:
                 reject(ProjectionErrorKind.UnequalContinuations, g,
                        f"branches of {g!r} project onto {p!r} as different outputs")
@@ -297,7 +284,7 @@ def _project_run(store, root, p):
         cell = cells.get(g.nid)
         if cell is not None:
             return cell.draft
-        if p not in store.participants(g):
+        if p not in participants(g):
             cache[(g.nid, p)] = store.end_process
             return store.end_process
         cell = _Cell(b.reserve(), g)
@@ -367,7 +354,7 @@ def _project_run(store, root, p):
     for g, a, c in checks:
         fa, fc = nodes[at], nodes[at + 1]
         at += 2
-        if not bisim_process(fa, fc):
+        if fa is not fc:
             reject(ProjectionErrorKind.UnequalContinuations, g,
                    f"branches of {g!r} project onto {p!r} differently "
                    f"({print_process(fa)} vs {print_process(fc)})")
@@ -473,7 +460,7 @@ class WellFormedReport:
 
 def well_formed(G):
     """Every participant has finite depth and a defined projection."""
-    pts = sorted(participants_of_global(G))
+    pts = sorted(participants(G))
     depths = {p: depth(G, p) for p in pts}
     projections = {p: project(G, p) for p in pts}
     ok = all(d.is_finite for d in depths.values()) and not any(

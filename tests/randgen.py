@@ -9,7 +9,7 @@ the definition of compatibility.
 """
 
 from mpst.core import (GComm, GEnd, NodeStore, PEnd, PIn, POut, Session,
-                       node_labels, participants_of_global)
+                       node_labels, participants)
 from mpst.typecheck import project, well_formed
 
 LEFT_PARTICIPANTS = ("p", "q", "h")
@@ -77,7 +77,7 @@ def random_wf_global(rng, store, participants=LEFT_PARTICIPANTS,
 
 def self_projection(store, G):
     """The canonical session implementing G: every participant runs G|p."""
-    return Session({p: project(G, p) for p in participants_of_global(G)})
+    return Session({p: project(G, p) for p in participants(G)})
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ import pytest
 from mpst.compose import (compatible, compatible_globals, compatible_sessions,
                           connect_globals, connect_sessions, gateway,
                           verify_connection)
-from mpst.core import (GComm, PIn, POut, Session, bisim_global, bisim_process,
-                       node_branch, node_labels, participants_of_global,
+from mpst.core import (GComm, PIn, POut, Session, bisimilar,
+                       node_branch, node_labels, participants,
                        sessions_bisimilar)
 from mpst.parser import parse_process
 from mpst.semantics import (CommAction, explore, fidelity_harness,
@@ -48,7 +48,7 @@ def test_01_projection_recovers_the_participant_processes(cx):
     for p, golden in (("p", "relay_p.proc"), ("q", "relay_q.proc"),
                       ("h", "relay_h.proc")):
         proj = project(G, p)
-        assert bisim_process(proj, cx.proc(golden))
+        assert bisimilar(proj, cx.proc(golden))
         assert proj is cx.proc(golden)
 
 
@@ -83,8 +83,8 @@ def test_04_interface_compatibility_verdicts(cx):
 def test_05_gateway_processes_match_the_golden_forwarders(cx):
     H = cx.proc("relay_h.proc")
     K = cx.sess("right.sess")["k"]
-    assert bisim_process(gateway(H, "k"), cx.proc("gateway_h.proc"))
-    assert bisim_process(gateway(K, "h"), cx.proc("gateway_k.proc"))
+    assert bisimilar(gateway(H, "k"), cx.proc("gateway_h.proc"))
+    assert bisimilar(gateway(K, "h"), cx.proc("gateway_k.proc"))
 
 
 def test_06_connected_session_is_the_six_participant_system(cx):
@@ -96,7 +96,7 @@ def test_06_connected_session_is_the_six_participant_system(cx):
 
 def test_07_connected_global_type_drops_the_stop_branch(cx):
     composed = connect_globals(cx.gt("relay.gt"), "h", cx.gt("right.gt"), "k")
-    assert bisim_global(composed, cx.gt("composed.gt"))
+    assert bisimilar(composed, cx.gt("composed.gt"))
     assert "stop" in all_labels(cx.gt("relay.gt"))
     assert "stop" not in all_labels(composed)
 
@@ -240,7 +240,7 @@ def test_law_projections_mirror_global_steps(store):
                     for part, proj in ((p, pp), (q, qq)):
                         after = project(succ, part)
                         assert not isinstance(after, ProjectionError)
-                        assert bisim_process(node_branch(proj, l), after)
+                        assert bisimilar(node_branch(proj, l), after)
                 pairs_checked += 1
         # conversely, every enabled step shows up in the projections
         for act, _ in global_enabled(G):
@@ -282,7 +282,7 @@ def test_law_uninvolved_depths_decrease_at_root_steps(store):
             break
         G = randgen.random_wf_global(rng, store)
         assert G is not None and isinstance(G, GComm)
-        others = participants_of_global(G) - {G.sender, G.receiver}
+        others = participants(G) - {G.sender, G.receiver}
         for l, cont in G.branches:
             for r in others:
                 assert depth(G, r) > depth(cont, r)
@@ -295,7 +295,7 @@ def test_law_uninvolved_depths_decrease_at_root_steps(store):
                    "the bound cannot be a sum (see the decisions ledger)")
 def test_law_composed_depth_within_twice_the_weight_sum(cx, store):
     def max_depth(G):
-        return max((depth(G, p).value for p in participants_of_global(G)),
+        return max((depth(G, p).value for p in participants(G)),
                    default=0)
 
     violations = []
@@ -306,12 +306,12 @@ def test_law_composed_depth_within_twice_the_weight_sum(cx, store):
         G, h, Gp, k = out
         bound = 2 * (max_depth(G) + max_depth(Gp))
         composed = connect_globals(G, h, Gp, k)
-        for p in participants_of_global(composed):
+        for p in participants(composed):
             if depth(composed, p).value > bound:
                 violations.append((p, depth(composed, p).value, bound))
     flagship = connect_globals(cx.gt("relay.gt"), "h", cx.gt("right.gt"), "k")
     bound = 2 * (max_depth(cx.gt("relay.gt")) + max_depth(cx.gt("right.gt")))
-    for p in participants_of_global(flagship):
+    for p in participants(flagship):
         if depth(flagship, p).value > bound:
             violations.append((p, depth(flagship, p).value, bound))
     assert violations == []
@@ -325,8 +325,8 @@ def test_law_connection_succeeds_on_every_compatible_pair(store):
         G, h, Gp, k = out
         assert compatible_globals(G, h, Gp, k)
         composed = connect_globals(G, h, Gp, k)
-        assert participants_of_global(composed) <= \
-            participants_of_global(G) | participants_of_global(Gp) | {h, k}
+        assert participants(composed) <= \
+            participants(G) | participants(Gp) | {h, k}
 
 
 @pytest.mark.xfail(strict=True, reason="composing a compatible pair can move a "

@@ -7,8 +7,8 @@ from mpst.compose import (HASH, CnKey, IncompatibleSessions, NoClauseApplies,
                           compatible_globals, compatible_sessions,
                           connect_globals, connect_sessions, gateway,
                           verify_connection)
-from mpst.core import (Session, bisim_global, bisim_process, node_branch,
-                       participants_of_global, sessions_bisimilar)
+from mpst.core import (Session, bisimilar, node_branch,
+                       participants, sessions_bisimilar)
 from mpst.parser import (parse_global, parse_process, parse_session,
                          print_process)
 from mpst.semantics import explore, lock_free
@@ -177,7 +177,7 @@ def test_trivial_end_connection(store):
 def test_connect_globals_running_example(cx):
     composed = connect_globals(cx.gt("relay.gt"), "h", cx.gt("right.gt"), "k")
     assert composed is cx.gt("composed.gt")
-    assert bisim_global(composed, cx.gt("composed.gt"))
+    assert bisimilar(composed, cx.gt("composed.gt"))
 
 
 def test_stop_branch_disappears(cx):
@@ -333,8 +333,8 @@ def test_connect_globals_total_on_generated_pairs(store):
         G, h, Gp, k = out
         assert compatible_globals(G, h, Gp, k)
         composed = connect_globals(G, h, Gp, k)
-        assert participants_of_global(composed) <= \
-            participants_of_global(G) | participants_of_global(Gp) | {h, k}
+        assert participants(composed) <= \
+            participants(G) | participants(Gp) | {h, k}
 
 
 def test_connection_can_outgrow_projectability(store):

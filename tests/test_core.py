@@ -3,9 +3,9 @@ import random
 import pytest
 
 from mpst.core import (GComm, GEnd, NodeStore, PEnd, PIn, POut, Session,
-                       TermError, bisim_global, bisim_process,
+                       TermError, bisimilar,
                        node_branch, node_labels, normalize_session,
-                       participants_of_global, participants_of_process,
+                       participants,
                        sessions_bisimilar)
 from mpst.parser import (parse_global, parse_process, parse_session,
                          print_global, print_process, print_session)
@@ -45,27 +45,43 @@ def test_interning_collapses_unrolled_recursion(store):
 
 
 def test_same_store_bisimilar_means_identical(store):
+    # every pair of 300 random processes, half of them over one peer and two
+    # labels so that bisimilar pairs occur
     rng = random.Random(7)
-    for _ in range(300):
-        P = randgen.random_process(rng, store, max_nodes=6)
-        Q = randgen.random_process(rng, store, max_nodes=6)
-        if bisim_process(P, Q):
-            assert P is Q
-        if P is Q:
-            assert bisim_process(P, Q)
+    pool = []
+    identical = 0
+    for i in range(300):
+        if i % 2:
+            P = randgen.random_process(rng, store, max_nodes=6)
+        else:
+            P = randgen.random_process(rng, store, peers=("q",), labels=("a", "b"),
+                                       max_nodes=3)
+        for Q in pool:
+            assert (P is Q) == _naive_bisimilar(P, Q) == bisimilar(P, Q)
+            identical += P is Q
+        pool.append(P)
+    assert identical >= 100
 
 
 def test_bisim_equivalence_across_stores():
     rng = random.Random(8)
     stores = [NodeStore() for _ in range(3)]
+    distinct = 0
     for _ in range(200):
         P = randgen.random_process(rng, stores[0], max_nodes=8)
         Q = stores[1].adopt(P)
         R = stores[2].adopt(Q)
-        assert bisim_process(P, P)
-        assert bisim_process(P, Q) and bisim_process(Q, P)
-        assert bisim_process(Q, R)
-        assert bisim_process(P, R)
+        assert bisimilar(P, P)
+        assert bisimilar(P, Q) and bisimilar(Q, P)
+        assert bisimilar(Q, R)
+        assert bisimilar(P, R)
+        # a process drawn independently in another store
+        S = randgen.random_process(rng, stores[1], max_nodes=8)
+        counts = [s._count for s in stores]
+        assert bisimilar(P, S) == bisimilar(S, P) == _naive_bisimilar(P, S)
+        assert [s._count for s in stores] == counts  # queries intern nothing
+        distinct += not _naive_bisimilar(P, S)
+    assert distinct >= 100
 
 
 def test_bisim_distinguishes(store):
@@ -73,36 +89,36 @@ def test_bisim_distinguishes(store):
     b = parse_process("q!{l . 0, m . 0}", store=store)
     c = parse_process("r!l . 0", store=store)
     d = parse_process("q?l . 0", store=store)
-    assert not bisim_process(a, b)
-    assert not bisim_process(a, c)
-    assert not bisim_process(a, d)
+    assert not bisimilar(a, b)
+    assert not bisimilar(a, c)
+    assert not bisimilar(a, d)
     g = parse_global("p -> q : l . end", store=store)
     h = parse_global("q -> p : l . end", store=store)
-    assert not bisim_global(g, h)
+    assert not bisimilar(g, h)
 
 
 def test_participants_stable_under_unfolding(store):
     rng = random.Random(9)
     for _ in range(200):
         P = randgen.random_process(rng, store, max_nodes=8)
-        pts = participants_of_process(P)
+        pts = participants(P)
         if isinstance(P, PEnd):
             assert pts == frozenset()
             continue
         # the one-step unfolding equation
         unfolded = {P.peer}
         for _, c in P.branches:
-            unfolded |= participants_of_process(c)
+            unfolded |= participants(c)
         assert pts == frozenset(unfolded)
         # and a fresh-store copy sees the same names
         other = NodeStore()
-        assert participants_of_process(other.adopt(P)) == pts
+        assert participants(other.adopt(P)) == pts
 
 
-def test_participants_of_global(cx):
-    assert participants_of_global(cx.gt("relay.gt")) == frozenset("pqh")
-    assert participants_of_global(cx.gt("right.gt")) == frozenset("krs")
-    assert participants_of_global(cx.store.end_global) == frozenset()
+def test_participants_of_a_global_type(cx):
+    assert participants(cx.gt("relay.gt")) == frozenset("pqh")
+    assert participants(cx.gt("right.gt")) == frozenset("krs")
+    assert participants(cx.store.end_global) == frozenset()
 
 
 def _naive_bisimilar(a, b):
@@ -141,7 +157,7 @@ def _intern_checked(b, drafts):
         elif (target, node) not in seen:
             seen.add((target, node))
             assert b.shape_of(target) == b.shape_of(node)
-            if b.shape_of(node)[0] != "end":
+            if not isinstance(node, (PEnd, GEnd)):
                 work.extend((t, c) for (_, t), (_, c)
                             in zip(b.branch_targets(target), node.branches))
     return nodes
@@ -254,14 +270,15 @@ def test_new_self_loop_folds_onto_existing_cycle(store):
 def test_new_acyclic_draft_over_existing_cycle_is_its_root(store):
     E = parse_process("rec X . p!{a . X, b . q!c . X}", store=store)
     D = node_branch(E, "b")
-    assert store.process_out("p", [("a", E), ("b", D)]) is E
+    b = store.builder()
+    assert b.intern([b.add_out("p", [("a", E), ("b", D)])])[0] is E
 
 
 def test_incremental_interning_has_no_depth_limit(store):
     G = store.end_global
     for _ in range(10 ** 4):
         G = store.comm("p", "q", [("l", G)])
-    assert participants_of_global(G) == frozenset("pq")
+    assert participants(G) == frozenset("pq")
     H = parse_global("p -> q : l . " * 3 + "end", store=store)
     for _ in range(10 ** 4 - 3):
         H = store.comm("p", "q", [("l", H)])
@@ -390,7 +407,7 @@ def test_adopt_is_idempotent(cx, store):
     assert Q is not P and Q.store is store
     assert store.adopt(Q) is Q
     assert store.adopt(P) is Q
-    assert bisim_process(P, Q)
+    assert bisimilar(P, Q)
 
 
 def test_branches_sorted_by_label(store):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpst.core import NodeStore, bisim_global, bisim_process
+from mpst.core import NodeStore, bisimilar
 from mpst.parser import (DiagKind, ParseError, parse_global, parse_process,
                          parse_session, print_global, print_process,
                          print_session)
@@ -16,16 +16,16 @@ def test_round_trip_whole_corpus(cx):
     other = NodeStore()
     for name in cx.names(".proc"):
         P = cx.proc(name)
-        assert bisim_process(parse_process(print_process(P), store=other), P)
+        assert bisimilar(parse_process(print_process(P), store=other), P)
     for name in cx.names(".gt"):
         G = cx.gt(name)
-        assert bisim_global(parse_global(print_global(G), store=other), G)
+        assert bisimilar(parse_global(print_global(G), store=other), G)
     for name in cx.names(".sess"):
         M = cx.sess(name)
         N = parse_session(print_session(M), store=other)
         assert M.participants == N.participants
         for p in M.participants:
-            assert bisim_process(M[p], N[p])
+            assert bisimilar(M[p], N[p])
 
 
 def test_corpus_parses_without_diagnostics(cx):

@@ -4,9 +4,8 @@ from collections import deque
 
 import pytest
 
-from mpst.core import (NodeStore, PEnd, PIn, POut, Session, bisim_global,
-                       node_branch, node_labels, normalize_session,
-                       participants_of_global)
+from mpst.core import (NodeStore, PEnd, PIn, POut, Session, node_branch,
+                       node_labels, normalize_session)
 from mpst.parser import (parse_global, parse_process, parse_session,
                          print_global, print_session)
 from mpst.semantics import (CommAction, LockReport, StateSpaceBoundExceeded,

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mpst.core import NodeStore, PEnd, Session, bisim_process
+from mpst.core import NodeStore, PEnd, Session, bisimilar
 from mpst.parser import parse_global, parse_process, print_process
 from mpst.typecheck import (DepthValue, IllFormedGlobalType, Mode,
                             ProjectionError, ProjectionErrorKind, depth, leq,
@@ -32,6 +32,15 @@ def test_unbounded_depth(cx):
     assert not d.is_finite
     assert str(d) == "inf"
     assert DepthValue.finite(10 ** 9) < d
+
+
+def test_depth_has_no_recursion_limit(store):
+    # 10^4 communications between p and q, then the only one involving r
+    G = store.comm("q", "r", [("l", store.end_global)])
+    for _ in range(10 ** 4):
+        G = store.comm("p", "q", [("l", G)])
+    assert depth(G, "r") == DepthValue.finite(10 ** 4)
+    assert depth(G, "p") == DepthValue.finite(0)
 
 
 def test_depth_value_ordering():
@@ -116,24 +125,24 @@ def test_projection_totality_on_well_formed_corpus(cx):
         report = well_formed(G)
         if not report.ok:
             continue
-        from mpst.core import participants_of_global
-        for p in sorted(participants_of_global(G)) + ["fresh"]:
+        from mpst.core import participants
+        for p in sorted(participants(G)) + ["fresh"]:
             assert not isinstance(project(G, p), ProjectionError)
 
 
 def test_projection_commutes_with_unfolding(cx):
     # a fresh store re-interns the same regular tree; projections agree
-    from mpst.core import participants_of_global
+    from mpst.core import participants
     for name in cx.names(".gt"):
         G = cx.gt(name)
         other = NodeStore()
         H = other.adopt(G)
-        for p in participants_of_global(G):
+        for p in participants(G):
             a, b = project(G, p), project(H, p)
             if isinstance(a, ProjectionError):
                 assert isinstance(b, ProjectionError) and a.kind is b.kind
             else:
-                assert bisim_process(a, b)
+                assert bisimilar(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +245,9 @@ def test_typing_rejects_ill_formed_type(cx):
 
 def test_depth_decrease_under_root_steps(cx):
     # communications strictly lower the depth of uninvolved participants
-    from mpst.core import participants_of_global
+    from mpst.core import participants
     G = cx.gt("relay.gt")
     for label, cont in G.branches:
-        for r in participants_of_global(G) - {G.sender, G.receiver}:
+        for r in participants(G) - {G.sender, G.receiver}:
             after = depth(cont, r) if not isinstance(cont, PEnd) else DepthValue.finite(0)
             assert depth(G, r) > after
