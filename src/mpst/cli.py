@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .core import NodeStore
+from .core import NodeStore, TermError
 from .parser import ParseError, parse_global, parse_process, parse_session, print_global, print_process, print_session
 from .typecheck import IllFormedGlobalType, Mode, ProjectionError, project, typecheck, well_formed
 from .semantics import InvalidStateBound, StateSpaceBoundExceeded, explore, lock_free, simulate
@@ -40,10 +40,12 @@ class InputProblem(Exception):
 
 def _read(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise InputProblem(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputProblem(f"cannot read {path}: {exc}") from exc
 
 
 def _parse(kind, path, store):
@@ -84,7 +86,10 @@ def cmd_check(path, json_out=False):
 def cmd_project(path, participant, json_out=False):
     store = NodeStore()
     G = _parse("global", path, store)
-    result = project(G, participant)
+    try:
+        result = project(G, participant)
+    except TermError as exc:  # the participant is not an identifier
+        raise InputProblem(str(exc)) from exc
     if isinstance(result, ProjectionError):
         payload = result.to_json() if json_out else str(result)
         return CommandOutcome(1, payload)

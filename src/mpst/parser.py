@@ -17,6 +17,7 @@ branches in label order, so output always reparses to a bisimilar value.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -72,63 +73,63 @@ class ParseError(Exception):
         self.diagnostic = diagnostic
 
 
-_PUNCT = ("->", "|>", "||", "!", "?", "{", "}", ".", ",", ":", "=", "0")
+# One alternative per kind of lexeme, tried in order.  A word starts with a
+# letter or "_" and continues with \w (isalnum() or "_"); the word group
+# also takes the other non-decimal \w characters, such as "²", as a start,
+# and _scan rejects those as unexpected characters.
+_TOKEN_RE = re.compile(r"""
+    (?P<blanks>[ \t\r]+)
+  | (?P<newline>\n)
+  | (?P<comment>\#[^\n]*)
+  | (?P<word>[^\W\d]\w*)
+  | (?P<punct>->|\|>|\|\||[!?{}.,:=0])
+  | (?P<other>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 class _Lexer:
     def __init__(self, text, filename):
         self.text = text
         self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.col = 1
         self.tokens = []
         self._scan()
         self.at = 0
 
-    def span(self, line=None, col=None):
-        return SourceSpan(self.filename, line or self.line, col or self.col)
-
     def _fail(self, message, line, col):
-        raise ParseError(ParseDiagnostic(self.span(line, col), DiagKind.Syntax, message))
+        raise ParseError(ParseDiagnostic(SourceSpan(self.filename, line, col),
+                                         DiagKind.Syntax, message))
 
     def _scan(self):
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch == "\n":
-                self.pos += 1
-                self.line += 1
-                self.col = 1
+        """Tokens as (kind, text, line, column).
+
+        A comment runs to the end of its line and does not advance the
+        column, so the end-of-input column after a trailing comment is the
+        comment's own.
+        """
+        text, tokens = self.text, self.tokens
+        line, line_start, comment_at = 1, 0, -1
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind == "blanks":
                 continue
-            if ch in " \t\r":
-                self.pos += 1
-                self.col += 1
-                continue
-            if ch == "#":  # comment to end of line
-                while self.pos < len(text) and text[self.pos] != "\n":
-                    self.pos += 1
-                continue
-            start_line, start_col = self.line, self.col
-            if ch.isalpha() or ch == "_":
-                end = self.pos
-                while end < len(text) and (text[end].isalnum() or text[end] == "_"):
-                    end += 1
-                word = text[self.pos:end]
-                self.tokens.append((word if word in ("rec", "let", "end") else "ident",
-                                    word, start_line, start_col))
-                self.col += end - self.pos
-                self.pos = end
-                continue
-            for p in _PUNCT:
-                if text.startswith(p, self.pos):
-                    self.tokens.append((p, p, start_line, start_col))
-                    self.pos += len(p)
-                    self.col += len(p)
-                    break
+            col = m.start() - line_start + 1
+            if kind == "word":
+                word = m.group()
+                if not (word[0].isalpha() or word[0] == "_"):
+                    self._fail(f"unexpected character {word[0]!r}", line, col)
+                tokens.append((word if word in ("rec", "let", "end") else "ident",
+                               word, line, col))
+            elif kind == "punct":
+                tokens.append((m.group(), m.group(), line, col))
+            elif kind == "newline":
+                line += 1
+                line_start = m.end()
+            elif kind == "comment":
+                comment_at = m.start()
             else:
-                self._fail(f"unexpected character {ch!r}", start_line, start_col)
-        self.tokens.append(("eof", "", self.line, self.col))
+                self._fail(f"unexpected character {m.group()!r}", line, col)
+        stop = comment_at if comment_at >= line_start else len(text)
+        tokens.append(("eof", "", line, stop - line_start + 1))
 
     def peek(self):
         return self.tokens[self.at]

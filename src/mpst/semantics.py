@@ -28,6 +28,7 @@ from .core import (
     node_branch,
     node_labels,
     normalize_session,
+    participants,
 )
 from .parser import print_global, print_session
 from .typecheck import Mode, typecheck
@@ -182,23 +183,38 @@ def global_enabled(G):
     hit = enabled.get(G.nid)
     if hit is not None:
         return list(hit)
-    # Any derivable action fires some reachable root, so those are the
-    # candidates; each is then decided against the whole type.
+    # A derivable action fires at nodes reached from G through nodes that
+    # involve neither of its participants, so its candidates come from the
+    # nodes reached with neither participant met on the way (`met`, as bits).
+    # One visit per node, along the first path found, is enough: of the
+    # nodes where a derivable action fires, the first one found is reached
+    # through nodes that do not involve it.  Nothing is expanded once every
+    # participant of G has been met.  Each candidate is then decided against
+    # the whole type.
+    bit = {p: 1 << i for i, p in enumerate(participants(G))}
+    everyone = (1 << len(bit)) - 1
     candidates = set()
-    seen = set()
+    met = {G: 0}
     stack = [G]
     while stack:
         n = stack.pop()
-        if n.nid in seen or isinstance(n, GEnd):
+        m = met[n]
+        here = bit[n.sender] | bit[n.receiver]
+        if not m & here:
+            for l, _ in n.branches:
+                candidates.add((n.sender, l, n.receiver))
+        m |= here
+        if m == everyone:
             continue
-        seen.add(n.nid)
-        for l, c in n.branches:
-            candidates.add(CommAction(n.sender, l, n.receiver))
-            stack.append(c)
+        for _, c in n.branches:
+            if c not in met and not isinstance(c, GEnd):
+                met[c] = m
+                stack.append(c)
     can_memo = G.store.memo("global_can")
     step_memo = G.store.memo("global_step")
     out = []
     for action in sorted(candidates):
+        action = CommAction(*action)
         if _can_step(G, action, can_memo, set()):
             out.append((action, _do_step(G, action, step_memo)))
     enabled[G.nid] = tuple(out)

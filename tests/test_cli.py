@@ -255,6 +255,34 @@ def test_state_bound_env_rejects_non_positive_integers(cx, capsys, monkeypatch, 
 
 
 # ---------------------------------------------------------------------------
+# bad input exits 2 with one line, whatever the subcommand
+
+def run_module(*argv):
+    return subprocess.run([sys.executable, "-m", "mpst", *argv],
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("participant", ["1x", "end"])
+def test_project_onto_a_non_identifier_is_exit_two(cx, participant):
+    proc = run_module("project", str(cx.path("relay.gt")), "--participant", participant)
+    assert proc.returncode == 2
+    assert proc.stdout == f"participant must be an identifier, got {participant!r}\n"
+    assert "Traceback" not in proc.stderr
+
+
+def test_non_utf8_input_is_exit_two(cx, tmp_path):
+    bad = tmp_path / "bad.gt"
+    bad.write_bytes(b"p -> q : a . end\xff")
+    for argv in (["check", str(bad)],
+                 ["type", str(cx.path("relay.sess")), "--against", str(bad)],
+                 ["type", str(bad), "--against", str(cx.path("relay.gt"))]):
+        proc = run_module(*argv)
+        assert proc.returncode == 2, argv
+        assert proc.stdout.startswith(f"cannot read {bad}: ") and proc.stdout.count("\n") == 1
+        assert "0xff" in proc.stdout and "Traceback" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
 # module entry point and a full corpus pipeline
 
 def test_module_entry_point(cx):

@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpst.core import NodeStore, bisimilar
-from mpst.parser import (DiagKind, ParseError, parse_global, parse_process,
-                         parse_session, print_global, print_process,
-                         print_session)
+from mpst.parser import (DiagKind, ParseDiagnostic, ParseError, SourceSpan,
+                         _Lexer, parse_global, parse_process, parse_session,
+                         print_global, print_process, print_session)
 
 import randgen
+from conftest import CORPUS
 
 
 def test_round_trip_whole_corpus(cx):
@@ -133,3 +134,89 @@ def test_parser_is_total_over_bytes_decoded(raw):
         parse_global(text, store=NodeStore())
     except ParseError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# Reference lexer: the character-at-a-time scanner that preceded the single
+# regular expression.  Returns the token list or raises ParseError.
+
+_REF_PUNCT = ("->", "|>", "||", "!", "?", "{", "}", ".", ",", ":", "=", "0")
+
+
+def _ref_scan(text, filename):
+    tokens = []
+    pos, line, col = 0, 1, 1
+    while pos < len(text):
+        ch = text[pos]
+        if ch == "\n":
+            pos += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            pos += 1
+            col += 1
+            continue
+        if ch == "#":  # comment to end of line
+            while pos < len(text) and text[pos] != "\n":
+                pos += 1
+            continue
+        start_line, start_col = line, col
+        if ch.isalpha() or ch == "_":
+            end = pos
+            while end < len(text) and (text[end].isalnum() or text[end] == "_"):
+                end += 1
+            word = text[pos:end]
+            tokens.append((word if word in ("rec", "let", "end") else "ident",
+                           word, start_line, start_col))
+            col += end - pos
+            pos = end
+            continue
+        for p in _REF_PUNCT:
+            if text.startswith(p, pos):
+                tokens.append((p, p, start_line, start_col))
+                pos += len(p)
+                col += len(p)
+                break
+        else:
+            raise ParseError(ParseDiagnostic(SourceSpan(filename, start_line, start_col),
+                                             DiagKind.Syntax, f"unexpected character {ch!r}"))
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+def _lex_both(text, filename="<fuzz>"):
+    outcomes = []
+    for lex in (lambda: _Lexer(text, filename).tokens, lambda: _ref_scan(text, filename)):
+        try:
+            outcomes.append(lex())
+        except ParseError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+def test_lexer_matches_reference_on_corpus():
+    for path in sorted(CORPUS.iterdir()):
+        new, ref = _lex_both(path.read_text(), path.name)
+        assert new == ref, path.name
+
+
+_FUZZ_PIECES = (
+    " ", "  ", "\t", "\r", "\n", "\r\n", "# note", "#", "# ->{}\t",
+    "p", "q", "rec", "let", "end", "X0", "_x", "a_1", "recx", "0abc", "00",
+    "é", "ñ_2", "²", "x²", "٣", "x٣", "一", "Ⅻ", "1", "9x", "$", "\x0b", " ",
+    "->", "|>", "||", "!", "?", "{", "}", ".", ",", ":", "=", "0", "-", "|", ">", "<",
+)
+
+
+def test_lexer_matches_reference_on_fuzz():
+    rng = random.Random(23)
+    errors = 0
+    for _ in range(50000):
+        text = "".join(rng.choice(_FUZZ_PIECES) for _ in range(rng.randint(0, 12)))
+        if rng.random() < 0.2:
+            text += rng.choice(("#", "# tail", "\n# tail", "#\n"))
+        new, ref = _lex_both(text)
+        assert new == ref, repr(text)
+        errors += isinstance(ref, str)
+    assert 5000 < errors < 45000  # both outcomes are well represented

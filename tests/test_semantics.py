@@ -4,14 +4,15 @@ from collections import deque
 
 import pytest
 
-from mpst.core import (NodeStore, PEnd, PIn, POut, Session, node_branch,
-                       node_labels, normalize_session)
+from mpst.core import (GEnd, NodeStore, PEnd, PIn, POut, Session,
+                       node_branch, node_labels, normalize_session)
 from mpst.parser import (parse_global, parse_process, parse_session,
                          print_global, print_session)
 from mpst.semantics import (CommAction, LockReport, StateSpaceBoundExceeded,
-                            explore, fidelity_harness, global_enabled,
-                            global_step, lock_free, session_enabled,
-                            session_step, simulate, standard_witness)
+                            _can_step, _do_step, explore, fidelity_harness,
+                            global_enabled, global_step, lock_free,
+                            session_enabled, session_step, simulate,
+                            standard_witness)
 from mpst.typecheck import Mode, typecheck
 
 import randgen
@@ -82,6 +83,63 @@ def test_global_icomm_blocked_by_involved_root(cx):
 
 def test_global_step_returns_none_when_unavailable(cx):
     assert global_step(cx.gt("relay.gt"), CommAction("q", "text", "p")) is None
+
+
+def _ref_global_enabled(G):
+    """global_enabled as it was before the pruned walk: every action of every
+    reachable node is a candidate, decided with fresh memos."""
+    if isinstance(G, GEnd):
+        return []
+    candidates = set()
+    seen = set()
+    stack = [G]
+    while stack:
+        n = stack.pop()
+        if n.nid in seen or isinstance(n, GEnd):
+            continue
+        seen.add(n.nid)
+        for l, c in n.branches:
+            candidates.add(CommAction(n.sender, l, n.receiver))
+            stack.append(c)
+    can_memo, step_memo = {}, {}
+    out = []
+    for action in sorted(candidates):
+        if _can_step(G, action, can_memo, set()):
+            out.append((action, _do_step(G, action, step_memo)))
+    return out
+
+
+def test_global_enabled_matches_full_walk_on_random_types():
+    # Stepping inside a loop can unroll it a little further each time
+    # (rec X . r -> s : b . q -> p : a . X), so each type's states are
+    # visited breadth first up to a cap.
+    rng = random.Random(5)
+    names = ("p", "q", "r", "s", "t")
+    compared = below_root = 0
+    for _ in range(3000):
+        store = NodeStore()
+        G = randgen.random_global(
+            rng, store, participants=names[:rng.randint(2, 5)],
+            max_nodes=rng.randint(1, 12), branchiness=rng.random())
+        seen = {G}
+        work = deque([G])
+        while work:
+            g = work.popleft()
+            got = global_enabled(g)  # the first call in a fresh store is uncached
+            assert got == _ref_global_enabled(g)
+            for action, succ in got:
+                compared += 1
+                if (action.sender, action.receiver) != (g.sender, g.receiver):
+                    below_root += 1
+            nexts = [succ for _, succ in got]
+            if not isinstance(g, GEnd):
+                nexts += [c for _, c in g.branches]
+            for n in nexts:
+                if n not in seen and len(seen) < 100:
+                    seen.add(n)
+                    work.append(n)
+    assert compared > 10000
+    assert below_root > 3000
 
 
 # ---------------------------------------------------------------------------
