@@ -24,7 +24,11 @@ from .core import (
     PIn,
     POut,
     Session,
+    TermError,
+    check_ident,
     coinductive_closure,
+    node_branch,
+    node_labels,
     participants,
 )
 from .typecheck import IllFormedGlobalType, Mode, leq, project, typecheck, well_formed
@@ -76,6 +80,7 @@ def gateway(P, h):
     Inputs are kept and re-sent to h; outputs are first requested from h and
     then delivered to the original peer.
     """
+    check_ident(h, "participant")
     if h in participants(P):
         raise ParticipantCollision(f"{h!r} already occurs in the process")
     store = P.store
@@ -83,25 +88,22 @@ def gateway(P, h):
     hit = cache.get((P.nid, h))
     if hit is not None:
         return hit
-    b = store.builder()
-    seen = {}
 
-    def go(n):
+    def expand(key):
+        # (n, None) forwards node n; (n, l) relays its label l onward
+        n, label = key
         if isinstance(n, PEnd):
             return store.end_process
-        d = seen.get(n.nid)
-        if d is not None:
-            return d
-        d = seen[n.nid] = b.reserve()
-        relay = h if isinstance(n, PIn) else n.peer
-        source = n.peer if isinstance(n, PIn) else h
-        branches = [(l, b.add_out(relay, [(l, go(cont))])) for l, cont in n.branches]
-        b.fill_in(d, source, branches)
-        return d
+        if label is not None:
+            relay = h if isinstance(n, PIn) else n.peer
+            return ("pout", relay, (label,)), ((node_branch(n, label), None),)
+        labels = node_labels(n)
+        return (("pin", n.peer if isinstance(n, PIn) else h, labels),
+                tuple((n, l) for l in labels))
 
-    root = go(P)
-    result = b.intern([root])[0] if isinstance(root, int) else root
-    cache[(P.nid, h)] = result
+    b = store.builder()
+    root = b.unfold([(P, None)], expand)[(P, None)]
+    cache[(P.nid, h)] = result = b.intern([root])[0]
     return result
 
 
@@ -212,73 +214,62 @@ def connect_globals(G, h, G_prime, k):
     (disjoint participants, compatible h/k projections): on other inputs the
     dispatch below can reach a dead end and raises NoClauseApplies.
     """
+    check_ident(h, "participant")
+    check_ident(k, "participant")
+    if h == k:
+        raise TermError(f"{h!r} cannot communicate with itself")
     store = G.store
     G_prime = store.adopt(G_prime)
-    b = store.builder()
-    cells = {}
 
-    def cn(h, k, star, L, R, swapped):
-        key = CnKey(h, k, star, L.nid, R.nid, swapped)
-        hit = cells.get(key)
-        if hit is not None:
-            return hit
-        if star.kind == "hash" and isinstance(L, GEnd):
-            cells[key] = R
-            return R
-        d = cells[key] = b.reserve()
+    def expand(key):
+        # the arguments of one connection clause; `relay` marks the second
+        # of the two forwarding steps that deliver a directed marker's label
+        h, k, star, L, R, swapped, relay = key
         if star.kind == "hash":
+            if isinstance(L, GEnd):
+                return R
             if isinstance(L, GComm) and L.receiver == h:
-                b.fill_comm(d, L.sender, h,
-                            [(l, cn(h, k, StarMarker("fwd", l), cont, R, swapped))
-                             for l, cont in L.branches])
-            elif isinstance(L, GComm) and h not in (L.sender, L.receiver):
-                b.fill_comm(d, L.sender, L.receiver,
-                            [(l, cn(k, h, HASH, R, cont, not swapped))
-                             for l, cont in L.branches])
-            elif isinstance(R, GComm) and R.receiver == k:
-                b.fill_comm(d, R.sender, k,
-                            [(l, cn(h, k, StarMarker("bwd", l), L, cont, swapped))
-                             for l, cont in R.branches])
-            elif isinstance(R, GComm) and k not in (R.sender, R.receiver):
-                b.fill_comm(d, R.sender, R.receiver,
-                            [(l, cn(k, h, HASH, cont, L, not swapped))
-                             for l, cont in R.branches])
-            else:
-                raise NoClauseApplies(key)
-        elif star.kind == "fwd":
-            # h holds a message for k; the second type must route it onward.
-            if isinstance(R, GComm) and R.sender == k:
-                cont = dict(R.branches).get(star.label)
-                if cont is None:
-                    raise NoClauseApplies(key)
-                inner = b.add_comm(k, R.receiver,
-                                   [(star.label, cn(h, k, HASH, L, cont, swapped))])
-                b.fill_comm(d, h, k, [(star.label, inner)])
-            elif isinstance(R, GComm) and R.receiver != k:
-                b.fill_comm(d, R.sender, R.receiver,
-                            [(l, cn(h, k, star, L, cont, swapped))
-                             for l, cont in R.branches])
-            else:
-                raise NoClauseApplies(key)
+                return (("gcomm", L.sender, h, node_labels(L)),
+                        [(h, k, StarMarker("fwd", l), cont, R, swapped, False)
+                         for l, cont in L.branches])
+            if isinstance(L, GComm) and h not in (L.sender, L.receiver):
+                return (("gcomm", L.sender, L.receiver, node_labels(L)),
+                        [(k, h, HASH, R, cont, not swapped, False)
+                         for _, cont in L.branches])
+            if isinstance(R, GComm) and R.receiver == k:
+                return (("gcomm", R.sender, k, node_labels(R)),
+                        [(h, k, StarMarker("bwd", l), L, cont, swapped, False)
+                         for l, cont in R.branches])
+            if isinstance(R, GComm) and k not in (R.sender, R.receiver):
+                return (("gcomm", R.sender, R.receiver, node_labels(R)),
+                        [(k, h, HASH, cont, L, not swapped, False)
+                         for _, cont in R.branches])
         else:
-            # k holds a message for h; the first type must route it onward.
-            if isinstance(L, GComm) and L.sender == h:
-                cont = dict(L.branches).get(star.label)
-                if cont is None:
-                    raise NoClauseApplies(key)
-                inner = b.add_comm(h, L.receiver,
-                                   [(star.label, cn(h, k, HASH, cont, R, swapped))])
-                b.fill_comm(d, k, h, [(star.label, inner)])
-            elif isinstance(L, GComm) and L.receiver != h:
-                b.fill_comm(d, L.sender, L.receiver,
-                            [(l, cn(h, k, star, cont, R, swapped))
-                             for l, cont in L.branches])
-            else:
-                raise NoClauseApplies(key)
-        return d
+            # star.kind "fwd": h holds a message for k and the second type
+            # must route it onward; "bwd" is the mirror image
+            fwd = star.kind == "fwd"
+            me, other, T = (h, k, R) if fwd else (k, h, L)
 
-    root = cn(h, k, HASH, G, G_prime, False)
-    return b.intern([root])[0] if isinstance(root, int) else root
+            def moved(cont):  # the two types once T has moved on to cont
+                return (L, cont) if fwd else (cont, R)
+
+            if isinstance(T, GComm) and T.sender == other:
+                cont = dict(T.branches).get(star.label)
+                if cont is not None and not relay:
+                    return (("gcomm", me, other, (star.label,)),
+                            [(h, k, star, L, R, swapped, True)])
+                if cont is not None:
+                    return (("gcomm", other, T.receiver, (star.label,)),
+                            [(h, k, HASH, *moved(cont), swapped, False)])
+            elif isinstance(T, GComm) and T.receiver != other:
+                return (("gcomm", T.sender, T.receiver, node_labels(T)),
+                        [(h, k, star, *moved(cont), swapped, False)
+                         for _, cont in T.branches])
+        raise NoClauseApplies(CnKey(h, k, star, L.nid, R.nid, swapped))
+
+    root = (h, k, HASH, G, G_prime, False, False)
+    b = store.builder()
+    return b.intern([b.unfold([root], expand)[root]])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -132,8 +132,7 @@ def _split(n):
     t = type(n)
     if t in _END_SHAPES:
         return _END_SHAPES[t], ()
-    labels = tuple(l for l, _ in n.branches)
-    kids = tuple(c for _, c in n.branches)
+    labels, kids = zip(*n.branches)
     if t is GComm:
         return ("gcomm", n.sender, n.receiver, labels), kids
     if t is PIn or t is POut:
@@ -502,6 +501,40 @@ class GraphBuilder:
 
     def intern(self, roots):
         return self.store._intern(self._drafts, [self._ref(r) for r in roots])
+
+    def unfold(self, roots, expand):
+        """Map every key reached from `roots` to a draft or a node, by one
+        explicit depth-first worklist in place of a recursion.
+
+        `expand(key)` gives the key's value as a node, or (shape, child
+        keys): the key then gets a draft, filled from the shape (`_split`'s
+        vocabulary, children in label order) once its children have values.
+        Shape names must come from canonical nodes, as the fill checks
+        nothing.  A shape of None leaves the draft for the caller to fill.
+        Returns {key: draft or node}, children before parents.
+        """
+        seen = {}      # key -> draft or node, from its first visit on
+        done = {}
+        frames = [(None, None, None, iter(roots))]   # key, shape, child keys, iterator
+        while frames:
+            key, shape, kids, it = frames[-1]
+            for k in it:
+                if k not in seen:
+                    got = expand(k)
+                    if isinstance(got, Node):
+                        seen[k] = done[k] = got
+                    else:
+                        seen[k] = self.reserve()
+                        frames.append((k, *got, iter(got[1])))
+                        break
+            else:
+                frames.pop()
+                if kids is not None:
+                    done[key] = seen[key]
+                    if shape is not None:
+                        self._drafts[seen[key]] = (shape, tuple(
+                            self._ref(seen[k]) for k in kids))
+        return done
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,8 @@ from enum import Enum
 
 from .core import (
     GEnd,
-    GlobalType,
     PEnd,
     PIn,
-    Process,
     NodeStore,
     Session,
     TermError,
@@ -303,34 +301,44 @@ def parse_session(text, store=None, filename="<sess>"):
 # Printers.
 
 def _print_node(root, glob):
-    counter = [0]
+    """The regular tree below `root` as text, written out with an explicit
+    stack.  A node reached again while its own text is still being written
+    is a back-edge: the node is named `X<i>` in order of first use, and its
+    text, once done, gets the `rec` binder in the slot kept for it."""
     end_text = "end" if glob else "0"
-
-    def go(n, stack):
-        if isinstance(n, (PEnd, GEnd)):
-            return end_text
-        if n in stack:
-            if stack[n] is None:
-                stack[n] = f"X{counter[0]}"
-                counter[0] += 1
-            return stack[n]
-        stack[n] = None
-        parts = [f"{label} . {go(child, stack)}" for label, child in n.branches]
-        if len(parts) == 1:
-            body_branches = parts[0]
+    out = []
+    names = {}       # node being written -> its name, once a back-edge needs one
+    count = 0
+    work = [root]    # nodes, literal text, and (node, slot) to close a node
+    while work:
+        item = work.pop()
+        if item.__class__ is str:
+            out.append(item)
+        elif item.__class__ is tuple:
+            n, slot = item
+            name = names.pop(n)
+            if name is not None:
+                out[slot] = f"rec {name} . "
+        elif isinstance(item, (PEnd, GEnd)):
+            out.append(end_text)
+        elif item in names:
+            if names[item] is None:
+                names[item] = f"X{count}"
+                count += 1
+            out.append(names[item])
         else:
-            body_branches = "{" + ", ".join(parts) + "}"
-        if glob:
-            body = f"{n.sender} -> {n.receiver} : {body_branches}"
-        else:
-            op = "?" if isinstance(n, PIn) else "!"
-            body = f"{n.peer}{op}{body_branches}"
-        name = stack.pop(n)
-        if name is not None:
-            body = f"rec {name} . {body}"
-        return body
-
-    return go(root, {})
+            names[item] = None
+            out.append("")
+            work.append((item, len(out) - 1))
+            many = len(item.branches) > 1
+            head = (f"{item.sender} -> {item.receiver} : " if glob
+                    else f"{item.peer}{'?' if isinstance(item, PIn) else '!'}")
+            out.append(head + "{" * many)
+            work.append("}" * many)
+            for i in reversed(range(len(item.branches))):
+                label, child = item.branches[i]
+                work += (child, f"{', ' if i else ''}{label} . ")
+    return "".join(out)
 
 
 def print_process(P):

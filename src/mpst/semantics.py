@@ -20,11 +20,12 @@ from dataclasses import dataclass
 
 from .core import (
     GEnd,
-    GComm,
     PEnd,
     PIn,
     POut,
     Session,
+    _sccs,
+    _split,
     node_branch,
     node_labels,
     normalize_session,
@@ -138,41 +139,47 @@ def session_step(M, action):
 # every branch.  Derivations are finite, so a premise that loops back to a
 # judgment already under consideration fails.
 
-def _can_step(G, action, memo, busy):
-    if isinstance(G, GEnd):
-        return False
-    key = (G.nid, action)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if G.sender == action.sender and G.receiver == action.receiver:
-        res = action.label in node_labels(G)
-        memo[key] = res
-        return res
-    if action.involves(G.sender) or action.involves(G.receiver):
-        memo[key] = False
-        return False
-    if key in busy:
-        return False
-    busy.add(key)
-    res = all(_can_step(c, action, memo, busy) for _, c in G.branches)
-    busy.discard(key)
-    memo[key] = res
-    return res
+def _can_step(G, action, memo):
+    """Is `action` derivable at G?  Decided for each node a derivation would
+    pass through, one strongly connected component at a time, children
+    first: such a node on a cycle has no finite derivation."""
+    def passes(g):
+        return not (isinstance(g, GEnd) or action.involves(g.sender)
+                    or action.involves(g.receiver))
+
+    def succ(g):
+        return [c for _, c in g.branches] if (g.nid, action) not in memo and passes(g) else ()
+
+    for scc in _sccs([G], succ):
+        g = scc[0]
+        if (g.nid, action) in memo:
+            continue
+        if passes(g):
+            res = len(scc) == 1 and all(c is not g and memo[(c.nid, action)]
+                                        for _, c in g.branches)
+        else:
+            res = (not isinstance(g, GEnd) and g.sender == action.sender
+                   and g.receiver == action.receiver and action.label in node_labels(g))
+        for g in scc:
+            memo[(g.nid, action)] = res
+    return memo[(G.nid, action)]
 
 
 def _do_step(G, action, memo):
-    key = (G.nid, action)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if G.sender == action.sender and G.receiver == action.receiver:
-        res = node_branch(G, action.label)
-    else:
-        res = G.store.comm(G.sender, G.receiver,
-                           [(l, _do_step(c, action, memo)) for l, c in G.branches])
-    memo[key] = res
-    return res
+    """G after `action` fires wherever `_can_step` derived it."""
+    def expand(g):
+        hit = memo.get((g.nid, action))
+        if hit is not None:
+            return hit
+        if g.sender == action.sender and g.receiver == action.receiver:
+            return node_branch(g, action.label)
+        return _split(g)
+
+    b = G.store.builder()
+    value = b.unfold([G], expand)
+    for g, n in zip(value, b.intern(list(value.values()))):
+        memo[(g.nid, action)] = n
+    return memo[(G.nid, action)]
 
 
 def global_enabled(G):
@@ -215,7 +222,7 @@ def global_enabled(G):
     out = []
     for action in sorted(candidates):
         action = CommAction(*action)
-        if _can_step(G, action, can_memo, set()):
+        if _can_step(G, action, can_memo):
             out.append((action, _do_step(G, action, step_memo)))
     enabled[G.nid] = tuple(out)
     return out
@@ -535,28 +542,21 @@ def standard_witness(M, G):
     if not rep.ok:
         raise ValueError("standard_witness requires a session typed in Plus mode")
     store = G.store
-    b = store.builder()
-    cells = {}
 
-    def go(state, g):
+    def expand(key):
+        # (the normalized state as (participant, process) pairs, node of G)
+        state, g = key
         if isinstance(g, GEnd):
             return store.end_global
-        key = (_state_key(state), g.nid)
-        if key in cells:
-            return cells[key]
-        d = b.reserve()
-        cells[key] = d
-        sender = state[g.sender]
-        branches = []
+        procs = dict(state)
+        sender, receiver = procs[g.sender], procs[g.receiver]
+        kids = []
         for l, cont in sender.branches:
-            succ = dict(state.items())
-            succ[g.sender], succ[g.receiver] = cont, node_branch(state[g.receiver], l)
-            branches.append((l, go(normalize_session(Session._trusted(succ)),
-                                   node_branch(g, l))))
-        b.fill_comm(d, g.sender, g.receiver, branches)
-        return d
+            procs[g.sender], procs[g.receiver] = cont, node_branch(receiver, l)
+            kids.append((tuple((p, P) for p, P in procs.items()
+                               if not isinstance(P, PEnd)), node_branch(g, l)))
+        return ("gcomm", g.sender, g.receiver, node_labels(sender)), kids
 
-    root = go(normalize_session(M), G)
-    if not isinstance(root, int):
-        return root
-    return b.intern([root])[0]
+    root = (normalize_session(M).items(), G)
+    b = store.builder()
+    return b.intern([b.unfold([root], expand)[root]])[0]

@@ -7,10 +7,11 @@ results merged.  The merge accepts either branches that all project to the
 same process, or branches that all project to inputs from one common sender
 with pairwise-disjoint label sets (combined into a single input).
 
-The merge is computed corecursively over the global graph.  Each global node
-gets a reserved draft; a branch whose projection is still being determined
-contributes that draft as an undecided hole, and the affected merge decisions
-are deferred until the holes fill in.  Decisions that assume two in-flight
+The merge is computed corecursively over the global graph.  One
+`GraphBuilder.unfold` gives each global node a draft and fills those of the
+output and input clauses; the merges are then decided children first, each
+once the drafts of its branches are filled, and merges that wait on one
+another in a cycle are resolved last.  Decisions that assume two in-flight
 projections equal are verified once the whole run is interned, where equal
 means identical.
 """
@@ -23,12 +24,12 @@ from enum import Enum
 from .core import (
     GComm,
     GEnd,
-    GlobalType,
     PEnd,
     PIn,
     POut,
     Process,
     Session,
+    _split,
     check_ident,
     coinductive_closure,
     node_labels,
@@ -180,19 +181,6 @@ class _Reject(Exception):
         self.err = err
 
 
-class _Cell:
-    __slots__ = ("draft", "state", "node", "members", "had_self")
-    # state: "busy" while the clauses run, "deferred" while the merge waits
-    # on other in-flight projections, "done" once the draft is filled.
-
-    def __init__(self, draft, node):
-        self.draft = draft
-        self.state = "busy"
-        self.node = node
-        self.members = None
-        self.had_self = False
-
-
 def project(G, p):
     """Process the participant must run to follow G, or a ProjectionError."""
     check_ident(p, "participant")
@@ -210,24 +198,40 @@ def project(G, p):
 def _project_run(store, root, p):
     cache = store.memo("project")
     b = store.builder()
-    cells = {}
-    deferred = []
     checks = []  # (node, ref, ref): projections assumed equal, checked at the end
+    merges = set()
 
     def reject(kind, g, msg):
         err = ProjectionError(kind, g, p, msg)
         cache[(g.nid, p)] = err
         raise _Reject(err)
 
+    def expand(g):
+        hit = cache.get((g.nid, p))
+        if isinstance(hit, ProjectionError):
+            raise _Reject(hit)
+        if hit is not None:
+            return hit
+        if p not in participants(g):
+            cache[(g.nid, p)] = store.end_process
+            return store.end_process
+        shape, kids = _split(g)
+        if g.sender == p:
+            return ("pout", g.receiver, shape[3]), kids
+        if g.receiver == p:
+            return ("pin", g.sender, shape[3]), kids
+        merges.add(g)
+        return None, kids
+
     def decide(cell):
         """Fill the cell's draft, or return False while members are holes."""
+        g, d, ms, had_self = cell
         shapes = []
-        for m in cell.members:
+        for m in ms:
             s = b.shape_of(m)
             if s is None:
                 return False
             shapes.append(s)
-        g, d, ms = cell.node, cell.draft, cell.members
         if not ms:
             raise AssertionError("empty merge despite the participant occurring")
         if len(ms) == 1:
@@ -262,7 +266,7 @@ def _project_run(store, root, p):
             return True
         if all(not (label_sets[i] & label_sets[j])
                for i in range(len(ms)) for j in range(i + 1, len(ms))):
-            if cell.had_self:
+            if had_self:
                 reject(ProjectionErrorKind.OverlappingInputLabels, g,
                        f"a branch of {g!r} projects onto {p!r} to the merged input "
                        f"itself, which cannot be disjoint from the union")
@@ -275,82 +279,44 @@ def _project_run(store, root, p):
                f"branches of {g!r} project onto {p!r} as inputs whose label sets "
                f"overlap without being equal")
 
-    def go(g):
-        hit = cache.get((g.nid, p))
-        if isinstance(hit, ProjectionError):
-            raise _Reject(hit)
-        if hit is not None:
-            return hit
-        cell = cells.get(g.nid)
-        if cell is not None:
-            return cell.draft
-        if p not in participants(g):
-            cache[(g.nid, p)] = store.end_process
-            return store.end_process
-        cell = _Cell(b.reserve(), g)
-        cells[g.nid] = cell
-        d = cell.draft
-        if g.sender == p:
-            b.fill_out(d, g.receiver, [(l, go(c)) for l, c in g.branches])
-        elif g.receiver == p:
-            b.fill_in(d, g.sender, [(l, go(c)) for l, c in g.branches])
-        else:
+    value = b.unfold([root], expand)
+    drafts = [(g, d) for g, d in value.items() if d.__class__ is int]
+    pending = []   # the merges, children first: (node, draft, members, had_self)
+    for g, d in drafts:
+        if g in merges:
             members = []
             for _, c in g.branches:
-                m = go(c)
-                if m == d:
-                    cell.had_self = True
-                elif m not in members:
+                m = value[c]
+                if m not in members:
                     members.append(m)
-            cell.members = members
-            if not decide(cell):
-                cell.state = "deferred"
-                deferred.append(cell)
-                return d
-        cell.state = "done"
-        return d
-
-    res = go(root)
-    pending = [c for c in deferred if c.state != "done"]
+            had_self = d in members
+            if had_self:
+                members.remove(d)
+            pending.append((g, d, members, had_self))
     while pending:
-        rest = []
-        for cell in pending:
-            if decide(cell):
-                cell.state = "done"
-            else:
-                rest.append(cell)
+        rest = [cell for cell in pending if not decide(cell)]
         if len(rest) == len(pending):
             # The remaining merges wait on one another in a cycle.  A cyclic
             # union has no consistent label set, so the only reading left is
             # that each such merge equals its members; pick the first member
             # whose shape is known and leave the equalities to the checks.
-            # Cells whose members are all still holes unblock on a later
+            # Merges whose members are all still holes unblock on a later
             # sweep once a neighbour is filled.
-            progressed = False
-            for cell in rest:
-                known = [m for m in cell.members if b.shape_of(m) is not None]
-                if not known:
-                    continue
-                b.fill_copy(cell.draft, known[0])
-                checks.extend((cell.node, known[0], m)
-                              for m in cell.members if m != known[0])
-                cell.state = "done"
-                progressed = True
-            if not progressed:
+            for g, d, members, _ in rest:
+                known = [m for m in members if b.shape_of(m) is not None]
+                if known:
+                    b.fill_copy(d, known[0])
+                    checks.extend((g, known[0], m) for m in members if m != known[0])
+            rest = [cell for cell in rest if b.shape_of(cell[1]) is None]
+            if len(rest) == len(pending):
                 raise AssertionError("merge cycle with no resolved member")
-            rest = [cell for cell in rest if cell.state != "done"]
         pending = rest
 
-    targets = [cell.draft for cell in cells.values()]
+    targets = [d for _, d in drafts]
     for _, a, c in checks:
         targets.extend((a, c))
-    if not isinstance(res, int):
-        final = {}
-        nodes = []
-    else:
-        nodes = b.intern(targets)
-        final = dict(zip(targets, nodes))
-    at = len(cells)
+    nodes = b.intern(targets)
+    at = len(drafts)
     for g, a, c in checks:
         fa, fc = nodes[at], nodes[at + 1]
         at += 2
@@ -358,9 +324,9 @@ def _project_run(store, root, p):
             reject(ProjectionErrorKind.UnequalContinuations, g,
                    f"branches of {g!r} project onto {p!r} differently "
                    f"({print_process(fa)} vs {print_process(fc)})")
-    for nid, cell in cells.items():
-        cache[(nid, p)] = final[cell.draft]
-    return final[res] if isinstance(res, int) else res
+    for (g, _), node in zip(drafts, nodes):
+        cache[(g.nid, p)] = node
+    return cache[(root.nid, p)]
 
 
 # ---------------------------------------------------------------------------

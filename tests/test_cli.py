@@ -305,3 +305,71 @@ def test_pipeline_over_corpus(cx, capsys, tmp_path, monkeypatch):
                "--left-type", gt, "--right-type", str(cx.path("right.gt")),
                "--out", "full")[0] == 0
     assert run(capsys, "lockfree", "full.sess")[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# 10^4-step chains in `let` form through every subcommand
+
+N = 10 ** 4
+
+
+def _let_chain(name, steps, last):
+    return "".join(f"let {name}{i} = {steps(i)} . {name}{i + 1}\n"
+                   for i in range(N)) + f"let {name}{N} = {last}\n"
+
+
+def _chain_step(i):
+    return ("p", "q") if i % 2 else ("q", "p")
+
+
+def _chain_role(x):
+    """Role x's part in the chain of steps _chain_step, one equation a step."""
+    def prefix(i):
+        s, r = _chain_step(i)
+        return f"{r}!a{i % 3}" if s == x else f"{s}?a{i % 3}"
+
+    return _let_chain(x.upper(), prefix, "0")
+
+
+@pytest.fixture(scope="module")
+def deep_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("deep")
+    texts = {
+        "chain.gt": _let_chain("G", lambda i: "{} -> {} : a{}".format(*_chain_step(i), i % 3),
+                               "end") + "G0\n",
+        "chain.sess": _chain_role("p") + _chain_role("q") + "p |> P0 || q |> Q0\n",
+        "h.proc": _let_chain("H", lambda i: "p?a", "0") + "H0\n",
+        "k.proc": _let_chain("K", lambda i: "w!a", "0") + "K0\n",
+        # p is left with a long output chain after one exchange: two states
+        "stuck.sess": _let_chain("P", lambda i: f"q!a{i % 2}", "0")
+        + "p |> P0 || q |> p?a0 . 0\n",
+        "left.gt": _let_chain("G", lambda i: "p -> q : a", "p -> h : a . end") + "G0\n",
+        "left.sess": _let_chain("P", lambda i: "q!a", "h!a . 0")
+        + _let_chain("Q", lambda i: "p?a", "0") + "p |> P0 || q |> Q0 || h |> p?a . 0\n",
+        "right.gt": "k -> w : a . end\n",
+        "right.sess": "k |> w!a . 0 || w |> k?a . 0\n",
+    }
+    for name, text in texts.items():
+        (d / name).write_text(text)
+    return d
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "chain.gt"],
+    ["project", "chain.gt", "--participant", "q"],
+    ["type", "chain.sess", "--against", "chain.gt"],
+    ["type", "chain.sess", "--against", "chain.gt", "--mode", "plus"],
+    ["compat", "h.proc", "k.proc"],
+    ["simulate", "stuck.sess", "--dot", "stuck.dot"],
+    ["lockfree", "chain.sess"],
+    ["compose", "--left", "left.sess", "--right", "right.sess", "--via", "h,k",
+     "--left-type", "left.gt", "--right-type", "right.gt", "--out", "joined"],
+], ids=lambda argv: argv[0] + ("-" + argv[-1] if argv[-2] == "--mode" else ""))
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_every_subcommand_takes_deep_let_chains(deep_files, capsys, monkeypatch,
+                                                argv, as_json):
+    monkeypatch.chdir(deep_files)
+    code = main(argv + ["--json"] * as_json)
+    out, err = capsys.readouterr()
+    assert code == 0, out[-300:]
+    assert "Traceback" not in out + err

@@ -7,7 +7,7 @@ from mpst.compose import (HASH, CnKey, IncompatibleSessions, NoClauseApplies,
                           compatible_globals, compatible_sessions,
                           connect_globals, connect_sessions, gateway,
                           verify_connection)
-from mpst.core import (Session, bisimilar, node_branch,
+from mpst.core import (Session, TermError, bisimilar, node_branch,
                        participants, sessions_bisimilar)
 from mpst.parser import (parse_global, parse_process, parse_session,
                          print_process)
@@ -117,6 +117,14 @@ def test_gateway_requires_fresh_name(store):
         gateway(P, "q")
 
 
+@pytest.mark.parametrize("h", ["", "1h", "h k", "rec", "\u00e9", None])
+def test_gateway_checks_the_relay_name(store, h):
+    # the forwarder is filled without name checks, so the entry checks h once
+    for P in (parse_process("p!a . 0", store=store), store.end_process):
+        with pytest.raises(TermError):
+            gateway(P, h)
+
+
 def test_gateway_monotone_for_leq(store):
     rng = random.Random(21)
     for _ in range(200):
@@ -214,6 +222,18 @@ def test_connect_globals_signals_contradictions(store):
     with pytest.raises(NoClauseApplies) as info:
         connect_globals(G, "h", Gp, "k")
     assert "connect(" in str(info.value)
+
+
+@pytest.mark.parametrize("h,k", [("h", "h"), ("1h", "k"), ("h", "k k"),
+                                 ("let", "k"), ("h", None)])
+def test_connect_globals_checks_the_interface_names(store, h, k):
+    # the composed type is filled without name checks, so the entry checks
+    # h and k once; h == k would make a forwarder talk to itself
+    G = parse_global("p -> h : a . end", store=store)
+    Gp = parse_global("k -> s : a . end", store=store)
+    for left in (G, store.end_global):
+        with pytest.raises(TermError):
+            connect_globals(left, h, Gp, k)
 
 
 def test_composed_type_is_well_formed(cx):

@@ -413,3 +413,53 @@ def test_adopt_is_idempotent(cx, store):
 def test_branches_sorted_by_label(store):
     P = parse_process("q?{m . 0, a . 0, k . 0}", store=store)
     assert node_labels(P) == ("a", "k", "m")
+
+
+# ---------------------------------------------------------------------------
+# GraphBuilder.unfold.
+
+def test_unfold_ties_cycles_and_returns_children_first(store):
+    # keys are positions on a ring of three outputs; key 3 closes the ring
+    def expand(i):
+        return ("pout", "q", (f"l{i}",)), ((i + 1) % 3,)
+
+    b = store.builder()
+    value = b.unfold([0], expand)
+    assert list(value) == [2, 1, 0]
+    ring = b.intern([value[0]])[0]
+    assert ring is parse_process("rec X . q!l0 . q!l1 . q!l2 . X", store=store)
+
+
+def test_unfold_passes_nodes_through_and_leaves_none_shapes_open(store):
+    end = store.end_process
+    expanded = []
+
+    def expand(key):
+        expanded.append(key)
+        if key == "end":
+            return end
+        if key == "open":
+            return None, ("end", "leaf")
+        return ("pin", "p", ("a", "b")), ("end", "end")
+
+    b = store.builder()
+    value = b.unfold(["open", "leaf"], expand)
+    assert expanded == ["open", "end", "leaf"]   # each key expanded once
+    assert value["end"] is end
+    assert b.shape_of(value["open"]) is None
+    assert b.shape_of(value["leaf"]) == ("pin", "p", ("a", "b"))
+    b.fill_copy(value["open"], value["leaf"])
+    assert b.intern([value["open"]])[0] is parse_process("p?{a . 0, b . 0}", store=store)
+
+
+def test_unfold_has_no_depth_limit(store):
+    n = 10 ** 4
+
+    def expand(i):
+        return store.end_global if i == n else (("gcomm", "p", "q", ("l",)), (i + 1,))
+
+    b = store.builder()
+    G = b.intern([b.unfold([0], expand)[0]])[0]
+    for _ in range(n):
+        G = node_branch(G, "l")
+    assert isinstance(G, GEnd)

@@ -11,6 +11,7 @@ from mpst.parser import (DiagKind, ParseDiagnostic, ParseError, SourceSpan,
 
 import randgen
 from conftest import CORPUS
+from oracles import ref_print_node
 
 
 def test_round_trip_whole_corpus(cx):
@@ -114,6 +115,37 @@ def test_print_parse_identity_on_random_nodes(store):
         assert parse_process(print_process(P), store=store) is P
         G = randgen.random_global(rng, store)
         assert parse_global(print_global(G), store=store) is G
+
+
+def test_printer_matches_the_recursive_reference(cx):
+    nodes = [(cx.proc(name), False) for name in cx.names(".proc")]
+    nodes += [(cx.gt(name), True) for name in cx.names(".gt")]
+    rng = random.Random(13)
+    store = NodeStore()
+    for _ in range(500):
+        nodes.append((randgen.random_process(rng, store, max_nodes=10), False))
+        nodes.append((randgen.random_global(rng, store, max_nodes=10), True))
+    for node, glob in nodes:
+        text = (print_global if glob else print_process)(node)
+        assert text == ref_print_node(node, glob)
+        assert (parse_global if glob else parse_process)(text, store=node.store) is node
+
+
+def test_printer_has_no_depth_limit(store):
+    n = 10 ** 4
+    G = store.end_global
+    for i in range(n):
+        G = store.comm("p", "q", [(f"l{i % 2}", G)])
+    assert print_global(G) == "".join(
+        f"p -> q : l{i % 2} . " for i in reversed(range(n))) + "end"
+    # a loop at the bottom gets its binder after n frames
+    loop = parse_process("rec X . q!{a . X, b . 0}", store=store)
+    P = loop
+    for i in range(n):
+        b = store.builder()
+        P = b.intern([b.add_out("q", [(f"l{i % 2}", P)])])[0]
+    assert print_process(P) == "".join(
+        f"q!l{i % 2} . " for i in reversed(range(n))) + "rec X0 . q!{a . X0, b . 0}"
 
 
 @settings(max_examples=300, deadline=None)

@@ -9,13 +9,14 @@ from mpst.core import (GEnd, NodeStore, PEnd, PIn, POut, Session,
 from mpst.parser import (parse_global, parse_process, parse_session,
                          print_global, print_session)
 from mpst.semantics import (CommAction, LockReport, StateSpaceBoundExceeded,
-                            _can_step, _do_step, explore, fidelity_harness,
+                            explore, fidelity_harness,
                             global_enabled, global_step, lock_free,
                             session_enabled, session_step, simulate,
                             standard_witness)
 from mpst.typecheck import Mode, typecheck
 
 import randgen
+from oracles import ref_can_step, ref_do_step
 
 
 def _count_nodes(P):
@@ -87,7 +88,8 @@ def test_global_step_returns_none_when_unavailable(cx):
 
 def _ref_global_enabled(G):
     """global_enabled as it was before the pruned walk: every action of every
-    reachable node is a candidate, decided with fresh memos."""
+    reachable node is a candidate, decided with fresh memos by the recursive
+    reference step functions."""
     if isinstance(G, GEnd):
         return []
     candidates = set()
@@ -104,8 +106,8 @@ def _ref_global_enabled(G):
     can_memo, step_memo = {}, {}
     out = []
     for action in sorted(candidates):
-        if _can_step(G, action, can_memo, set()):
-            out.append((action, _do_step(G, action, step_memo)))
+        if ref_can_step(G, action, can_memo, set()):
+            out.append((action, ref_do_step(G, action, step_memo)))
     return out
 
 
