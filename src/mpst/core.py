@@ -24,35 +24,16 @@ size of a term, and only a cyclic component walks the nodes below it.
 
 from __future__ import annotations
 
-import re
+from .terms import (  # the term layer's names, re-exported
+    TermError,
+    UnboundVariable,
+    UnguardedRecursion,
+    check_ident,
+    intern_term,
+)
 
 Label = str
 Participant = str
-
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_KEYWORDS = frozenset({"rec", "let", "end"})
-
-
-class TermError(ValueError):
-    """A term violates a structural invariant."""
-
-
-class UnboundVariable(TermError):
-    def __init__(self, name):
-        super().__init__(f"unbound recursion variable {name!r}")
-        self.name = name
-
-
-class UnguardedRecursion(TermError):
-    def __init__(self, name):
-        super().__init__(f"recursion on {name!r} never passes an input or output prefix")
-        self.name = name
-
-
-def check_ident(name, what="identifier"):
-    if not isinstance(name, str) or not _IDENT_RE.match(name) or name in _KEYWORDS:
-        raise TermError(f"{what} must be an identifier, got {name!r}")
-    return name
 
 
 # ---------------------------------------------------------------------------
@@ -535,117 +516,6 @@ class GraphBuilder:
                         self._drafts[seen[key]] = (shape, tuple(
                             self._ref(seen[k]) for k in kids))
         return done
-
-
-# ---------------------------------------------------------------------------
-# Terms -> nodes.  Surface terms are nested tuples:
-#   ("end",) | ("var", name) | ("rec", name, body)
-#   | ("in", peer, [(label, term), ...]) | ("out", peer, [(label, term), ...])
-#   | ("comm", sender, receiver, [(label, term), ...])
-# `defs` supplies mutually recursive named equations (the `let` form).
-
-class _Slot:
-    __slots__ = ("draft", "state", "alias")
-    # state: 0 = pending, 1 = resolving, 2 = done
-
-    def __init__(self, draft):
-        self.draft = draft
-        self.state = 0
-        self.alias = None
-
-
-def intern_term(store, term, defs=None, glob=False):
-    """Tie a surface term (with optional named equations) into a canonical
-    graph: a global type if `glob`, else a process."""
-    b = store.builder()
-    slots = {}
-    if defs:
-        for name in defs:
-            check_ident(name, "definition name")
-            slots[name] = _Slot(b.reserve())
-
-    end_node = store.end_global if glob else store.end_process
-
-    def resolve(t, env, guarded):
-        tag = t[0]
-        if tag == "end":
-            return end_node
-        if tag == "var":
-            name = t[1]
-            slot = env.get(name)
-            if slot is None:
-                raise UnboundVariable(name)
-            if slot.state == 2:
-                return slot.alias if slot.alias is not None else slot.draft
-            if not guarded:
-                # a cycle of bare aliases never produces a prefix
-                if slot.state == 1:
-                    raise UnguardedRecursion(name)
-                return ("alias", name, slot)
-            return slot.draft
-        if tag == "rec":
-            _, name, body = t
-            slot = _Slot(b.reserve())
-            inner = dict(env)
-            inner[name] = slot
-            define(name, slot, body, inner)
-            return slot.alias if slot.alias is not None else slot.draft
-        if tag == "in" and not glob:
-            return b.add_in(t[1], [(l, subref(c, env)) for l, c in t[2]])
-        if tag == "out" and not glob:
-            return b.add_out(t[1], [(l, subref(c, env)) for l, c in t[2]])
-        if tag == "comm" and glob:
-            return b.add_comm(t[1], t[2], [(l, subref(c, env)) for l, c in t[3]])
-        raise TermError(f"unexpected term {t!r}")
-
-    def subref(t, env):
-        r = resolve(t, env, guarded=True)
-        if isinstance(r, tuple) and r and r[0] == "alias":
-            # guarded position: the slot's draft stands in for the value
-            return r[2].draft
-        return r
-
-    def define(name, slot, body, env):
-        slot.state = 1
-        r = resolve(body, env, guarded=False)
-        if isinstance(r, tuple) and r and r[0] == "alias":
-            slot.alias = r
-            slot.state = 2
-            return
-        _assign(slot, r)
-
-    def _assign(slot, r):
-        b.fill_copy(slot.draft, r)
-        slot.alias = None
-        slot.state = 2
-
-    if defs:
-        for name, body in defs.items():
-            slot = slots[name]
-            if slot.state == 0:
-                define(name, slot, body, slots)
-        # chase alias chains left by definitions like `let A = B`
-        for name, slot in slots.items():
-            if slot.alias is not None:
-                seen = {name}
-                cur = slot.alias
-                while True:
-                    _, target_name, target = cur
-                    if target.alias is None:
-                        _assign(slot, target.draft)
-                        break
-                    if target_name in seen:
-                        raise UnguardedRecursion(target_name)
-                    seen.add(target_name)
-                    cur = target.alias
-
-    root = resolve(term, slots, guarded=False)
-    if isinstance(root, tuple) and root and root[0] == "alias":
-        slot = root[2]
-        if slot.alias is not None:
-            raise UnguardedRecursion(root[1])
-        root = slot.draft
-    return b.intern([root])[0]
 
 
 # ---------------------------------------------------------------------------

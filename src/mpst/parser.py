@@ -10,6 +10,20 @@ Grammar (ASCII, one definition per file, optional shared equations):
     branches ::= branch | "{" branch ("," branch)* "}"
     branch   ::= ident ["." term]          -- omitted continuation means 0/end
     session  ::= ident "|>" process ("||" ident "|>" process)*
+    ident    ::= [A-Za-z_][A-Za-z0-9_]*    -- other than rec, let, end
+
+Text is read in one pass.  One `findall` splits it into token strings, and
+a reader with an explicit stack fills the drafts of `terms._TermDrafts` as
+it goes, so nothing recurses on the size of a term.  Labels, definitions,
+participants, variables and the two ends of a communication are checked
+once, where their tokens are read; a session participant that talks to
+itself is found from the processes, which a session interns in one batch.
+Tokens carry no positions: only a failing parse scans the text again, with
+`_scan`, to find the line and column of the token at fault, or an
+unexpected character before it.  The diagnostic is the first in this
+order: an unexpected character, a syntax error, an unbound variable or
+unguarded recursion in resolution order, a session participant that talks
+to itself.
 
 Pretty-printers introduce `rec X0 . ...` binders at back-edge targets and list
 branches in label order, so output always reparses to a bisimilar value.
@@ -27,12 +41,9 @@ from .core import (
     PIn,
     NodeStore,
     Session,
-    TermError,
-    UnboundVariable,
-    UnguardedRecursion,
-    intern_term,
     participants,
 )
+from .terms import UnboundVariable, _TermDrafts
 
 
 class DiagKind(Enum):
@@ -71,230 +82,269 @@ class ParseError(Exception):
         self.diagnostic = diagnostic
 
 
-# One alternative per kind of lexeme, tried in order.  A word starts with a
-# letter or "_" and continues with \w (isalnum() or "_"); the word group
-# also takes the other non-decimal \w characters, such as "²", as a start,
-# and _scan rejects those as unexpected characters.
-_TOKEN_RE = re.compile(r"""
+# _SKIP takes blanks and comments.  Each match of _TOKENS is one token and
+# the blanks and comments after it (those at the start of the text are
+# skipped first).  A character that starts no token matches as "", as the
+# end of input (`\Z`) does, so a parse stops there and `_scan` reports it.
+_SKIP = r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+_SKIP_RE = re.compile(_SKIP)
+_TOKENS = re.compile(r"(?:([A-Za-z_][A-Za-z0-9_]*|->|\|>|\|\||[!?{}.,:=0]|\Z)|.)" + _SKIP,
+                     re.DOTALL)
+
+
+def _tokens(text):
+    """The tokens of `text` as strings, ending in the end of input ("")."""
+    return _TOKENS.findall(text, _SKIP_RE.match(text).end())
+
+
+# Every token that is not an identifier.
+_RESERVED = frozenset(("->", "|>", "||", "!", "?", "{", "}", ".", ",", ":",
+                       "=", "0", "rec", "let", "end", ""))
+
+# The token after an identifier that makes it a prefix -> shape kind.
+_PREFIXES = {False: {"!": "pout", "?": "pin"}, True: {"->": "gcomm"}}
+
+# The same tokens as _TOKENS, with positions, for diagnostics only.
+_SCAN_RE = re.compile(r"""
     (?P<blanks>[ \t\r]+)
   | (?P<newline>\n)
   | (?P<comment>\#[^\n]*)
-  | (?P<word>[^\W\d]\w*)
-  | (?P<punct>->|\|>|\|\||[!?{}.,:=0])
+  | (?P<token>[A-Za-z_][A-Za-z0-9_]*|->|\|>|\|\||[!?{}.,:=0])
   | (?P<other>.)
 """, re.VERBOSE | re.DOTALL)
 
 
-class _Lexer:
-    def __init__(self, text, filename):
+def _scan(text, filename):
+    """(token, line, column) of every token, then ("", line, column) of the
+    end of input; raises the ParseError of the first character that starts
+    no token.
+
+    A comment runs to the end of its line and does not advance the column,
+    so the end-of-input column after a trailing comment is the comment's
+    own.
+    """
+    out = []
+    line, line_start, comment_at = 1, 0, -1
+    for m in _SCAN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "token":
+            out.append((m.group(), line, m.start() - line_start + 1))
+        elif kind == "newline":
+            line += 1
+            line_start = m.end()
+        elif kind == "comment":
+            comment_at = m.start()
+        elif kind == "other":
+            raise ParseError(ParseDiagnostic(
+                SourceSpan(filename, line, m.start() - line_start + 1),
+                DiagKind.Syntax, f"unexpected character {m.group()!r}"))
+    stop = comment_at if comment_at >= line_start else len(text)
+    out.append(("", line, stop - line_start + 1))
+    return out
+
+
+class _Reader:
+    """One parse: the tokens, the drafts they fill, and the token index of
+    each name's first binder and first use as a variable (the spans of
+    unguarded-recursion and unbound-variable diagnostics)."""
+
+    def __init__(self, text, store, filename, glob):
         self.text = text
         self.filename = filename
-        self.tokens = []
-        self._scan()
-        self.at = 0
-
-    def _fail(self, message, line, col):
-        raise ParseError(ParseDiagnostic(SourceSpan(self.filename, line, col),
-                                         DiagKind.Syntax, message))
-
-    def _scan(self):
-        """Tokens as (kind, text, line, column).
-
-        A comment runs to the end of its line and does not advance the
-        column, so the end-of-input column after a trailing comment is the
-        comment's own.
-        """
-        text, tokens = self.text, self.tokens
-        line, line_start, comment_at = 1, 0, -1
-        for m in _TOKEN_RE.finditer(text):
-            kind = m.lastgroup
-            if kind == "blanks":
-                continue
-            col = m.start() - line_start + 1
-            if kind == "word":
-                word = m.group()
-                if not (word[0].isalpha() or word[0] == "_"):
-                    self._fail(f"unexpected character {word[0]!r}", line, col)
-                tokens.append((word if word in ("rec", "let", "end") else "ident",
-                               word, line, col))
-            elif kind == "punct":
-                tokens.append((m.group(), m.group(), line, col))
-            elif kind == "newline":
-                line += 1
-                line_start = m.end()
-            elif kind == "comment":
-                comment_at = m.start()
-            else:
-                self._fail(f"unexpected character {m.group()!r}", line, col)
-        stop = comment_at if comment_at >= line_start else len(text)
-        tokens.append(("eof", "", line, stop - line_start + 1))
-
-    def peek(self):
-        return self.tokens[self.at]
-
-    def next(self):
-        tok = self.tokens[self.at]
-        if tok[0] != "eof":
-            self.at += 1
-        return tok
-
-    def expect(self, kind, what=None):
-        tok = self.peek()
-        if tok[0] != kind:
-            got = tok[1] or "end of input"
-            raise ParseError(ParseDiagnostic(
-                SourceSpan(self.filename, tok[2], tok[3]), DiagKind.Syntax,
-                f"expected {what or kind!r}, got {got!r}"))
-        return self.next()
-
-
-class _Parser:
-    def __init__(self, text, filename, glob):
-        self.lx = _Lexer(text, filename)
+        self.toks = _tokens(text)
         self.glob = glob
-        self.binder_spans = {}
-        self.var_spans = {}
+        self.t = _TermDrafts(store or NodeStore(), glob)
+        self.binders = {}
+        self.uses = {}
 
-    def _diag(self, span, kind, message, subject=None):
-        raise ParseError(ParseDiagnostic(span, kind, message, subject))
+    def fail(self, i, kind, message, subject=None):
+        """The ParseError for token i, unless a character that starts no
+        token comes first."""
+        _, line, column = _scan(self.text, self.filename)[i]
+        return ParseError(ParseDiagnostic(SourceSpan(self.filename, line, column),
+                                          kind, message, subject))
 
-    def _tok_span(self, tok):
-        return SourceSpan(self.lx.filename, tok[2], tok[3])
+    def expected(self, i, what):
+        got = self.toks[i] or "end of input"
+        return self.fail(i, DiagKind.Syntax, f"expected {what!r}, got {got!r}")
 
-    def parse_defs(self):
-        defs = {}
-        while self.lx.peek()[0] == "let":
-            self.lx.next()
-            name_tok = self.lx.expect("ident", "definition name")
-            if name_tok[1] in defs:
-                self._diag(self._tok_span(name_tok), DiagKind.Syntax,
-                           f"duplicate definition of {name_tok[1]!r}")
-            self.binder_spans.setdefault(name_tok[1], self._tok_span(name_tok))
-            self.lx.expect("=")
-            defs[name_tok[1]] = self.term()
-        return defs
+    def defs(self):
+        """Read the `let` equations; returns the index of the next token."""
+        toks, t = self.toks, self.t
+        i = 0
+        while toks[i] == "let":
+            name = toks[i + 1]
+            if name in _RESERVED:
+                raise self.expected(i + 1, "definition name")
+            target = t.let(name)
+            if target is None:
+                raise self.fail(i + 1, DiagKind.Syntax, f"duplicate definition of {name!r}")
+            self.binders.setdefault(name, i + 1)
+            if toks[i + 2] != "=":
+                raise self.expected(i + 2, "=")
+            i = self.term(i + 3, target)[0]
+            t.let_done()
+        t.close_defs()
+        return i
 
-    def term(self):
-        tok = self.lx.peek()
-        if not self.glob and tok[0] == "0":
-            self.lx.next()
-            return ("end",)
-        if self.glob and tok[0] == "end":
-            self.lx.next()
-            return ("end",)
-        if tok[0] == "rec":
-            self.lx.next()
-            name_tok = self.lx.expect("ident", "recursion variable")
-            self.binder_spans.setdefault(name_tok[1], self._tok_span(name_tok))
-            self.lx.expect(".")
-            return ("rec", name_tok[1], self.term())
-        if tok[0] == "ident":
-            self.lx.next()
-            nxt = self.lx.peek()
-            if self.glob and nxt[0] == "->":
-                self.lx.next()
-                recv_tok = self.lx.expect("ident", "receiver")
-                if recv_tok[1] == tok[1]:
-                    self._diag(self._tok_span(recv_tok), DiagKind.SelfCommunication,
-                               f"participant {tok[1]!r} sends to itself", subject=tok[1])
-                self.lx.expect(":")
-                return ("comm", tok[1], recv_tok[1], self.branches())
-            if not self.glob and nxt[0] in ("!", "?"):
-                self.lx.next()
-                branches = self.branches()
-                return ("out" if nxt[0] == "!" else "in", tok[1], branches)
-            self.var_spans.setdefault(tok[1], self._tok_span(tok))
-            return ("var", tok[1])
-        got = tok[1] or "end of input"
-        self._diag(self._tok_span(tok), DiagKind.Syntax, f"expected a term, got {got!r}")
+    def term(self, i, target):
+        """Read the term at token i into `target`, the draft of the binder
+        whose body it is (None for a branch continuation); returns the index
+        past it and the term's value."""
+        toks, t, uses = self.toks, self.t, self.uses
+        drafts = t.drafts
+        prefixes = _PREFIXES[self.glob]
+        stop = "end" if self.glob else "0"
+        frames = []   # (name, shadowed) of an open rec; a list per open prefix
+        while True:
+            while True:   # down to a leaf, or into a branch continuation
+                tok = toks[i]
+                if tok not in _RESERVED:
+                    kind = prefixes.get(toks[i + 1])
+                    if kind is None:
+                        uses.setdefault(tok, i)
+                        value = t.var(tok, target)
+                        i += 1
+                        break
+                    if kind == "gcomm":
+                        receiver = toks[i + 2]
+                        if receiver in _RESERVED:
+                            raise self.expected(i + 2, "receiver")
+                        if receiver == tok:
+                            raise self.fail(i + 2, DiagKind.SelfCommunication,
+                                            f"participant {tok!r} sends to itself", tok)
+                        if toks[i + 3] != ":":
+                            raise self.expected(i + 3, ":")
+                        head = (kind, tok, receiver)
+                        i += 4
+                    else:
+                        head = (kind, tok)
+                        i += 2
+                    if target is None:
+                        target = len(drafts)
+                        drafts.append(None)
+                    labels = None   # label -> value, for braced branches
+                    if toks[i] == "{":
+                        labels = {}
+                        i += 1
+                    label = toks[i]
+                    if label in _RESERVED:
+                        raise self.expected(i, "branch label")
+                    frames.append([target, head, labels, label, i])
+                    if toks[i + 1] != ".":
+                        i += 1
+                        value = t.end
+                        break
+                    i += 2
+                    target = None
+                elif tok == stop:
+                    i += 1
+                    value = t.end_at(target)
+                    break
+                elif tok == "rec":
+                    name = toks[i + 1]
+                    if name in _RESERVED:
+                        raise self.expected(i + 1, "recursion variable")
+                    self.binders.setdefault(name, i + 1)
+                    if toks[i + 2] != ".":
+                        raise self.expected(i + 2, ".")
+                    i += 3
+                    target, shadowed = t.rec(name, target)
+                    frames.append((name, shadowed))
+                else:
+                    got = tok or "end of input"
+                    raise self.fail(i, DiagKind.Syntax, f"expected a term, got {got!r}")
+            while frames:   # up, handing `value` to the open prefixes
+                frame = frames[-1]
+                if frame.__class__ is tuple:
+                    t.unrec(*frames.pop())
+                    continue
+                d, head, labels, label, at = frame
+                if labels is None:
+                    drafts[d] = (head + ((label,),), (value,))
+                else:
+                    if label in labels:
+                        raise self.fail(at, DiagKind.DuplicateLabel,
+                                        f"branch label {label!r} repeated", label)
+                    labels[label] = value
+                    if toks[i] == ",":
+                        label = toks[i + 1]
+                        if label in _RESERVED:
+                            raise self.expected(i + 1, "branch label")
+                        frame[3:] = label, i + 1
+                        if toks[i + 2] == ".":
+                            i += 3
+                            target = None
+                            break
+                        i += 2
+                        value = t.end
+                        continue
+                    if toks[i] != "}":
+                        raise self.expected(i, "}")
+                    i += 1
+                    order = sorted(labels)
+                    drafts[d] = (head + (tuple(order),), tuple([labels[l] for l in order]))
+                frames.pop()
+                value = ("d", d)
+            else:
+                return i, value
 
-    def branches(self):
-        if self.lx.peek()[0] != "{":
-            label, term, _ = self.branch()
-            return [(label, term)]
-        self.lx.next()
-        out = [self.branch()]
-        labels = {out[0][0]}
-        while self.lx.peek()[0] == ",":
-            self.lx.next()
-            br = self.branch()
-            if br[0] in labels:
-                self._diag(br[2], DiagKind.DuplicateLabel,
-                           f"branch label {br[0]!r} repeated", subject=br[0])
-            labels.add(br[0])
-            out.append(br)
-        self.lx.expect("}")
-        return [(l, t) for l, t, _ in out]
-
-    def branch(self):
-        label_tok = self.lx.expect("ident", "branch label")
-        span = self._tok_span(label_tok)
-        if self.lx.peek()[0] == ".":
-            self.lx.next()
-            return (label_tok[1], self.term(), span)
-        return (label_tok[1], ("end",), span)
+    def finish(self, i):
+        """Check that token i ends the input, then report the first unbound
+        variable or unguarded recursion."""
+        if i != len(self.toks) - 1:
+            raise self.expected(i, "end of input")
+        if self.t.error is not None:
+            exc = self.t.error[1]
+            if isinstance(exc, UnboundVariable):
+                raise self.fail(self.uses[exc.name], DiagKind.UnboundVar, str(exc), exc.name)
+            raise self.fail(self.binders[exc.name], DiagKind.UnguardedRec, str(exc), exc.name)
 
 
-def _intern(parser, store, term, defs, glob):
-    try:
-        return intern_term(store, term, defs, glob)
-    except UnboundVariable as e:
-        span = parser.var_spans.get(e.name) or SourceSpan(parser.lx.filename, 1, 1)
-        raise ParseError(ParseDiagnostic(span, DiagKind.UnboundVar, str(e), e.name)) from e
-    except UnguardedRecursion as e:
-        span = parser.binder_spans.get(e.name) or SourceSpan(parser.lx.filename, 1, 1)
-        raise ParseError(ParseDiagnostic(span, DiagKind.UnguardedRec, str(e), e.name)) from e
-    except TermError as e:
-        raise ParseError(ParseDiagnostic(SourceSpan(parser.lx.filename, 1, 1),
-                                         DiagKind.Syntax, str(e))) from e
+def _parse(text, store, filename, glob):
+    r = _Reader(text, store, filename, glob)
+    i, root = r.term(r.defs(), r.t.builder.reserve())
+    r.finish(i)
+    return r.t.intern([root])[0]
 
 
 def parse_process(text, store=None, filename="<proc>"):
-    store = store or NodeStore()
-    p = _Parser(text, filename, glob=False)
-    defs = p.parse_defs()
-    term = p.term()
-    p.lx.expect("eof", "end of input")
-    return _intern(p, store, term, defs, glob=False)
+    return _parse(text, store, filename, glob=False)
 
 
 def parse_global(text, store=None, filename="<gt>"):
-    store = store or NodeStore()
-    p = _Parser(text, filename, glob=True)
-    defs = p.parse_defs()
-    term = p.term()
-    p.lx.expect("eof", "end of input")
-    return _intern(p, store, term, defs, glob=True)
+    return _parse(text, store, filename, glob=True)
 
 
 def parse_session(text, store=None, filename="<sess>"):
-    store = store or NodeStore()
-    p = _Parser(text, filename, glob=False)
-    defs = p.parse_defs()
-    bindings = []
-    spans = {}
+    r = _Reader(text, store, filename, glob=False)
+    toks, t = r.toks, r.t
+    i = r.defs()
+    parts = {}   # participant -> index of its token
+    roots = []
     while True:
-        part_tok = p.lx.expect("ident", "participant")
-        p.lx.expect("|>")
-        term = p.term()
-        if part_tok[1] in spans:
-            raise ParseError(ParseDiagnostic(
-                p._tok_span(part_tok), DiagKind.DuplicateParticipant,
-                f"participant {part_tok[1]!r} bound twice", part_tok[1]))
-        spans[part_tok[1]] = p._tok_span(part_tok)
-        bindings.append((part_tok[1], term))
-        if p.lx.peek()[0] != "||":
+        part = toks[i]
+        if part in _RESERVED:
+            raise r.expected(i, "participant")
+        if toks[i + 1] != "|>":
+            raise r.expected(i + 1, "|>")
+        at = i
+        i, root = r.term(i + 2, t.builder.reserve())
+        if part in parts:
+            raise r.fail(at, DiagKind.DuplicateParticipant,
+                         f"participant {part!r} bound twice", part)
+        parts[part] = at
+        roots.append(root)
+        if toks[i] != "||":
             break
-        p.lx.next()
-    p.lx.expect("eof", "end of input")
-    resolved = [(part, _intern(p, store, term, defs, glob=False))
-                for part, term in bindings]
-    for part, proc in resolved:
+        i += 1
+    r.finish(i)
+    procs = t.intern(roots)
+    for (part, at), proc in zip(parts.items(), procs):
         if part in participants(proc):
-            raise ParseError(ParseDiagnostic(
-                spans[part], DiagKind.SelfCommunication,
-                f"participant {part!r} communicates with itself", part))
-    return Session(resolved)
+            raise r.fail(at, DiagKind.SelfCommunication,
+                         f"participant {part!r} communicates with itself", part)
+    return Session._trusted(dict(sorted(zip(parts, procs))))
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,22 @@
 
 These are the recursive versions of `project`, `gateway`, `connect_globals`,
 `standard_witness`, the global-type step functions and the printer that
-preceded `GraphBuilder.unfold` and the explicit-stack printer, kept verbatim
-apart from their names and their memo tables (`ref_project`, `ref_gateway`),
-so that they share no cache with the production code.  Each recurses once
-per node, so they only suit small inputs.
+preceded `GraphBuilder.unfold` and the explicit-stack printer, and the
+three-pass parser and recursive `intern_term` that preceded the one-pass
+reader, kept verbatim apart from their names and their memo tables
+(`ref_project`, `ref_gateway`), so that they share no cache with the
+production code.  Each recurses once per node, so they only suit small
+inputs.
 """
 
+import re
+
 from mpst.compose import HASH, CnKey, NoClauseApplies, ParticipantCollision, StarMarker
-from mpst.core import (GComm, GEnd, PEnd, PIn, Session, check_ident,
+from mpst.core import (GComm, GEnd, NodeStore, PEnd, PIn, Session, TermError,
+                       UnboundVariable, UnguardedRecursion, check_ident,
                        node_branch, node_labels, normalize_session, participants)
-from mpst.parser import print_process
+from mpst.parser import (DiagKind, ParseDiagnostic, ParseError, SourceSpan,
+                         print_process)
 from mpst.semantics import _state_key
 from mpst.typecheck import Mode, ProjectionError, ProjectionErrorKind, typecheck
 
@@ -425,3 +431,346 @@ def ref_print_node(root, glob):
         return body
 
     return go(root, {})
+
+
+# ---------------------------------------------------------------------------
+# The parser that preceded the one-pass reader: a lexer of 4-tuples, a
+# recursive descent into nested tuples, and the recursive `intern_term`
+# that resolved them (`ref_intern_term`).  Identifiers follow Python's
+# `\w`, so a non-ASCII letter passes the lexer and fails at interning,
+# unless it only names a `rec` variable.
+
+# One alternative per kind of lexeme, tried in order.  A word starts with a
+# letter or "_" and continues with \w (isalnum() or "_"); the word group
+# also takes the other non-decimal \w characters, such as "²", as a start,
+# and _scan rejects those as unexpected characters.
+_REF_TOKEN_RE = re.compile(r"""
+    (?P<blanks>[ \t\r]+)
+  | (?P<newline>\n)
+  | (?P<comment>\#[^\n]*)
+  | (?P<word>[^\W\d]\w*)
+  | (?P<punct>->|\|>|\|\||[!?{}.,:=0])
+  | (?P<other>.)
+""", re.VERBOSE | re.DOTALL)
+
+
+class _RefLexer:
+    def __init__(self, text, filename):
+        self.text = text
+        self.filename = filename
+        self.tokens = []
+        self._scan()
+        self.at = 0
+
+    def _fail(self, message, line, col):
+        raise ParseError(ParseDiagnostic(SourceSpan(self.filename, line, col),
+                                         DiagKind.Syntax, message))
+
+    def _scan(self):
+        """Tokens as (kind, text, line, column).
+
+        A comment runs to the end of its line and does not advance the
+        column, so the end-of-input column after a trailing comment is the
+        comment's own.
+        """
+        text, tokens = self.text, self.tokens
+        line, line_start, comment_at = 1, 0, -1
+        for m in _REF_TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind == "blanks":
+                continue
+            col = m.start() - line_start + 1
+            if kind == "word":
+                word = m.group()
+                if not (word[0].isalpha() or word[0] == "_"):
+                    self._fail(f"unexpected character {word[0]!r}", line, col)
+                tokens.append((word if word in ("rec", "let", "end") else "ident",
+                               word, line, col))
+            elif kind == "punct":
+                tokens.append((m.group(), m.group(), line, col))
+            elif kind == "newline":
+                line += 1
+                line_start = m.end()
+            elif kind == "comment":
+                comment_at = m.start()
+            else:
+                self._fail(f"unexpected character {m.group()!r}", line, col)
+        stop = comment_at if comment_at >= line_start else len(text)
+        tokens.append(("eof", "", line, stop - line_start + 1))
+
+    def peek(self):
+        return self.tokens[self.at]
+
+    def next(self):
+        tok = self.tokens[self.at]
+        if tok[0] != "eof":
+            self.at += 1
+        return tok
+
+    def expect(self, kind, what=None):
+        tok = self.peek()
+        if tok[0] != kind:
+            got = tok[1] or "end of input"
+            raise ParseError(ParseDiagnostic(
+                SourceSpan(self.filename, tok[2], tok[3]), DiagKind.Syntax,
+                f"expected {what or kind!r}, got {got!r}"))
+        return self.next()
+
+
+class _RefParser:
+    def __init__(self, text, filename, glob):
+        self.lx = _RefLexer(text, filename)
+        self.glob = glob
+        self.binder_spans = {}
+        self.var_spans = {}
+
+    def _diag(self, span, kind, message, subject=None):
+        raise ParseError(ParseDiagnostic(span, kind, message, subject))
+
+    def _tok_span(self, tok):
+        return SourceSpan(self.lx.filename, tok[2], tok[3])
+
+    def parse_defs(self):
+        defs = {}
+        while self.lx.peek()[0] == "let":
+            self.lx.next()
+            name_tok = self.lx.expect("ident", "definition name")
+            if name_tok[1] in defs:
+                self._diag(self._tok_span(name_tok), DiagKind.Syntax,
+                           f"duplicate definition of {name_tok[1]!r}")
+            self.binder_spans.setdefault(name_tok[1], self._tok_span(name_tok))
+            self.lx.expect("=")
+            defs[name_tok[1]] = self.term()
+        return defs
+
+    def term(self):
+        tok = self.lx.peek()
+        if not self.glob and tok[0] == "0":
+            self.lx.next()
+            return ("end",)
+        if self.glob and tok[0] == "end":
+            self.lx.next()
+            return ("end",)
+        if tok[0] == "rec":
+            self.lx.next()
+            name_tok = self.lx.expect("ident", "recursion variable")
+            self.binder_spans.setdefault(name_tok[1], self._tok_span(name_tok))
+            self.lx.expect(".")
+            return ("rec", name_tok[1], self.term())
+        if tok[0] == "ident":
+            self.lx.next()
+            nxt = self.lx.peek()
+            if self.glob and nxt[0] == "->":
+                self.lx.next()
+                recv_tok = self.lx.expect("ident", "receiver")
+                if recv_tok[1] == tok[1]:
+                    self._diag(self._tok_span(recv_tok), DiagKind.SelfCommunication,
+                               f"participant {tok[1]!r} sends to itself", subject=tok[1])
+                self.lx.expect(":")
+                return ("comm", tok[1], recv_tok[1], self.branches())
+            if not self.glob and nxt[0] in ("!", "?"):
+                self.lx.next()
+                branches = self.branches()
+                return ("out" if nxt[0] == "!" else "in", tok[1], branches)
+            self.var_spans.setdefault(tok[1], self._tok_span(tok))
+            return ("var", tok[1])
+        got = tok[1] or "end of input"
+        self._diag(self._tok_span(tok), DiagKind.Syntax, f"expected a term, got {got!r}")
+
+    def branches(self):
+        if self.lx.peek()[0] != "{":
+            label, term, _ = self.branch()
+            return [(label, term)]
+        self.lx.next()
+        out = [self.branch()]
+        labels = {out[0][0]}
+        while self.lx.peek()[0] == ",":
+            self.lx.next()
+            br = self.branch()
+            if br[0] in labels:
+                self._diag(br[2], DiagKind.DuplicateLabel,
+                           f"branch label {br[0]!r} repeated", subject=br[0])
+            labels.add(br[0])
+            out.append(br)
+        self.lx.expect("}")
+        return [(l, t) for l, t, _ in out]
+
+    def branch(self):
+        label_tok = self.lx.expect("ident", "branch label")
+        span = self._tok_span(label_tok)
+        if self.lx.peek()[0] == ".":
+            self.lx.next()
+            return (label_tok[1], self.term(), span)
+        return (label_tok[1], ("end",), span)
+
+
+def _ref_intern(parser, store, term, defs, glob):
+    try:
+        return ref_intern_term(store, term, defs, glob)
+    except UnboundVariable as e:
+        span = parser.var_spans.get(e.name) or SourceSpan(parser.lx.filename, 1, 1)
+        raise ParseError(ParseDiagnostic(span, DiagKind.UnboundVar, str(e), e.name)) from e
+    except UnguardedRecursion as e:
+        span = parser.binder_spans.get(e.name) or SourceSpan(parser.lx.filename, 1, 1)
+        raise ParseError(ParseDiagnostic(span, DiagKind.UnguardedRec, str(e), e.name)) from e
+    except TermError as e:
+        raise ParseError(ParseDiagnostic(SourceSpan(parser.lx.filename, 1, 1),
+                                         DiagKind.Syntax, str(e))) from e
+
+
+def ref_parse_process(text, store=None, filename="<proc>"):
+    store = store or NodeStore()
+    p = _RefParser(text, filename, glob=False)
+    defs = p.parse_defs()
+    term = p.term()
+    p.lx.expect("eof", "end of input")
+    return _ref_intern(p, store, term, defs, glob=False)
+
+
+def ref_parse_global(text, store=None, filename="<gt>"):
+    store = store or NodeStore()
+    p = _RefParser(text, filename, glob=True)
+    defs = p.parse_defs()
+    term = p.term()
+    p.lx.expect("eof", "end of input")
+    return _ref_intern(p, store, term, defs, glob=True)
+
+
+def ref_parse_session(text, store=None, filename="<sess>"):
+    store = store or NodeStore()
+    p = _RefParser(text, filename, glob=False)
+    defs = p.parse_defs()
+    bindings = []
+    spans = {}
+    while True:
+        part_tok = p.lx.expect("ident", "participant")
+        p.lx.expect("|>")
+        term = p.term()
+        if part_tok[1] in spans:
+            raise ParseError(ParseDiagnostic(
+                p._tok_span(part_tok), DiagKind.DuplicateParticipant,
+                f"participant {part_tok[1]!r} bound twice", part_tok[1]))
+        spans[part_tok[1]] = p._tok_span(part_tok)
+        bindings.append((part_tok[1], term))
+        if p.lx.peek()[0] != "||":
+            break
+        p.lx.next()
+    p.lx.expect("eof", "end of input")
+    resolved = [(part, _ref_intern(p, store, term, defs, glob=False))
+                for part, term in bindings]
+    for part, proc in resolved:
+        if part in participants(proc):
+            raise ParseError(ParseDiagnostic(
+                spans[part], DiagKind.SelfCommunication,
+                f"participant {part!r} communicates with itself", part))
+    return Session(resolved)
+
+
+# Terms -> nodes.  Surface terms are nested tuples:
+#   ("end",) | ("var", name) | ("rec", name, body)
+#   | ("in", peer, [(label, term), ...]) | ("out", peer, [(label, term), ...])
+#   | ("comm", sender, receiver, [(label, term), ...])
+# `defs` supplies mutually recursive named equations (the `let` form).
+
+class _RefSlot:
+    __slots__ = ("draft", "state", "alias")
+    # state: 0 = pending, 1 = resolving, 2 = done
+
+    def __init__(self, draft):
+        self.draft = draft
+        self.state = 0
+        self.alias = None
+
+
+def ref_intern_term(store, term, defs=None, glob=False):
+    """Tie a surface term (with optional named equations) into a canonical
+    graph: a global type if `glob`, else a process."""
+    b = store.builder()
+    slots = {}
+    if defs:
+        for name in defs:
+            check_ident(name, "definition name")
+            slots[name] = _RefSlot(b.reserve())
+
+    end_node = store.end_global if glob else store.end_process
+
+    def resolve(t, env, guarded):
+        tag = t[0]
+        if tag == "end":
+            return end_node
+        if tag == "var":
+            name = t[1]
+            slot = env.get(name)
+            if slot is None:
+                raise UnboundVariable(name)
+            if slot.state == 2:
+                return slot.alias if slot.alias is not None else slot.draft
+            if not guarded:
+                # a cycle of bare aliases never produces a prefix
+                if slot.state == 1:
+                    raise UnguardedRecursion(name)
+                return ("alias", name, slot)
+            return slot.draft
+        if tag == "rec":
+            _, name, body = t
+            slot = _RefSlot(b.reserve())
+            inner = dict(env)
+            inner[name] = slot
+            define(name, slot, body, inner)
+            return slot.alias if slot.alias is not None else slot.draft
+        if tag == "in" and not glob:
+            return b.add_in(t[1], [(l, subref(c, env)) for l, c in t[2]])
+        if tag == "out" and not glob:
+            return b.add_out(t[1], [(l, subref(c, env)) for l, c in t[2]])
+        if tag == "comm" and glob:
+            return b.add_comm(t[1], t[2], [(l, subref(c, env)) for l, c in t[3]])
+        raise TermError(f"unexpected term {t!r}")
+
+    def subref(t, env):
+        r = resolve(t, env, guarded=True)
+        if isinstance(r, tuple) and r and r[0] == "alias":
+            # guarded position: the slot's draft stands in for the value
+            return r[2].draft
+        return r
+
+    def define(name, slot, body, env):
+        slot.state = 1
+        r = resolve(body, env, guarded=False)
+        if isinstance(r, tuple) and r and r[0] == "alias":
+            slot.alias = r
+            slot.state = 2
+            return
+        _assign(slot, r)
+
+    def _assign(slot, r):
+        b.fill_copy(slot.draft, r)
+        slot.alias = None
+        slot.state = 2
+
+    if defs:
+        for name, body in defs.items():
+            slot = slots[name]
+            if slot.state == 0:
+                define(name, slot, body, slots)
+        # chase alias chains left by definitions like `let A = B`
+        for name, slot in slots.items():
+            if slot.alias is not None:
+                seen = {name}
+                cur = slot.alias
+                while True:
+                    _, target_name, target = cur
+                    if target.alias is None:
+                        _assign(slot, target.draft)
+                        break
+                    if target_name in seen:
+                        raise UnguardedRecursion(target_name)
+                    seen.add(target_name)
+                    cur = target.alias
+
+    root = resolve(term, slots, guarded=False)
+    if isinstance(root, tuple) and root and root[0] == "alias":
+        slot = root[2]
+        if slot.alias is not None:
+            raise UnguardedRecursion(root[1])
+        root = slot.draft
+    return b.intern([root])[0]

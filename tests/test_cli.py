@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from mpst.cli import main
-from mpst.parser import parse_global, parse_process
+from mpst.core import NodeStore
+from mpst.parser import parse_global, parse_process, parse_session, print_global
 
 
 def run(capsys, *argv):
@@ -42,6 +43,13 @@ def test_check_parse_error(tmp_path, capsys):
     bad.write_text("p -> : l . end")
     code, out = run(capsys, "check", str(bad))
     assert code == 2 and "bad.gt" in out
+
+
+def test_check_non_ascii_label_points_at_it(tmp_path, capsys):
+    bad = tmp_path / "bad.gt"
+    bad.write_text("p -> q : go .\nq -> p : {ok, é}\n", encoding="utf-8")
+    code, out = run(capsys, "check", str(bad))
+    assert code == 2 and f"{bad}:2:15: Syntax: unexpected character 'é'" in out
 
 
 def test_check_missing_file(tmp_path, capsys):
@@ -308,7 +316,7 @@ def test_pipeline_over_corpus(cx, capsys, tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# 10^4-step chains in `let` form through every subcommand
+# 10^4-step chains, in `let` form and nested, through every subcommand
 
 N = 10 ** 4
 
@@ -318,43 +326,75 @@ def _let_chain(name, steps, last):
                    for i in range(N)) + f"let {name}{N} = {last}\n"
 
 
+def _nested_chain(steps, last):
+    return "".join(f"{steps(i)} . " for i in range(N)) + last
+
+
 def _chain_step(i):
     return ("p", "q") if i % 2 else ("q", "p")
 
 
 def _chain_role(x):
-    """Role x's part in the chain of steps _chain_step, one equation a step."""
+    """Role x's part in the chain of steps _chain_step, one prefix a step."""
     def prefix(i):
         s, r = _chain_step(i)
         return f"{r}!a{i % 3}" if s == x else f"{s}?a{i % 3}"
 
-    return _let_chain(x.upper(), prefix, "0")
+    return prefix
 
 
-@pytest.fixture(scope="module")
-def deep_files(tmp_path_factory):
-    d = tmp_path_factory.mktemp("deep")
-    texts = {
-        "chain.gt": _let_chain("G", lambda i: "{} -> {} : a{}".format(*_chain_step(i), i % 3),
-                               "end") + "G0\n",
-        "chain.sess": _chain_role("p") + _chain_role("q") + "p |> P0 || q |> Q0\n",
-        "h.proc": _let_chain("H", lambda i: "p?a", "0") + "H0\n",
-        "k.proc": _let_chain("K", lambda i: "w!a", "0") + "K0\n",
+def _deep_texts(nested):
+    """File name -> text, with each chain written as one nested term or as
+    one `let` equation a step."""
+    def chain(name, steps, last):
+        """(equations, term) of a chain."""
+        if nested:
+            return "", _nested_chain(steps, last)
+        return _let_chain(name, steps, last), f"{name}0"
+
+    def term(name, steps, last):
+        return "".join(chain(name, steps, last)) + "\n"
+
+    def session(*roles):
+        """roles: (participant, (equations, term)) pairs."""
+        return ("".join(eqs for _, (eqs, _) in roles)
+                + " || ".join(f"{x} |> {t}" for x, (_, t) in roles) + "\n")
+
+    return {
+        "chain.gt": term("G", lambda i: "{} -> {} : a{}".format(*_chain_step(i), i % 3),
+                         "end"),
+        "chain.sess": session(("p", chain("P", _chain_role("p"), "0")),
+                              ("q", chain("Q", _chain_role("q"), "0"))),
+        "h.proc": term("H", lambda i: "p?a", "0"),
+        "k.proc": term("K", lambda i: "w!a", "0"),
         # p is left with a long output chain after one exchange: two states
-        "stuck.sess": _let_chain("P", lambda i: f"q!a{i % 2}", "0")
-        + "p |> P0 || q |> p?a0 . 0\n",
-        "left.gt": _let_chain("G", lambda i: "p -> q : a", "p -> h : a . end") + "G0\n",
-        "left.sess": _let_chain("P", lambda i: "q!a", "h!a . 0")
-        + _let_chain("Q", lambda i: "p?a", "0") + "p |> P0 || q |> Q0 || h |> p?a . 0\n",
+        "stuck.sess": session(("p", chain("P", lambda i: f"q!a{i % 2}", "0")),
+                              ("q", ("", "p?a0 . 0"))),
+        "left.gt": term("G", lambda i: "p -> q : a", "p -> h : a . end"),
+        "left.sess": session(("p", chain("P", lambda i: "q!a", "h!a . 0")),
+                             ("q", chain("Q", lambda i: "p?a", "0")), ("h", ("", "p?a . 0"))),
         "right.gt": "k -> w : a . end\n",
         "right.sess": "k |> w!a . 0 || w |> k?a . 0\n",
     }
-    for name, text in texts.items():
+
+
+def _write_deep(d, nested):
+    for name, text in _deep_texts(nested).items():
         (d / name).write_text(text)
     return d
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.fixture(scope="module")
+def deep_files(tmp_path_factory):
+    return _write_deep(tmp_path_factory.mktemp("deep"), nested=False)
+
+
+@pytest.fixture(scope="module")
+def deep_nested_files(tmp_path_factory):
+    return _write_deep(tmp_path_factory.mktemp("deep_nested"), nested=True)
+
+
+_DEEP_ARGVS = pytest.mark.parametrize("argv", [
     ["check", "chain.gt"],
     ["project", "chain.gt", "--participant", "q"],
     ["type", "chain.sess", "--against", "chain.gt"],
@@ -365,11 +405,36 @@ def deep_files(tmp_path_factory):
     ["compose", "--left", "left.sess", "--right", "right.sess", "--via", "h,k",
      "--left-type", "left.gt", "--right-type", "right.gt", "--out", "joined"],
 ], ids=lambda argv: argv[0] + ("-" + argv[-1] if argv[-2] == "--mode" else ""))
-@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
-def test_every_subcommand_takes_deep_let_chains(deep_files, capsys, monkeypatch,
-                                                argv, as_json):
-    monkeypatch.chdir(deep_files)
+_AS_JSON = pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+
+
+def _run_deep(d, capsys, monkeypatch, argv, as_json):
+    monkeypatch.chdir(d)
     code = main(argv + ["--json"] * as_json)
     out, err = capsys.readouterr()
     assert code == 0, out[-300:]
     assert "Traceback" not in out + err
+
+
+@_DEEP_ARGVS
+@_AS_JSON
+def test_every_subcommand_takes_deep_let_chains(deep_files, capsys, monkeypatch,
+                                                argv, as_json):
+    _run_deep(deep_files, capsys, monkeypatch, argv, as_json)
+
+
+@_DEEP_ARGVS
+@_AS_JSON
+def test_every_subcommand_takes_deep_nested_chains(deep_nested_files, capsys, monkeypatch,
+                                                   argv, as_json):
+    _run_deep(deep_nested_files, capsys, monkeypatch, argv, as_json)
+
+
+def test_deep_chain_forms_parse_to_the_same_nodes(deep_files, deep_nested_files):
+    store = NodeStore()
+    for name, parse in (("chain.gt", parse_global), ("chain.sess", parse_session),
+                        ("h.proc", parse_process)):
+        nested = parse((deep_nested_files / name).read_text(), store)
+        assert parse((deep_files / name).read_text(), store) == nested, name
+    G = parse_global((deep_nested_files / "chain.gt").read_text(), store)
+    assert parse_global(print_global(G), store) is G

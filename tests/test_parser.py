@@ -1,17 +1,19 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpst.core import NodeStore, bisimilar
-from mpst.parser import (DiagKind, ParseDiagnostic, ParseError, SourceSpan,
-                         _Lexer, parse_global, parse_process, parse_session,
+from mpst.core import NodeStore, TermError, bisimilar, intern_term
+from mpst.parser import (DiagKind, ParseDiagnostic, ParseError, SourceSpan, _scan,
+                         _tokens, parse_global, parse_process, parse_session,
                          print_global, print_process, print_session)
 
 import randgen
 from conftest import CORPUS
-from oracles import ref_print_node
+from oracles import (_RefParser, ref_intern_term, ref_parse_global, ref_parse_process,
+                     ref_parse_session, ref_print_node)
 
 
 def test_round_trip_whole_corpus(cx):
@@ -170,7 +172,8 @@ def test_parser_is_total_over_bytes_decoded(raw):
 
 # ---------------------------------------------------------------------------
 # Reference lexer: the character-at-a-time scanner that preceded the single
-# regular expression.  Returns the token list or raises ParseError.
+# regular expression, with identifiers narrowed to the documented ASCII
+# `[A-Za-z_][A-Za-z0-9_]*`.  Returns the token list or raises ParseError.
 
 _REF_PUNCT = ("->", "|>", "||", "!", "?", "{", "}", ".", ",", ":", "=", "0")
 
@@ -194,9 +197,10 @@ def _ref_scan(text, filename):
                 pos += 1
             continue
         start_line, start_col = line, col
-        if ch.isalpha() or ch == "_":
+        if ch.isascii() and (ch.isalpha() or ch == "_"):
             end = pos
-            while end < len(text) and (text[end].isalnum() or text[end] == "_"):
+            while end < len(text) and text[end].isascii() and (
+                    text[end].isalnum() or text[end] == "_"):
                 end += 1
             word = text[pos:end]
             tokens.append((word if word in ("rec", "let", "end") else "ident",
@@ -218,12 +222,21 @@ def _ref_scan(text, filename):
 
 
 def _lex_both(text, filename="<fuzz>"):
+    """The outcomes of `_scan` and of the reference scanner, as (token,
+    line, column) lists or error messages; also checks that the tokens a
+    parse reads, without positions, are the ones `_scan` finds."""
     outcomes = []
-    for lex in (lambda: _Lexer(text, filename).tokens, lambda: _ref_scan(text, filename)):
+    for lex in (lambda: _scan(text, filename),
+                lambda: [tok[1:] for tok in _ref_scan(text, filename)]):
         try:
             outcomes.append(lex())
         except ParseError as exc:
             outcomes.append(str(exc))
+    tokens = _tokens(text)
+    if isinstance(outcomes[0], str):
+        assert "" in tokens[:-1]  # the parse stops at the unexpected character
+    else:
+        assert tokens == [tok for tok, _, _ in outcomes[0]]
     return outcomes
 
 
@@ -252,3 +265,202 @@ def test_lexer_matches_reference_on_fuzz():
         assert new == ref, repr(text)
         errors += isinstance(ref, str)
     assert 5000 < errors < 45000  # both outcomes are well represented
+
+
+# ---------------------------------------------------------------------------
+# The one-pass reader against the parser that preceded it (tests/oracles.py).
+# Both give the same node, or the same diagnostic: kind, span, message and
+# subject.  The one documented difference: identifiers are ASCII, so a
+# non-ASCII letter or digit, which the old lexer took into a name, is now an
+# unexpected character at its own line and column.
+
+_PARSERS = ((parse_process, ref_parse_process), (parse_global, ref_parse_global),
+            (parse_session, ref_parse_session))
+
+
+def _outcome(parse, text, store, filename):
+    try:
+        return parse(text, store=store, filename=filename)
+    except ParseError as exc:
+        return exc.diagnostic
+    except TermError as exc:  # the old parser, on a participant such as "é"
+        return str(exc)
+
+
+def _same_parse(text, store, filename="<fuzz>", parsers=_PARSERS):
+    """Check each parser against its reference on `text`; returns a Counter
+    of "parsed", the diagnostic kinds, and "non-ASCII" (the documented
+    difference)."""
+    seen = Counter()
+    for parse, ref in parsers:
+        new = _outcome(parse, text, store, filename)
+        old = _outcome(ref, text, store, filename)
+        if new == old:
+            seen[new.kind.value if isinstance(new, ParseDiagnostic) else "parsed"] += 1
+            continue
+        assert isinstance(new, ParseDiagnostic) and new.kind is DiagKind.Syntax, (text, new, old)
+        ch = new.message.removeprefix("unexpected character ")[1:-1]
+        assert len(ch) == 1 and ch in text and not ch.isascii() and ch.isalnum(), \
+            (text, new, old)
+        seen["non-ASCII"] += 1
+    return seen
+
+
+def test_reader_matches_the_reference_parser_on_corpus():
+    store = NodeStore()
+    for path in sorted(CORPUS.iterdir()):
+        assert not _same_parse(path.read_text(), store, path.name)["non-ASCII"], path.name
+
+
+def test_reader_matches_the_reference_parser_on_fuzz():
+    rng = random.Random(23)
+    store = NodeStore()
+    seen = Counter()
+    for _ in range(50000):
+        text = "".join(rng.choice(_FUZZ_PIECES) for _ in range(rng.randint(0, 12)))
+        if rng.random() < 0.2:
+            text += rng.choice(("#", "# tail", "\n# tail", "#\n"))
+        seen += _same_parse(text, store)
+    assert seen["parsed"] > 100 and seen["UnboundVar"] > 1000 and seen["non-ASCII"] > 1000
+
+
+def test_reader_matches_the_reference_parser_on_random_terms():
+    rng = random.Random(29)
+    store = NodeStore()
+    for _ in range(500):
+        P = randgen.random_process(rng, store, max_nodes=8)
+        Q = randgen.random_process(rng, store, max_nodes=8)
+        G = randgen.random_global(rng, store, max_nodes=8)
+        for text in (print_process(P), print_global(G),
+                     f"a |> {print_process(P)} || b |> {print_process(Q)}"):
+            assert not _same_parse(text, store)["non-ASCII"]
+
+
+def _random_source(rng, kind):
+    """Random text in the grammar, over few names, so that binders shadow,
+    definitions repeat, and variables are often unbound or unguarded."""
+    names = ("A", "B", "X")
+    stop = "end" if kind == "gt" else "0"
+
+    def term(depth):
+        r = rng.random()
+        if depth > 3 or r < 0.3:
+            return rng.choice((*names, stop))
+        if r < 0.45:
+            return f"rec {rng.choice(names)} . {term(depth + 1)}"
+        if kind == "gt":
+            sender, receiver = rng.sample("pqr", 2) if rng.random() < 0.95 else "pp"
+            head = f"{sender} -> {receiver} : "
+        else:
+            head = rng.choice("pqr") + rng.choice("!?")
+        labels = rng.sample("abc", rng.choice((1, 1, 2, 3)))
+        if rng.random() < 0.05:
+            labels.append(labels[0])
+        branches = [label + (f" . {term(depth + 1)}" if rng.random() < 0.8 else "")
+                    for label in labels]
+        return head + (branches[0] if len(branches) == 1 and rng.random() < 0.7
+                       else "{" + ", ".join(branches) + "}")
+
+    defined = rng.sample(names, rng.randint(0, 3))
+    if defined and rng.random() < 0.05:
+        defined.append(defined[0])
+    lets = "".join(f"let {name} = {term(0)}\n" for name in defined)
+    if kind == "sess":
+        return lets + " || ".join(f"{rng.choice('pqr')} |> {term(0)}"
+                                  for _ in range(rng.randint(1, 3)))
+    return lets + term(0)
+
+
+def test_reader_matches_the_reference_parser_on_grammar_fuzz():
+    rng = random.Random(31)
+    store = NodeStore()
+    seen = Counter()
+    for _ in range(3000):
+        for kind, parsers in zip(("proc", "gt", "sess"), _PARSERS):
+            seen += _same_parse(_random_source(rng, kind), store, parsers=[parsers])
+    assert seen["parsed"] > 500
+    assert all(seen[kind.value] > 100 for kind in DiagKind), seen
+
+
+def test_non_ascii_identifier_is_an_unexpected_character():
+    with pytest.raises(ParseError) as info:
+        parse_global("p -> q : go .\nq -> p : {ok, é}\n", filename="FILE")
+    assert str(info.value) == "FILE:2:15: Syntax: unexpected character 'é'"
+
+
+def test_session_interns_all_bindings_in_one_batch(monkeypatch):
+    store = NodeStore()
+    batches = []
+    intern = NodeStore._intern
+
+    def counted(self, drafts, roots):
+        batches.append(len(roots))
+        return intern(self, drafts, roots)
+
+    monkeypatch.setattr(NodeStore, "_intern", counted)
+    M = parse_session("""
+    let A = b!x . B
+    let B = c?y . A
+    let C = rec X . d!{x . X, y . A}
+    p |> A || q |> B || r |> C || s |> rec Y . A || t |> d!z . C || u |> 0
+    """, store=store)
+    assert batches == [6]
+    assert M.participants == ("p", "q", "r", "s", "t", "u")
+    assert M["p"] is M["s"] and M["u"] is store.end_process
+
+
+# ---------------------------------------------------------------------------
+# `intern_term` drives the same slots as the reader, over tuple terms.
+
+def _ref_tuples(text, glob):
+    """(term, defs) as the old recursive descent built them."""
+    p = _RefParser(text, "<fuzz>", glob)
+    defs = p.parse_defs()
+    term = p.term()
+    p.lx.expect("eof", "end of input")
+    return term, defs
+
+
+def _interned(intern, store, term, defs, glob):
+    try:
+        return intern(store, term, defs, glob)
+    except TermError as exc:
+        return type(exc), str(exc)
+
+
+def test_intern_term_matches_the_reference():
+    rng = random.Random(37)
+    store = NodeStore()
+    cases = [
+        (("in", "p", [("é", ("end",))]), None, False),
+        (("in", "p", [("a", ("end",)), ("a", ("end",))]), None, False),
+        (("in", "p", []), None, False),
+        (("comm", "p", "p", [("a", ("end",))]), None, True),
+        (("out", "p", [("a", ("end",))]), None, True),
+        (("var", "A"), {"A": ("var", "B"), "B": ("rec", "X", ("var", "A"))}, False),
+        (("var", "A"), {"A": ("out", "q", [("a", ("var", "Q"))]), "B": ("var", "B")}, False),
+    ]
+    for _ in range(3000):
+        glob = rng.random() < 0.5
+        try:
+            cases.append((*_ref_tuples(_random_source(rng, "gt" if glob else "proc"), glob),
+                          glob))
+        except ParseError:
+            pass
+    outcomes = Counter()
+    for term, defs, glob in cases:
+        new = _interned(intern_term, store, term, defs, glob)
+        assert new == _interned(ref_intern_term, store, term, defs, glob), (term, defs)
+        outcomes[new[0].__name__ if isinstance(new, tuple) else "node"] += 1
+    assert outcomes["node"] > 500 and outcomes["UnboundVariable"] > 100
+    assert outcomes["UnguardedRecursion"] > 100 and outcomes["TermError"] == 5
+
+
+def test_intern_term_has_no_depth_limit(store):
+    n = 10 ** 4
+    term = ("end",)
+    for i in range(n):
+        term = ("comm", "p", "q", [(f"l{i % 2}", term)])
+    G = intern_term(store, ("rec", "X", term), glob=True)
+    assert print_global(G) == "".join(
+        f"p -> q : l{i % 2} . " for i in reversed(range(n))) + "end"
