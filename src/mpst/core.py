@@ -203,15 +203,14 @@ class NodeStore:
         self._cons = {}           # (shape, child nids) -> node, for every node
         self._cycles = {}         # flat key of a cyclic component -> node
         self._count = 0
-        self._pt = {}             # nid -> frozenset of participants
-        self._rel_true = set()    # (rel, nid, nid) proven pairs
-        self._rel_false = set()
         self._memos = {}
-        self.end_process = self._intern([(("pend",), ())], [("d", 0)])[0]
-        self.end_global = self._intern([(("gend",), ())], [("d", 0)])[0]
+        self.end_process = self._intern([(("pend",), ())], [0])[0]
+        self.end_global = self._intern([(("gend",), ())], [0])[0]
 
     def memo(self, name):
-        """A named per-store memo table (used by the analyses)."""
+        """A named per-store memo table: every cache of the store, keyed by
+        node ids, lives in one of these (`participants`, each coinductive
+        relation, and the analyses' own)."""
         return self._memos.setdefault(name, {})
 
     def builder(self):
@@ -235,8 +234,8 @@ class NodeStore:
         """Intern a draft graph; returns the canonical node for each root.
 
         drafts: list of (shape, refs) pairs, the refs in label order and each
-        ("d", i) for a draft or ("n", node) for a node of this store; roots:
-        list of such references.
+        a draft index (an int) or a node of this store; roots: list of such
+        references.
 
         Nodes of the store are canonical already, so the drafts reachable
         from the roots are resolved one strongly connected component at a
@@ -248,22 +247,22 @@ class NodeStore:
         def succ(d):
             if drafts[d] is None:
                 raise RuntimeError("interning a reserved but unfilled draft node")
-            return [t for tag, t in drafts[d][1] if tag == "d"]
+            return [t for t in drafts[d][1] if t.__class__ is int]
 
         done = {}
-        for scc in _sccs([t for tag, t in roots if tag == "d"], succ):
+        for scc in _sccs([t for t in roots if t.__class__ is int], succ):
             d = scc[0]
             shape, refs = drafts[d]
-            if len(scc) > 1 or ("d", d) in refs:
+            if len(scc) > 1 or d in refs:
                 self._intern_cycle(drafts, scc, done)
                 continue
-            kids = tuple(t if tag == "n" else done[t] for tag, t in refs)
+            kids = tuple([done[t] if t.__class__ is int else t for t in refs])
             key = (shape, tuple(c.nid for c in kids))
             node = self._cons.get(key)
             if node is None:
                 node = self._cons[key] = _attach(self._make(shape), shape, kids)
             done[d] = node
-        return [t if tag == "n" else done[t] for tag, t in roots]
+        return [done[t] if t.__class__ is int else t for t in roots]
 
     def _make(self, shape):
         node = object.__new__(_KINDS[shape[0]])
@@ -299,9 +298,9 @@ class NodeStore:
                 existing.append(n)
             return u
 
-        children = [[unit[t] if tag == "d" and t in unit
-                     else unit_of(t if tag == "n" else done[t])
-                     for tag, t in drafts[d][1]] for d in scc]
+        children = [[unit[t] if t in unit
+                     else unit_of(done[t] if t.__class__ is int else t)
+                     for t in drafts[d][1]] for d in scc]
         u = k
         while u < len(existing):
             shape, kids = _split(existing[u])
@@ -356,49 +355,28 @@ class GraphBuilder:
     """Accumulates a draft node graph, then interns it in one batch.
 
     Branch targets may be draft indices (for cycles), nodes of the target
-    store, or nodes of a foreign store (copied in transparently).
+    store, or nodes of a foreign store (copied in by `unfold`).
     """
 
     def __init__(self, store):
         self.store = store
         self._drafts = []
-        self._foreign = {}
 
     def reserve(self):
         self._drafts.append(None)
         return len(self._drafts) - 1
 
     def _ref(self, target):
+        """The draft index or node of this store that stands for `target`."""
         if isinstance(target, int):
             if not 0 <= target < len(self._drafts):
                 raise TermError(f"draft reference {target} out of range")
-            return ("d", target)
+            return target
         if isinstance(target, Node):
             if target.store is self.store:
-                return ("n", target)
-            return ("d", self._copy_foreign(target))
+                return target
+            return self.unfold([target], _split)[target]
         raise TypeError(f"branch target must be a draft index or node, got {target!r}")
-
-    def _copy_foreign(self, node):
-        """Draft index standing for a node of another store; the node's
-        reachable graph is copied once per builder."""
-        index = self._foreign.get(node)
-        if index is not None:
-            return index
-        index = self._foreign[node] = self.reserve()
-        work = [node]
-        while work:
-            n = work.pop()
-            shape, kids = _split(n)
-            refs = []
-            for c in kids:
-                j = self._foreign.get(c)
-                if j is None:
-                    j = self._foreign[c] = self.reserve()
-                    work.append(c)
-                refs.append(("d", j))
-            self._drafts[self._foreign[n]] = (shape, tuple(refs))
-        return index
 
     def _branches(self, branches, proc):
         """(labels, refs) of a choice, sorted by label."""
@@ -410,9 +388,9 @@ class GraphBuilder:
                 raise TermError(f"duplicate branch label {label!r}")
             seen.add(label)
             ref = self._ref(target)
-            if ref[0] == "n":
+            if ref.__class__ is not int:
                 want = Process if proc else GlobalType
-                if not isinstance(ref[1], want):
+                if not isinstance(ref, want):
                     raise TermError(f"branch {label!r} targets a node of the wrong kind")
             out.append((label, ref))
         if not out:
@@ -445,10 +423,7 @@ class GraphBuilder:
     def _desc(self, target):
         """(shape, refs) of a draft or node; None while still unfilled."""
         ref = self._ref(target)
-        if ref[0] == "d":
-            return self._drafts[ref[1]]
-        shape, kids = _split(ref[1])
-        return shape, tuple(("n", c) for c in kids)
+        return self._drafts[ref] if ref.__class__ is int else _split(ref)
 
     def fill_copy(self, i, target):
         """Give draft i the same description as another draft or node."""
@@ -469,7 +444,7 @@ class GraphBuilder:
         desc = self._desc(target)
         if desc is None or not desc[1]:
             raise TermError("target has no branches")
-        return [(l, t) for l, (_, t) in zip(desc[0][-1], desc[1])]
+        return list(zip(desc[0][-1], desc[1]))
 
     def add_in(self, peer, branches):
         return self.fill_in(self.reserve(), peer, branches)
@@ -527,7 +502,7 @@ def participants(node):
     Computed for all uncached nodes below `node` at once, one strongly
     connected component at a time, children first, and cached on the store.
     """
-    pt = node.store._pt
+    pt = node.store.memo("participants")
     hit = pt.get(node.nid)
     if hit is not None:
         return hit
@@ -556,40 +531,30 @@ def coinductive_closure(rel, a, b, step, reflexive):
     `step(x, y)` returns the child pairs a pair requires, or None if the pair
     fails its structural side conditions.  The required pairs of a pair are
     unique, so membership in the greatest fixpoint is equivalent to local
-    consistency of the requirement closure.  Results are cached on the store
-    when both nodes live in the same one.
+    consistency of the requirement closure.  When both nodes live in one
+    store the verdicts are cached in its memo table `rel`, which maps
+    (nid, nid) to a bool; the child pairs stay in the stores of a and b.
     """
+    known = a.store.memo(rel) if a.store is b.store else {}
     seen = {(a, b)}
     work = [(a, b)]
-    failed = None
     while work:
         x, y = work.pop()
         if reflexive and x is y:
             continue
-        same = x.store is y.store
-        if same:
-            key = (rel, x.nid, y.nid)
-            if key in x.store._rel_true:
-                continue
-            if key in x.store._rel_false:
-                failed = (x, y)
-                break
-        reqs = step(x, y)
+        hit = known.get((x.nid, y.nid))
+        if hit:
+            continue
+        reqs = None if hit is False else step(x, y)
         if reqs is None:
-            failed = (x, y)
-            break
+            known[(x.nid, y.nid)] = known[(a.nid, b.nid)] = False
+            return False
         for pair in reqs:
             if pair not in seen:
                 seen.add(pair)
                 work.append(pair)
-    if failed is not None:
-        for x, y in (failed, (a, b)):
-            if x.store is y.store:
-                x.store._rel_false.add((rel, x.nid, y.nid))
-        return False
     for x, y in seen:
-        if x.store is y.store:
-            x.store._rel_true.add((rel, x.nid, y.nid))
+        known[(x.nid, y.nid)] = True
     return True
 
 

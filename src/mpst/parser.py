@@ -84,8 +84,9 @@ class ParseError(Exception):
 
 # _SKIP takes blanks and comments.  Each match of _TOKENS is one token and
 # the blanks and comments after it (those at the start of the text are
-# skipped first).  A character that starts no token matches as "", as the
-# end of input (`\Z`) does, so a parse stops there and `_scan` reports it.
+# skipped first).  A character that starts no token leaves group 1 unset,
+# so `findall` reads it as "", as it reads the end of input (`\Z`), and a
+# parse stops there; `_scan` walks the same matches and reports it.
 _SKIP = r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
 _SKIP_RE = re.compile(_SKIP)
 _TOKENS = re.compile(r"(?:([A-Za-z_][A-Za-z0-9_]*|->|\|>|\|\||[!?{}.,:=0]|\Z)|.)" + _SKIP,
@@ -104,42 +105,36 @@ _RESERVED = frozenset(("->", "|>", "||", "!", "?", "{", "}", ".", ",", ":",
 # The token after an identifier that makes it a prefix -> shape kind.
 _PREFIXES = {False: {"!": "pout", "?": "pin"}, True: {"->": "gcomm"}}
 
-# The same tokens as _TOKENS, with positions, for diagnostics only.
-_SCAN_RE = re.compile(r"""
-    (?P<blanks>[ \t\r]+)
-  | (?P<newline>\n)
-  | (?P<comment>\#[^\n]*)
-  | (?P<token>[A-Za-z_][A-Za-z0-9_]*|->|\|>|\|\||[!?{}.,:=0])
-  | (?P<other>.)
-""", re.VERBOSE | re.DOTALL)
-
 
 def _scan(text, filename):
     """(token, line, column) of every token, then ("", line, column) of the
     end of input; raises the ParseError of the first character that starts
     no token.
 
-    A comment runs to the end of its line and does not advance the column,
-    so the end-of-input column after a trailing comment is the comment's
-    own.
+    The matches of `_TOKENS` are walked again, with the line and column of
+    each counted from the newlines between them.  A comment runs to the end
+    of its line and does not advance the column, so the end-of-input column
+    after a trailing comment is the comment's own.
     """
     out = []
-    line, line_start, comment_at = 1, 0, -1
-    for m in _SCAN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "token":
-            out.append((m.group(), line, m.start() - line_start + 1))
-        elif kind == "newline":
-            line += 1
-            line_start = m.end()
-        elif kind == "comment":
-            comment_at = m.start()
-        elif kind == "other":
+    line, line_start, at = 1, 0, 0
+    for m in _TOKENS.finditer(text, _SKIP_RE.match(text).end()):
+        start = m.start()
+        newlines = text.count("\n", at, start)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", at, start) + 1
+        at = start
+        tok = m.group(1)
+        if tok is None:
             raise ParseError(ParseDiagnostic(
-                SourceSpan(filename, line, m.start() - line_start + 1),
-                DiagKind.Syntax, f"unexpected character {m.group()!r}"))
-    stop = comment_at if comment_at >= line_start else len(text)
-    out.append(("", line, stop - line_start + 1))
+                SourceSpan(filename, line, start - line_start + 1),
+                DiagKind.Syntax, f"unexpected character {text[start]!r}"))
+        if not tok:   # the end of input, after the comment on its line if any
+            comment = text.find("#", line_start)
+            if comment >= 0:
+                start = comment
+        out.append((tok, line, start - line_start + 1))
     return out
 
 
@@ -285,7 +280,7 @@ class _Reader:
                     order = sorted(labels)
                     drafts[d] = (head + (tuple(order),), tuple([labels[l] for l in order]))
                 frames.pop()
-                value = ("d", d)
+                value = d
             else:
                 return i, value
 
@@ -305,7 +300,7 @@ def _parse(text, store, filename, glob):
     r = _Reader(text, store, filename, glob)
     i, root = r.term(r.defs(), r.t.builder.reserve())
     r.finish(i)
-    return r.t.intern([root])[0]
+    return r.t.builder.intern([root])[0]
 
 
 def parse_process(text, store=None, filename="<proc>"):
@@ -339,7 +334,7 @@ def parse_session(text, store=None, filename="<sess>"):
             break
         i += 1
     r.finish(i)
-    procs = t.intern(roots)
+    procs = t.builder.intern(roots)
     for (part, at), proc in zip(parts.items(), procs):
         if part in participants(proc):
             raise r.fail(at, DiagKind.SelfCommunication,

@@ -369,17 +369,32 @@ class LockReport:
         }
 
 
-def _paths_from_initial(graph, succ):
-    """Shortest action path to each state, by BFS parent tracking over the
-    adjacency lists `succ`."""
+def lock_free(M, bound=None):
+    """Exact check of the two lock-freedom conditions on the state graph.
+
+    (a) every reachable state is all-terminated or can step; (b) whenever a
+    participant still has work, some reachable transition involves it.
+
+    Participants are bits of a mask.  One pass over the edges gives each
+    state its targets, the mask of its own edges, and the edge that first
+    reaches it.  `explore` numbers the states breadth first and lists the
+    edges in that order, so that edge is the BFS parent and witness paths
+    are shortest.  Then one fold over the strongly connected components,
+    sinks first, gives each state the mask of every edge reachable from it.
+    """
+    graph = explore(M, bound)
+    states = graph.states
+    size = {"states": len(states), "edges": len(graph.edges)}
+    participants = sorted({p for state in states for p in state.participants})
+    bit = {p: 1 << k for k, p in enumerate(participants)}
+    succ = [[] for _ in states]
+    own = [0] * len(states)
     parent = {graph.initial: None}
-    order = deque([graph.initial])
-    while order:
-        i = order.popleft()
-        for a, j in succ[i]:
-            if j not in parent:
-                parent[j] = (i, a)
-                order.append(j)
+    for s, a, t in graph.edges:
+        succ[s].append(t)
+        own[s] |= bit[a.sender] | bit[a.receiver]
+        if t not in parent:
+            parent[t] = (s, a)
 
     def path(i):
         acc = []
@@ -389,88 +404,18 @@ def _paths_from_initial(graph, succ):
         acc.reverse()
         return acc
 
-    return path
-
-
-def _reachable_involvement(succ, bit):
-    """For each state, the participants of the edges reachable from it.
-
-    Participants are bits of a mask (`bit[p]`).  One iterative Tarjan pass:
-    strongly connected components complete sinks first, so a component's
-    mask joins the participants of its own edges with the finished masks of
-    the components its edges lead to, and all its states share that mask.
-    """
-    n = len(succ)
-    order = [-1] * n      # discovery index; -1 while undiscovered
-    low = [0] * n
-    on_stack = [False] * n
-    mask = [0] * n
-    stack = []
-    count = 0
-    for root in range(n):
-        if order[root] >= 0:
-            continue
-        order[root] = low[root] = count
-        count += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, edges = work[-1]
-            for _, w in edges:
-                if order[w] < 0:
-                    order[w] = low[w] = count
-                    count += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succ[w])))
-                    break
-                if on_stack[w] and order[w] < low[v]:
-                    low[v] = order[w]
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                if low[v] != order[v]:
-                    continue
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                # masks of this component are still 0, others are final
-                m = 0
-                for x in component:
-                    for a, y in succ[x]:
-                        m |= bit[a.sender] | bit[a.receiver] | mask[y]
-                for x in component:
-                    mask[x] = m
-    return mask
-
-
-def lock_free(M, bound=None):
-    """Exact check of the two lock-freedom conditions on the state graph.
-
-    (a) every reachable state is all-terminated or can step; (b) whenever a
-    participant still has work, some reachable transition involves it.
-    """
-    graph = explore(M, bound)
-    states = graph.states
-    succ = [[] for _ in states]
-    for s, a, t in graph.edges:
-        succ[s].append((a, t))
-    path = _paths_from_initial(graph, succ)
-    size = {"states": len(states), "edges": len(graph.edges)}
     for i, state in enumerate(states):
         if not succ[i] and len(state) > 0:
             return LockReport(False, deadlock_witness=path(i), **size)
-    participants = sorted({p for state in states for p in state.participants})
-    bit = {p: 1 << k for k, p in enumerate(participants)}
-    reach = _reachable_involvement(succ, bit)
+    reach = [0] * len(states)
+    for scc in _sccs(range(len(states)), succ.__getitem__):
+        m = 0
+        for x in scc:   # the masks of this component are still 0
+            m |= own[x]
+            for y in succ[x]:
+                m |= reach[y]
+        for x in scc:
+            reach[x] = m
     for p in participants:
         for i, state in enumerate(states):
             if p in state and not reach[i] & bit[p]:
@@ -496,8 +441,11 @@ def fidelity_harness(M, G, mode=Mode.Standard):
 
     At every reachable pair the enabled session actions and global actions
     must coincide, and each matched pair of successors must typecheck again.
-    Reports the first divergence.
+    Reports the first divergence.  Like `explore`, raises
+    StateSpaceBoundExceeded once more pairs are found than MPST_STATE_BOUND
+    allows.
     """
+    bound = _env_state_bound()
     if not typecheck(M, G, mode).ok:
         raise ValueError("fidelity harness requires a session typed by the given global type")
 
@@ -527,6 +475,8 @@ def fidelity_harness(M, G, mode=Mode.Standard):
                     action=str(action), **spot(succ, gsucc)), len(visited))
             key = (_state_key(succ), gsucc.nid)
             if key not in visited:
+                if len(visited) == bound:
+                    raise StateSpaceBoundExceeded(bound + 1, bound)
                 visited.add(key)
                 queue.append((succ, gsucc))
     return FidelityVerdict(True, None, len(visited))

@@ -62,7 +62,7 @@ class _TermDrafts:
     prefix at the head of the body fills the target itself, and a `rec` at
     the head binds its name to the same draft; a branch continuation has no
     target (None), so its prefix reserves a draft of its own.  Values are
-    the refs `NodeStore._intern` takes: ("d", draft) or ("n", end node).
+    the refs `NodeStore._intern` takes: a draft index, or the end node.
 
     A `let` name gets its slot at its `let` or at its first use, whichever
     comes first.  A body that is a bare name not yet defined, `let A = B`,
@@ -78,7 +78,7 @@ class _TermDrafts:
         self.glob = glob
         self.builder = store.builder()
         self.drafts = self.builder._drafts
-        self.end = ("n", store.end_global if glob else store.end_process)
+        self.end = store.end_global if glob else store.end_process
         self._recs = {}         # rec name in scope -> its draft
         self._lets = {}         # let name -> _Slot
         self._aliased = []      # let slots left with an alias, in definition order
@@ -155,8 +155,8 @@ class _TermDrafts:
     def end_at(self, target):
         if target is None:
             return self.end
-        self.builder.fill_copy(target, self.end[1])
-        return ("d", target)
+        self.builder.fill_copy(target, self.end)
+        return target
 
     def var(self, name, target):
         """Value of a variable read with `target` (None: guarded).
@@ -169,7 +169,7 @@ class _TermDrafts:
         d = self._recs.get(name)
         if d is not None:
             if target is None:
-                return ("d", d)
+                return d
             return self._fail(UnguardedRecursion(name))
         slot = self._lets.get(name)
         if slot is None:
@@ -177,23 +177,20 @@ class _TermDrafts:
                 return self._fail(UnboundVariable(name))
             slot = self._lets[name] = _Slot(name, self.builder.reserve(), self._order)
         if target is None:
-            return ("d", slot.draft)
+            return slot.draft
         if slot is self._current:
             return self._fail(UnguardedRecursion(name))
         if slot.state == 2 and slot.alias is None:   # defined: copy its description
             self.drafts[target] = self.drafts[slot.draft]
-            return ("d", target)
+            return target
         # not defined yet, or an alias itself: the `let` being read becomes an
         # alias, and a `rec` in a branch stands for the aliased name's draft
         alias = slot.alias or (name, slot)
         cur = self._current
         if cur is not None and cur.draft == target:
             cur.alias = alias
-            return ("d", target)
-        return ("d", alias[1].draft)
-
-    def intern(self, roots):
-        return self.builder.intern([ref[1] for ref in roots])
+            return target
+        return alias[1].draft
 
 
 def _walk(t, term, target):
@@ -236,8 +233,8 @@ def _walk(t, term, target):
             frames.pop()
             # fill_in, fill_out or fill_comm, with the names between tag and branches
             getattr(t.builder, "fill_" + term[0])(
-                d, *term[1:-1], [(label, v[1]) for (label, _), v in zip(branches, values)])
-            value = ("d", d)
+                d, *term[1:-1], [(label, v) for (label, _), v in zip(branches, values)])
+            value = d
         else:
             return value
 
@@ -260,4 +257,4 @@ def intern_term(store, term, defs=None, glob=False):
         _walk(t, body, t.let(name))
         t.let_done()
     t.close_defs()
-    return t.intern([_walk(t, term, t.builder.reserve())])[0]
+    return t.builder.intern([_walk(t, term, t.builder.reserve())])[0]

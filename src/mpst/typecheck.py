@@ -29,6 +29,7 @@ from .core import (
     POut,
     Process,
     Session,
+    _sccs,
     _split,
     check_ident,
     coinductive_closure,
@@ -95,60 +96,30 @@ def depth(G, p):
 
 
 def _depth_raw(G, p):
-    if isinstance(G, GEnd) or p not in participants(G):
-        return DepthValue.finite(0)
-    if p in (G.sender, G.receiver):
+    """One pass over the strongly connected components of the communications
+    reached from G before p is met, children first.  A component that can
+    still meet p pumps the prefix if it is cyclic; otherwise its one node
+    takes the longest prefix over its branches."""
+    if isinstance(G, GEnd) or p not in participants(G) or p in (G.sender, G.receiver):
         return DepthValue.finite(0)
 
     def meets(c):
         return isinstance(c, GComm) and p in (c.sender, c.receiver)
 
-    # Communications reachable from G before p gets involved, each with the
-    # ones among them that lead to it.
-    preds = {G: []}
-    stack = [G]
-    canreach = set()
-    while stack:
-        n = stack.pop()
-        for _, c in n.branches:
-            if meets(c):
-                canreach.add(n)
-            elif isinstance(c, GComm):
-                if c not in preds:
-                    preds[c] = []
-                    stack.append(c)
-                preds[c].append(n)
-    # Restrict to nodes from which some path still meets p.
-    stack = list(canreach)
-    while stack:
-        for n in preds[stack.pop()]:
-            if n not in canreach:
-                canreach.add(n)
-                stack.append(n)
-    # A cycle that can still reach p makes the prefix unbounded.  Otherwise
-    # the longest prefix from a node is known once the search finishes it.
-    best = {}
-    active = set()
-    for start in canreach:
-        if start in best:
-            continue
-        active.add(start)
-        stack = [(start, iter(start.branches))]
-        while stack:
-            n, it = stack[-1]
-            for _, c in it:
-                if c in active:
-                    return DepthValue.infinite()
-                if c in canreach and c not in best:
-                    active.add(c)
-                    stack.append((c, iter(c.branches)))
-                    break
-            else:
-                stack.pop()
-                active.remove(n)
-                best[n] = max(1 if meets(c) else 1 + best[c]
-                              for _, c in n.branches if meets(c) or c in canreach)
-    return DepthValue.finite(best.get(G, 0))
+    def before(n):
+        return [c for _, c in n.branches if isinstance(c, GComm) and not meets(c)]
+
+    best = {}   # node -> longest prefix before p, None where p cannot be met
+    for scc in _sccs([G], before):
+        lengths = [1 if meets(c) else 1 + best[c]
+                   for n in scc for _, c in n.branches
+                   if meets(c) or best.get(c) is not None]
+        if lengths and (len(scc) > 1 or scc[0] in before(scc[0])):
+            return DepthValue.infinite()
+        value = max(lengths, default=None)
+        for n in scc:
+            best[n] = value
+    return DepthValue.finite(best[G] or 0)
 
 
 # ---------------------------------------------------------------------------

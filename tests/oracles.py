@@ -7,7 +7,8 @@ three-pass parser and recursive `intern_term` that preceded the one-pass
 reader, kept verbatim apart from their names and their memo tables
 (`ref_project`, `ref_gateway`), so that they share no cache with the
 production code.  Each recurses once per node, so they only suit small
-inputs.
+inputs.  `ref_depth_raw` is the three-walk depth that preceded the one pass
+over `core._sccs`.
 """
 
 import re
@@ -19,7 +20,8 @@ from mpst.core import (GComm, GEnd, NodeStore, PEnd, PIn, Session, TermError,
 from mpst.parser import (DiagKind, ParseDiagnostic, ParseError, SourceSpan,
                          print_process)
 from mpst.semantics import _state_key
-from mpst.typecheck import Mode, ProjectionError, ProjectionErrorKind, typecheck
+from mpst.typecheck import (DepthValue, Mode, ProjectionError, ProjectionErrorKind,
+                            typecheck)
 
 
 class _Reject(Exception):
@@ -774,3 +776,63 @@ def ref_intern_term(store, term, defs=None, glob=False):
             raise UnguardedRecursion(root[1])
         root = slot.draft
     return b.intern([root])[0]
+
+
+# ---------------------------------------------------------------------------
+# Depth.
+
+def ref_depth_raw(G, p):
+    if isinstance(G, GEnd) or p not in participants(G):
+        return DepthValue.finite(0)
+    if p in (G.sender, G.receiver):
+        return DepthValue.finite(0)
+
+    def meets(c):
+        return isinstance(c, GComm) and p in (c.sender, c.receiver)
+
+    # Communications reachable from G before p gets involved, each with the
+    # ones among them that lead to it.
+    preds = {G: []}
+    stack = [G]
+    canreach = set()
+    while stack:
+        n = stack.pop()
+        for _, c in n.branches:
+            if meets(c):
+                canreach.add(n)
+            elif isinstance(c, GComm):
+                if c not in preds:
+                    preds[c] = []
+                    stack.append(c)
+                preds[c].append(n)
+    # Restrict to nodes from which some path still meets p.
+    stack = list(canreach)
+    while stack:
+        for n in preds[stack.pop()]:
+            if n not in canreach:
+                canreach.add(n)
+                stack.append(n)
+    # A cycle that can still reach p makes the prefix unbounded.  Otherwise
+    # the longest prefix from a node is known once the search finishes it.
+    best = {}
+    active = set()
+    for start in canreach:
+        if start in best:
+            continue
+        active.add(start)
+        stack = [(start, iter(start.branches))]
+        while stack:
+            n, it = stack[-1]
+            for _, c in it:
+                if c in active:
+                    return DepthValue.infinite()
+                if c in canreach and c not in best:
+                    active.add(c)
+                    stack.append((c, iter(c.branches)))
+                    break
+            else:
+                stack.pop()
+                active.remove(n)
+                best[n] = max(1 if meets(c) else 1 + best[c]
+                              for _, c in n.branches if meets(c) or c in canreach)
+    return DepthValue.finite(best.get(G, 0))

@@ -4,6 +4,7 @@ from collections import deque
 
 import pytest
 
+import mpst.semantics
 from mpst.core import (GEnd, NodeStore, PEnd, PIn, POut, Session,
                        node_branch, node_labels, normalize_session)
 from mpst.parser import (parse_global, parse_process, parse_session,
@@ -475,6 +476,29 @@ def test_fidelity_reports_width_divergence_in_plus_mode(cx):
 def test_fidelity_requires_a_typed_session(cx):
     with pytest.raises(ValueError):
         fidelity_harness(cx.sess("plus_only.sess"), cx.gt("plus_only.gt"))
+
+
+def test_fidelity_harness_stops_at_the_state_bound(store, monkeypatch):
+    # Well formed and typed, yet every `q -a-> p` step fires below the root
+    # and unrolls the loop once more, so no pair of nids is met again.
+    G = parse_global("rec X . r -> s : b . q -> p : a . X", store=store)
+    M = randgen.self_projection(store, G)
+    assert typecheck(M, G).ok
+    enabled = mpst.semantics.global_enabled
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        if len(calls) > 1000:
+            raise AssertionError("the harness ran on past its state bound")
+        return enabled(g)
+
+    monkeypatch.setattr(mpst.semantics, "global_enabled", counted)
+    monkeypatch.setenv("MPST_STATE_BOUND", "50")
+    with pytest.raises(StateSpaceBoundExceeded) as exc:
+        fidelity_harness(M, G)
+    assert (exc.value.states, exc.value.bound) == (51, 50)
+    assert len(calls) <= 51
 
 
 def test_standard_witness_narrows_the_type(cx):

@@ -9,6 +9,7 @@ from mpst.typecheck import (DepthValue, IllFormedGlobalType, Mode,
                             leq_plus, project, typecheck, well_formed)
 
 import randgen
+from oracles import ref_depth_raw
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +42,33 @@ def test_depth_has_no_recursion_limit(store):
         G = store.comm("p", "q", [("l", G)])
     assert depth(G, "r") == DepthValue.finite(10 ** 4)
     assert depth(G, "p") == DepthValue.finite(0)
+
+
+def test_depth_matches_the_reference_on_random_types():
+    # every reachable node of random globals over 2-5 participants, for each
+    # participant and one that never occurs
+    rng = random.Random(8)
+    names = ("a", "b", "c", "d", "e")
+    pairs = infinite = deep = 0
+    for _ in range(1000):
+        store = NodeStore()
+        pts = names[:rng.randint(2, 5)]
+        G = randgen.random_global(rng, store, participants=pts, max_nodes=14,
+                                  branchiness=rng.random())
+        seen, stack = {G}, [G]
+        while stack:
+            n = stack.pop()
+            for p in pts + ("zz",):
+                want = ref_depth_raw(n, p)
+                assert depth(n, p) == want, (n, p)
+                pairs += 1
+                infinite += not want.is_finite
+                deep += want.is_finite and want.value >= 2
+            for _, c in getattr(n, "branches", ()):
+                if c not in seen:
+                    seen.add(c)
+                    stack.append(c)
+    assert pairs >= 10000 and infinite >= 100 and deep >= 200, (pairs, infinite, deep)
 
 
 def test_depth_value_ordering():
