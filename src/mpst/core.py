@@ -7,19 +7,26 @@ are bisimilar exactly when they are the same object, and all the structural
 algorithms in the package lean on that identity.
 
 Interning rests on one fact: the nodes already in a store are canonical.  A
-batch of draft nodes is split into strongly connected components, which are
-resolved children first.  An acyclic draft then has canonical children, so it
-is bisimilar to an existing node exactly when that node has the same shape and
-the same child nids; one store-wide table maps (shape, child nids) to its node
-(hash-consing after Filliatre and Conchon, 2006), in O(1) per draft.  A cyclic
-component is minimised by partition refinement together with the existing
-nodes it reaches, which merges each class bisimilar to one of those.
+batch of draft nodes is resolved children first, by one depth-first search
+from its roots that resolves each draft in post-order.  An acyclic draft then
+has canonical children, so it is bisimilar to an existing node exactly when
+that node has the same shape and the same child nids; one store-wide table
+maps (shape, child nids) to its node (hash-consing after Filliatre and
+Conchon, 2006), in O(1) per draft.  Only a batch whose search meets a cycle
+pays for Tarjan's pass: the drafts not yet resolved are split into strongly
+connected components, still children first.  A cyclic component is minimised
+by partition refinement together with the existing nodes it reaches, which
+merges each class bisimilar to one of those.
 An existing node bisimilar to a remaining class is not reachable from it, and
 then its own component is an isomorphic copy of the class's, with the same
 children outside the component.  So the remaining classes are looked up by a
 flat key confined to their component: the component listed breadth first,
 with the edges that leave it recorded by child nid.  Nothing recurses on the
 size of a term, and only a cyclic component walks the nodes below it.
+
+Every node gets its participant set when it is made: its own names and its
+children's sets, or for the new classes of a cyclic component one set shared
+by all of them, so `participants` reads a field.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ Participant = str
 # store only and are immutable afterwards by convention.
 
 class Node:
-    __slots__ = ("store", "nid")
+    __slots__ = ("store", "nid", "_participants")
 
 
 class Process(Node):
@@ -132,6 +139,31 @@ def _attach(node, shape, kids):
     return node
 
 
+def _filled(drafts, d):
+    """The (shape, refs) of draft d, which must have been filled."""
+    draft = drafts[d]
+    if draft is None:
+        raise RuntimeError("interning a reserved but unfilled draft node")
+    return draft
+
+
+_NO_NAMES = frozenset()
+
+
+def _participants_of(names, kids):
+    """Participant set of a new node: its own names and its children's sets.
+
+    A child's set that already holds the others and the names is returned
+    itself, not copied, so a chain of nodes shares a handful of sets.
+    """
+    acc = _NO_NAMES
+    for c in kids:
+        s = c._participants
+        if s is not acc and not s <= acc:
+            acc = s if acc <= s else acc | s
+    return acc if acc.issuperset(names) else acc.union(names)
+
+
 def _sccs(starts, succ):
     """Strongly connected components of the vertices reachable from
     `starts`, each listed only after every component it reaches (Tarjan,
@@ -209,8 +241,9 @@ class NodeStore:
 
     def memo(self, name):
         """A named per-store memo table: every cache of the store, keyed by
-        node ids, lives in one of these (`participants`, each coinductive
-        relation, and the analyses' own)."""
+        node ids, lives in one of these (each coinductive relation's, and the
+        analyses' own).  Participant sets need none: each node carries its
+        own from creation."""
         return self._memos.setdefault(name, {})
 
     def builder(self):
@@ -237,37 +270,72 @@ class NodeStore:
         a draft index (an int) or a node of this store; roots: list of such
         references.
 
-        Nodes of the store are canonical already, so the drafts reachable
-        from the roots are resolved one strongly connected component at a
-        time, children first.  An acyclic draft then has canonical children
-        and is bisimilar to an existing node exactly when that node has the
-        same shape and child nids: one lookup in the hash-cons table.  A
-        cyclic component goes through `_intern_cycle`.
+        Nodes of the store are canonical already, so drafts are resolved
+        children first.  An acyclic draft then has canonical children and is
+        bisimilar to an existing node exactly when that node has the same
+        shape and child nids: one lookup in the hash-cons table.  One
+        depth-first search from the roots resolves each draft that way as it
+        finishes, in post-order.  Only when the search meets a draft still on
+        its own path, a cycle, does it stop: the drafts not yet resolved are
+        then split into strongly connected components (`_sccs`), and a
+        cyclic component goes through `_intern_cycle`.  Either way the nodes
+        are made in the order Tarjan's pass would give.
         """
-        def succ(d):
-            if drafts[d] is None:
-                raise RuntimeError("interning a reserved but unfilled draft node")
-            return [t for t in drafts[d][1] if t.__class__ is int]
+        done = {}                  # draft -> its node; None while on the path
+        frames = [(None, iter(roots))]
+        while frames:
+            d, it = frames[-1]
+            for t in it:
+                if t.__class__ is int:
+                    if t not in done:
+                        done[t] = None
+                        frames.append((t, iter(_filled(drafts, t)[1])))
+                        break
+                    if done[t] is None:
+                        return self._intern_sccs(drafts, roots, done)
+            else:
+                frames.pop()
+                if frames:
+                    done[d] = self._cons_node(*drafts[d], done)
+        return [done[t] if t.__class__ is int else t for t in roots]
 
-        done = {}
-        for scc in _sccs([t for t in roots if t.__class__ is int], succ):
+    def _intern_sccs(self, drafts, roots, done):
+        """Finish `_intern` after its search met a cycle: the drafts it left
+        on its path (None in `done`) and those it never reached are resolved
+        one strongly connected component at a time, children first."""
+        for d in [d for d, node in done.items() if node is None]:
+            del done[d]
+
+        def succ(d):
+            return [t for t in _filled(drafts, d)[1]
+                    if t.__class__ is int and t not in done]
+
+        starts = [t for t in roots if t.__class__ is int and t not in done]
+        for scc in _sccs(starts, succ):
             d = scc[0]
             shape, refs = drafts[d]
             if len(scc) > 1 or d in refs:
                 self._intern_cycle(drafts, scc, done)
                 continue
-            kids = tuple([done[t] if t.__class__ is int else t for t in refs])
-            key = (shape, tuple(c.nid for c in kids))
-            node = self._cons.get(key)
-            if node is None:
-                node = self._cons[key] = _attach(self._make(shape), shape, kids)
-            done[d] = node
+            done[d] = self._cons_node(shape, refs, done)
         return [done[t] if t.__class__ is int else t for t in roots]
 
-    def _make(self, shape):
+    def _cons_node(self, shape, refs, done):
+        """The node of an acyclic draft whose draft children are in `done`:
+        found by its shape and child nids, or made."""
+        kids = tuple([done[t] if t.__class__ is int else t for t in refs])
+        key = (shape, tuple([c.nid for c in kids]))
+        node = self._cons.get(key)
+        if node is None:
+            node = self._cons[key] = _attach(
+                self._make(shape, _participants_of(shape[1:-1], kids)), shape, kids)
+        return node
+
+    def _make(self, shape, names):
         node = object.__new__(_KINDS[shape[0]])
         node.store = self
         node.nid = self._count
+        node._participants = names
         self._count += 1
         return node
 
@@ -339,8 +407,11 @@ class NodeStore:
                 if hit is not None:
                     image[b] = hit
             fresh = [b for b in rep if b not in image]
+            names = _participants_of(
+                [n for b in fresh for n in shapes[rep[b]][1:-1]],
+                [image[c] for b in fresh for c in kids_of[b] if c not in rep])
             for b in fresh:
-                image[b] = self._make(shapes[rep[b]])
+                image[b] = self._make(shapes[rep[b]], names)
             for b in fresh:
                 shape = shapes[rep[b]]
                 kids = tuple(image[c] for c in kids_of[b])
@@ -367,8 +438,9 @@ class GraphBuilder:
         return len(self._drafts) - 1
 
     def _ref(self, target):
-        """The draft index or node of this store that stands for `target`."""
-        if isinstance(target, int):
+        """The draft index or node of this store that stands for `target`;
+        a bool is no draft index."""
+        if target.__class__ is int:
             if not 0 <= target < len(self._drafts):
                 raise TermError(f"draft reference {target} out of range")
             return target
@@ -499,30 +571,9 @@ class GraphBuilder:
 def participants(node):
     """Every participant named anywhere in the regular tree of a node.
 
-    Computed for all uncached nodes below `node` at once, one strongly
-    connected component at a time, children first, and cached on the store.
+    Interning gives each node this set when it makes the node.
     """
-    pt = node.store.memo("participants")
-    hit = pt.get(node.nid)
-    if hit is not None:
-        return hit
-
-    def succ(n):
-        return [c for c in _split(n)[1] if c.nid not in pt]
-
-    for scc in _sccs([node], succ):
-        inside = {n.nid for n in scc}
-        acc = set()
-        for n in scc:
-            shape, kids = _split(n)
-            acc.update(shape[1:-1])  # the names between kind and labels
-            for c in kids:
-                if c.nid not in inside:
-                    acc |= pt[c.nid]
-        acc = frozenset(acc)
-        for nid in inside:
-            pt[nid] = acc
-    return pt[node.nid]
+    return node._participants
 
 
 def coinductive_closure(rel, a, b, step, reflexive):

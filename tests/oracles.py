@@ -8,15 +8,18 @@ reader, kept verbatim apart from their names and their memo tables
 (`ref_project`, `ref_gateway`), so that they share no cache with the
 production code.  Each recurses once per node, so they only suit small
 inputs.  `ref_depth_raw` is the three-walk depth that preceded the one pass
-over `core._sccs`.
+over `core._sccs`, and `ref_participants` the fold over `core._sccs` that
+computed participant sets on demand before each node got its own at
+creation.
 """
 
 import re
 
 from mpst.compose import HASH, CnKey, NoClauseApplies, ParticipantCollision, StarMarker
 from mpst.core import (GComm, GEnd, NodeStore, PEnd, PIn, Session, TermError,
-                       UnboundVariable, UnguardedRecursion, check_ident,
-                       node_branch, node_labels, normalize_session, participants)
+                       UnboundVariable, UnguardedRecursion, _sccs, _split,
+                       check_ident, node_branch, node_labels, normalize_session,
+                       participants)
 from mpst.parser import (DiagKind, ParseDiagnostic, ParseError, SourceSpan,
                          print_process)
 from mpst.semantics import _state_key
@@ -836,3 +839,35 @@ def ref_depth_raw(G, p):
                 best[n] = max(1 if meets(c) else 1 + best[c]
                               for _, c in n.branches if meets(c) or c in canreach)
     return DepthValue.finite(best.get(G, 0))
+
+
+# ---------------------------------------------------------------------------
+# Participants.
+
+def ref_participants(node):
+    """Every participant named anywhere in the regular tree of a node.
+
+    Computed for all uncached nodes below `node` at once, one strongly
+    connected component at a time, children first, and cached on the store.
+    """
+    pt = node.store.memo("ref_participants")
+    hit = pt.get(node.nid)
+    if hit is not None:
+        return hit
+
+    def succ(n):
+        return [c for c in _split(n)[1] if c.nid not in pt]
+
+    for scc in _sccs([node], succ):
+        inside = {n.nid for n in scc}
+        acc = set()
+        for n in scc:
+            shape, kids = _split(n)
+            acc.update(shape[1:-1])  # the names between kind and labels
+            for c in kids:
+                if c.nid not in inside:
+                    acc |= pt[c.nid]
+        acc = frozenset(acc)
+        for nid in inside:
+            pt[nid] = acc
+    return pt[node.nid]

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import mpst.core
 from mpst.core import (GComm, GEnd, NodeStore, PEnd, PIn, POut, Session,
                        TermError, bisimilar,
                        node_branch, node_labels, normalize_session,
@@ -12,6 +13,7 @@ from mpst.parser import (parse_global, parse_process, parse_session,
 from mpst.semantics import session_enabled
 
 import randgen
+from oracles import ref_participants
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +117,32 @@ def test_participants_stable_under_unfolding(store):
         assert participants(other.adopt(P)) == pts
 
 
+@pytest.mark.parametrize("proc", [True, False], ids=["process", "global"])
+def test_participants_match_the_reference(proc):
+    # random terms made in the store or adopted from others, many of them
+    # cyclic, so `_intern_cycle` gives their sets
+    rng = random.Random(12)
+    store = NodeStore()
+    make = randgen.random_process if proc else randgen.random_global
+    roots = [store.adopt(make(rng, store if rng.random() < 0.6 else NodeStore(),
+                              max_nodes=10))
+             for _ in range(300)]
+    nodes = _reachable(roots)
+    for n in nodes:
+        assert participants(n) == ref_participants(n), n
+    on_cycle = [n for n in nodes
+                if n in _reachable([c for _, c in getattr(n, "branches", ())])]
+    assert len(on_cycle) >= 200
+
+
+def test_a_chain_shares_its_participant_sets(store):
+    G = parse_global("p -> q : a . q -> r : b . r -> p : c . " * 300 + "end",
+                     store=store)
+    chain = _reachable([G])
+    assert len(chain) == 901
+    assert len({id(participants(n)) for n in chain}) <= 3
+
+
 def test_participants_of_a_global_type(cx):
     assert participants(cx.gt("relay.gt")) == frozenset("pqh")
     assert participants(cx.gt("right.gt")) == frozenset("krs")
@@ -153,7 +181,7 @@ def _intern_checked(b, drafts):
     while work:
         target, node = work.pop()
         if not isinstance(target, int):
-            assert _naive_bisimilar(target, node)
+            assert node is target if target.store is b.store else _naive_bisimilar(target, node)
         elif (target, node) not in seen:
             seen.add((target, node))
             assert b.shape_of(target) == b.shape_of(node)
@@ -173,18 +201,32 @@ def _fill_like(b, d, n, branches):
 
 
 def _random_drafts(rng, store, pool, proc):
-    """A few fresh drafts, possibly cyclic, whose branches may also target
-    nodes already in the store."""
+    """A few fresh drafts whose branches may also target nodes already in the
+    store, interned in one batch.
+
+    A draft targets any draft, or only later ones (an acyclic batch), or
+    only later ones but the last, which may point back (so the search can
+    finish acyclic drafts before it meets the cycle).  The roots list every
+    draft, some twice, and some nodes of the store, in random order.
+    """
     b = store.builder()
     drafts = [b.reserve() for _ in range(rng.choice((1, 2, 3, 4, 12, 30)))]
-    for d in drafts:
-        branches = [(l, rng.choice(drafts) if rng.random() < 0.5 else rng.choice(pool))
+    mode = rng.choice(("any", "forward", "back"))
+    for i, d in enumerate(drafts):
+        targets = drafts[i + 1:]
+        if mode == "any" or (mode == "back" and i == len(drafts) - 1):
+            targets = drafts
+        branches = [(l, rng.choice(targets) if targets and rng.random() < 0.5
+                     else rng.choice(pool))
                     for l in rng.sample(("a", "b"), rng.randint(1, 2))]
         if proc:
             (b.fill_in if rng.random() < 0.3 else b.fill_out)(d, "q", branches)
         else:
             b.fill_comm(d, *rng.choice((("p", "q"), ("q", "p"))), branches)
-    return _intern_checked(b, drafts)
+    roots = drafts + rng.sample(drafts, rng.randint(0, len(drafts)))
+    roots += rng.sample(pool, min(len(pool), rng.randint(0, 2)))
+    rng.shuffle(roots)
+    return _intern_checked(b, roots)
 
 
 def _unrolled_copy(rng, store, pool, node):
@@ -254,8 +296,69 @@ def test_interning_agrees_with_naive_bisimulation(proc, seed):
     assert folded >= 10  # the hard case, a copy of an existing node, occurred
     nodes = _reachable(pool)
     for i, a in enumerate(nodes):
+        assert participants(a) == ref_participants(a)
         for b in nodes[i + 1:]:
             assert not _naive_bisimilar(a, b), (a, b)
+
+
+def _spy_sccs(monkeypatch):
+    """Record the vertices whose successors `core._sccs` asks for."""
+    asked = []
+    sccs = mpst.core._sccs
+
+    def spy(starts, succ):
+        return sccs(starts, lambda v: asked.append(v) or succ(v))
+
+    monkeypatch.setattr(mpst.core, "_sccs", spy)
+    return asked
+
+
+def test_acyclic_batch_runs_no_scc_pass(store, monkeypatch):
+    asked = _spy_sccs(monkeypatch)
+    G = parse_global("p -> q : {a . q -> r : c . end, b . r -> p : d . end}",
+                     store=store)
+    assert asked == []
+    assert participants(G) == frozenset("pqr")
+
+
+def test_search_keeps_drafts_it_finished_before_a_cycle(store, monkeypatch):
+    # the search finishes the acyclic branch `a`, then meets the cycle in `b`
+    asked = _spy_sccs(monkeypatch)
+    b = store.builder()
+    top = b.reserve()
+    tail = b.add_out("q", [("c", store.end_process)])
+    chain = b.add_in("q", [("d", tail)])
+    loop = b.add_out("p", [("e", top)])
+    b.fill_out(top, "p", [("a", chain), ("b", loop)])
+    got = _intern_checked(b, [top, chain, loop])
+    assert sorted(asked) == [top, loop]
+    assert got[0] is parse_process("rec X . p!{a . q?d . q!c . 0, b . p!e . X}",
+                                   store=store)
+    assert got[1] is parse_process("q?d . q!c . 0", store=store)
+    assert got[1].nid < got[0].nid  # children first, as Tarjan's pass orders them
+
+
+@pytest.mark.parametrize("cyclic", [False, True], ids=["acyclic", "after-cycle"])
+def test_unfilled_draft_is_an_error(store, cyclic):
+    b = store.builder()
+    hole = b.reserve()
+    if cyclic:
+        # the search meets the self-loop first, so Tarjan's pass finds the hole
+        top = b.reserve()
+        b.fill_out(top, "p", [("a", top), ("b", hole)])
+    else:
+        top = b.add_out("p", [("a", store.end_process), ("b", hole)])
+    with pytest.raises(RuntimeError, match="unfilled draft"):
+        b.intern([top])
+
+
+def test_bool_is_no_draft_reference(store):
+    b = store.builder()
+    b.reserve()
+    with pytest.raises(TypeError, match="draft index or node"):
+        b.intern([True])
+    with pytest.raises(TypeError, match="draft index or node"):
+        b.add_out("p", [("a", False)])
 
 
 def test_new_self_loop_folds_onto_existing_cycle(store):
