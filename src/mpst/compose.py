@@ -111,8 +111,13 @@ def gateway(P, h):
 # Session connection.
 
 def compatible_sessions(M, h, M_prime, k):
-    """Disjoint bindings, h and k bound, and their processes compatible."""
-    if set(M.participants) & set(M_prime.participants):
+    """Disjoint participants, h and k bound, and their processes compatible.
+
+    As in `compatible_globals`, every participant counts, bound or only
+    named as a peer: a name on both sides would let a binding of one side
+    talk to a process of the other.
+    """
+    if M.mentioned() & M_prime.mentioned():
         return False
     if h not in M or k not in M_prime:
         return False

@@ -31,16 +31,35 @@ by all of them, so `participants` reads a field.
 
 from __future__ import annotations
 
-from .terms import (  # the term layer's names, re-exported
-    TermError,
-    UnboundVariable,
-    UnguardedRecursion,
-    check_ident,
-    intern_term,
-)
+import re
 
 Label = str
 Participant = str
+
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_KEYWORDS = frozenset({"rec", "let", "end"})
+
+
+class TermError(ValueError):
+    """A term violates a structural invariant."""
+
+
+class UnboundVariable(TermError):
+    def __init__(self, name):
+        super().__init__(f"unbound recursion variable {name!r}")
+        self.name = name
+
+
+class UnguardedRecursion(TermError):
+    def __init__(self, name):
+        super().__init__(f"recursion on {name!r} never passes an input or output prefix")
+        self.name = name
+
+
+def check_ident(name, what="identifier"):
+    if not isinstance(name, str) or not _IDENT_RE.match(name) or name in _KEYWORDS:
+        raise TermError(f"{what} must be an identifier, got {name!r}")
+    return name
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,14 @@ Grammar (ASCII, one definition per file, optional shared equations):
     ident    ::= [A-Za-z_][A-Za-z0-9_]*    -- other than rec, let, end
 
 Text is read in one pass.  One `findall` splits it into token strings, and
-a reader with an explicit stack fills the drafts of `terms._TermDrafts` as
-it goes, so nothing recurses on the size of a term.  Labels, definitions,
-participants, variables and the two ends of a communication are checked
-once, where their tokens are read; a session participant that talks to
-itself is found from the processes, which a session interns in one batch.
+a reader with an explicit stack (`_Reader`) fills graph drafts as it goes,
+so nothing recurses on the size of a term.  Names are resolved apart from
+the tokens, by the `let` and `rec` binder slots of `_TermDrafts`; a
+variable is guarded by any prefix between it and its binder.  Labels,
+definitions, participants, variables and the two ends of a communication
+are checked once, where their tokens are read; a session participant that
+talks to itself is found from the processes, which a session interns in
+one batch.
 Tokens carry no positions: only a failing parse scans the text again, with
 `_scan`, to find the line and column of the token at fault, or an
 unexpected character before it.  The diagnostic is the first in this
@@ -41,9 +44,10 @@ from .core import (
     PIn,
     NodeStore,
     Session,
+    UnboundVariable,
+    UnguardedRecursion,
     participants,
 )
-from .terms import UnboundVariable, _TermDrafts
 
 
 class DiagKind(Enum):
@@ -137,6 +141,157 @@ def _scan(text, filename):
         out.append((tok, line, start - line_start + 1))
     return out
 
+
+# ---------------------------------------------------------------------------
+# Binder slots and drafts.
+
+class _Slot:
+    """A `let` name and its draft."""
+
+    __slots__ = ("name", "draft", "state", "alias", "use")
+    # state: 0 = not yet defined, 1 = body being read, 2 = done
+
+    def __init__(self, name, draft, use):
+        self.name = name
+        self.draft = draft
+        self.state = 0
+        self.alias = None   # (name, slot) while the body is a bare pending name
+        self.use = use      # resolution order of a use before the `let`
+
+
+class _TermDrafts:
+    """The drafts of one term and its `let` equations, filled as they are read.
+
+    Every body is read with a *target*: the draft its binder reserved.  A
+    prefix at the head of the body fills the target itself, and a `rec` at
+    the head binds its name to the same draft; a branch continuation has no
+    target (None), so its prefix reserves a draft of its own.  Values are
+    the refs `NodeStore._intern` takes: a draft index, or the end node.
+
+    A `let` name gets its slot at its `let` or at its first use, whichever
+    comes first.  A body that is a bare name not yet defined, `let A = B`,
+    leaves an alias; `close_defs` chases each alias chain once, in
+    definition order.  Unbound variables and unguarded recursion are found
+    in resolution order (the equations in order, then the alias chains,
+    then the terms), and `error` keeps the first as (order, exception).
+    """
+
+    def __init__(self, store, glob):
+        self.builder = store.builder()
+        self.drafts = self.builder._drafts
+        self.end = store.end_global if glob else store.end_process
+        self._recs = {}         # rec name in scope -> its draft
+        self._lets = {}         # let name -> _Slot
+        self._aliased = []      # let slots left with an alias, in definition order
+        self._current = None    # slot of the `let` whose body is being read
+        self._order = 0         # resolution order of the last variable
+        self.error = None
+        self._closed = False    # True once no `let` can follow
+
+    def _fail(self, exc, order=None):
+        order = self._order if order is None else order
+        if self.error is None or order < self.error[0]:
+            self.error = (order, exc)
+        return self.end
+
+    def let(self, name):
+        """Open `let name =`: the draft its body fills, or None when `name`
+        is defined already."""
+        slot = self._lets.get(name)
+        if slot is None:
+            slot = self._lets[name] = _Slot(name, self.builder.reserve(), None)
+        elif slot.state:
+            return None
+        slot.state = 1
+        self._current = slot
+        return slot.draft
+
+    def let_done(self):
+        slot, self._current = self._current, None
+        slot.state = 2
+        if slot.alias is not None:
+            self._aliased.append(slot)
+
+    def close_defs(self):
+        """No `let` follows: a name used but never defined is unbound, and
+        each alias takes the description at the end of its chain."""
+        self._closed = True
+        for slot in self._lets.values():
+            if slot.state == 0:
+                self._fail(UnboundVariable(slot.name), slot.use)
+        if self.error is not None:
+            return
+        for slot in self._aliased:
+            seen = {slot.name}
+            name, target = slot.alias
+            while target.alias is not None:
+                if name in seen:
+                    self._fail(UnguardedRecursion(name))
+                    return
+                seen.add(name)
+                name, target = target.alias
+            self.drafts[slot.draft] = self.drafts[target.draft]
+            slot.alias = None
+
+    def rec(self, name, target):
+        """Open `rec name .`: the draft its body fills, and the binding of
+        `name` it shadows, for `unrec`."""
+        if target is None:
+            target = self.builder.reserve()
+        shadowed = self._recs.get(name)
+        self._recs[name] = target
+        return target, shadowed
+
+    def unrec(self, name, shadowed):
+        if shadowed is None:
+            del self._recs[name]
+        else:
+            self._recs[name] = shadowed
+
+    def end_at(self, target):
+        if target is None:
+            return self.end
+        self.builder.fill_copy(target, self.end)
+        return target
+
+    def var(self, name, target):
+        """Value of a variable read with `target` (None: guarded).
+
+        The binders that share `target` are those opened since the last
+        prefix; a variable at the head of a body is unguarded for them
+        alone.  Any other binder is separated from it by a prefix, and the
+        variable stands for that binder's draft.
+        """
+        self._order += 1
+        d = self._recs.get(name)
+        if d is not None:
+            if d == target:
+                return self._fail(UnguardedRecursion(name))
+            return d
+        slot = self._lets.get(name)
+        if slot is None:
+            if self._closed:
+                return self._fail(UnboundVariable(name))
+            slot = self._lets[name] = _Slot(name, self.builder.reserve(), self._order)
+        if target is None:
+            return slot.draft
+        if slot.draft == target:   # the `let` being read, at the head of its body
+            return self._fail(UnguardedRecursion(name))
+        if slot.state == 2 and slot.alias is None:   # defined: copy its description
+            self.drafts[target] = self.drafts[slot.draft]
+            return target
+        # not defined yet, or an alias itself: the `let` being read becomes an
+        # alias, and a `rec` in a branch stands for the aliased name's draft
+        alias = slot.alias or (name, slot)
+        cur = self._current
+        if cur is not None and cur.draft == target:
+            cur.alias = alias
+            return target
+        return alias[1].draft
+
+
+# ---------------------------------------------------------------------------
+# Reading.
 
 class _Reader:
     """One parse: the tokens, the drafts they fill, and the token index of

@@ -142,7 +142,8 @@ def session_step(M, action):
 def _can_step(G, action, memo):
     """Is `action` derivable at G?  Decided for each node a derivation would
     pass through, one strongly connected component at a time, children
-    first: such a node on a cycle has no finite derivation."""
+    first: such a node on a cycle has no finite derivation.  `memo` maps
+    (nid, action) to the verdicts decided so far; the caller owns it."""
     def passes(g):
         return not (isinstance(g, GEnd) or action.involves(g.sender)
                     or action.involves(g.receiver))
@@ -165,31 +166,21 @@ def _can_step(G, action, memo):
     return memo[(G.nid, action)]
 
 
-def _do_step(G, action, memo):
+def _do_step(G, action):
     """G after `action` fires wherever `_can_step` derived it."""
     def expand(g):
-        hit = memo.get((g.nid, action))
-        if hit is not None:
-            return hit
         if g.sender == action.sender and g.receiver == action.receiver:
             return node_branch(g, action.label)
         return _split(g)
 
     b = G.store.builder()
-    value = b.unfold([G], expand)
-    for g, n in zip(value, b.intern(list(value.values()))):
-        memo[(g.nid, action)] = n
-    return memo[(G.nid, action)]
+    return b.intern([b.unfold([G], expand)[G]])[0]
 
 
 def global_enabled(G):
     """Enabled global communications with successors, rules ecomm and icomm."""
     if isinstance(G, GEnd):
         return []
-    enabled = G.store.memo("global_enabled")
-    hit = enabled.get(G.nid)
-    if hit is not None:
-        return list(hit)
     # A derivable action fires at nodes reached from G through nodes that
     # involve neither of its participants, so its candidates come from the
     # nodes reached with neither participant met on the way (`met`, as bits).
@@ -217,14 +208,12 @@ def global_enabled(G):
             if c not in met and not isinstance(c, GEnd):
                 met[c] = m
                 stack.append(c)
-    can_memo = G.store.memo("global_can")
-    step_memo = G.store.memo("global_step")
+    can = {}
     out = []
     for action in sorted(candidates):
         action = CommAction(*action)
-        if _can_step(G, action, can_memo):
-            out.append((action, _do_step(G, action, step_memo)))
-    enabled[G.nid] = tuple(out)
+        if _can_step(G, action, can):
+            out.append((action, _do_step(G, action)))
     return out
 
 

@@ -6,8 +6,11 @@ preceded `GraphBuilder.unfold` and the explicit-stack printer, and the
 three-pass parser and recursive `intern_term` that preceded the one-pass
 reader, kept verbatim apart from their names and their memo tables
 (`ref_project`, `ref_gateway`), so that they share no cache with the
-production code.  Each recurses once per node, so they only suit small
-inputs.  `ref_depth_raw` is the three-walk depth that preceded the one pass
+production code.  One rule has changed since: `ref_intern_term` finds a
+variable at the head of a body unguarded only for the binders opened since
+the last prefix, not for every binder still being resolved, so that
+`rec X . p!a . rec Y . X` is read as the contractive term it is.  Each
+recurses once per node, so they only suit small inputs.  `ref_depth_raw` is the three-walk depth that preceded the one pass
 over `core._sccs`, and `ref_participants` the fold over `core._sccs` that
 computed participant sets on demand before each node got its own at
 creation.
@@ -699,7 +702,8 @@ def ref_intern_term(store, term, defs=None, glob=False):
 
     end_node = store.end_global if glob else store.end_process
 
-    def resolve(t, env, guarded):
+    def resolve(t, env, guarded, chain=()):
+        # chain: the slots of the binders opened since the last prefix
         tag = t[0]
         if tag == "end":
             return end_node
@@ -712,7 +716,7 @@ def ref_intern_term(store, term, defs=None, glob=False):
                 return slot.alias if slot.alias is not None else slot.draft
             if not guarded:
                 # a cycle of bare aliases never produces a prefix
-                if slot.state == 1:
+                if slot in chain:
                     raise UnguardedRecursion(name)
                 return ("alias", name, slot)
             return slot.draft
@@ -721,7 +725,7 @@ def ref_intern_term(store, term, defs=None, glob=False):
             slot = _RefSlot(b.reserve())
             inner = dict(env)
             inner[name] = slot
-            define(name, slot, body, inner)
+            define(name, slot, body, inner, () if guarded else chain)
             return slot.alias if slot.alias is not None else slot.draft
         if tag == "in" and not glob:
             return b.add_in(t[1], [(l, subref(c, env)) for l, c in t[2]])
@@ -738,9 +742,9 @@ def ref_intern_term(store, term, defs=None, glob=False):
             return r[2].draft
         return r
 
-    def define(name, slot, body, env):
+    def define(name, slot, body, env, chain=()):
         slot.state = 1
-        r = resolve(body, env, guarded=False)
+        r = resolve(body, env, guarded=False, chain=chain + (slot,))
         if isinstance(r, tuple) and r and r[0] == "alias":
             slot.alias = r
             slot.state = 2

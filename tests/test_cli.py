@@ -168,6 +168,20 @@ def test_compose_incompatible(cx, capsys, tmp_path, monkeypatch):
     assert code == 1 and not (tmp_path / "composed.sess").exists()
 
 
+@pytest.mark.parametrize("left, right", [
+    ("h |> k!a . 0", "k |> h?a . 0"),
+    ("h |> r!a . 0", "k |> s?a . 0 || r |> 0 || s |> k!a . 0"),
+])
+def test_compose_with_a_shared_peer_is_exit_one(capsys, tmp_path, monkeypatch, left, right):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "l.sess").write_text(left + "\n")
+    (tmp_path / "r.sess").write_text(right + "\n")
+    code, out = run(capsys, "compose", "--left", "l.sess", "--right", "r.sess",
+                    "--via", "h,k")
+    assert code == 1 and "sessions are not compatible" in out
+    assert not (tmp_path / "composed.sess").exists()
+
+
 def test_compose_half_typed_is_usage_error(cx, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out = run(capsys, "compose",

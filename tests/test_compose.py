@@ -170,6 +170,15 @@ def test_connect_sessions_rejects_overlap_and_unbound(cx, store):
     Mp = parse_session("k |> w!l . 0 || w |> k?l . 0", store=store)
     with pytest.raises(IncompatibleSessions):
         connect_sessions(M, "nosuch", Mp, "k")
+    # A participant named on both sides overlaps even when one side names it
+    # only as a peer: h names k, or h names r, which the right side binds
+    # (connecting that pair would deadlock).
+    for left, right in [("h |> k!a . 0", "k |> h?a . 0"),
+                        ("h |> r!a . 0", "k |> s?a . 0 || r |> 0 || s |> k!a . 0")]:
+        L, R = parse_session(left, store=store), parse_session(right, store=store)
+        assert compatible(L["h"], R["k"]) and not compatible_sessions(L, "h", R, "k")
+        with pytest.raises(IncompatibleSessions):
+            connect_sessions(L, "h", R, "k")
 
 
 def test_trivial_end_connection(store):

@@ -95,7 +95,7 @@ def test_global_steps_match_the_reference():
         nodes = _reachable(G)
         actions = {CommAction(g.sender, l, g.receiver)
                    for g in nodes for l, _ in g.branches}
-        can, ref_can, step, ref_step = {}, {}, {}, {}
+        can, ref_can, ref_step = {}, {}, {}
         for g in sorted(nodes, key=lambda n: n.nid):
             for action in sorted(actions):
                 verdict = _can_step(g, action, can)
@@ -103,7 +103,7 @@ def test_global_steps_match_the_reference():
                 if verdict:
                     stepped += 1
                     below_root += (action.sender, action.receiver) != (g.sender, g.receiver)
-                    assert _do_step(g, action, step) is ref_do_step(g, action, ref_step)
+                    assert _do_step(g, action) is ref_do_step(g, action, ref_step)
     assert stepped > 5000 and below_root > 1000
 
 

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpst.core import NodeStore, TermError, bisimilar, intern_term
+from mpst.core import NodeStore, TermError, bisimilar
 from mpst.parser import (DiagKind, ParseDiagnostic, ParseError, SourceSpan, _scan,
                          _tokens, parse_global, parse_process, parse_session,
                          print_global, print_process, print_session)
 
 import randgen
 from conftest import CORPUS
-from oracles import (_RefParser, ref_intern_term, ref_parse_global, ref_parse_process,
-                     ref_parse_session, ref_print_node)
+from oracles import ref_parse_global, ref_parse_process, ref_parse_session, ref_print_node
 
 
 def test_round_trip_whole_corpus(cx):
@@ -84,6 +83,26 @@ def test_unguarded_recursion_has_its_own_kind():
     with pytest.raises(ParseError) as info:
         parse_process("rec X . X", store=NodeStore())
     assert "guard" in str(info.value).lower() or "rec" in str(info.value).lower()
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("rec X . p!a . rec Y . X", "rec X0 . p!a . X0"),
+    ("let A = p!a . rec Y . A\nA", "rec X0 . p!a . X0"),
+    ("rec X . p!a . rec Y . q!b . rec Z . Y", "p!a . rec X0 . q!b . X0"),
+    ("rec X . rec Y . X",
+     "<proc>:1:5: UnguardedRec: recursion on 'X' never passes an input or output prefix"),
+    ("let A = rec Y . A\nA",
+     "<proc>:1:5: UnguardedRec: recursion on 'A' never passes an input or output prefix"),
+])
+def test_a_prefix_guards_a_variable_from_every_binder_before_it(text, expected):
+    # A variable at the head of a body is unguarded only for the binders
+    # opened since the last prefix, in the reader and in its reference.
+    for parse in (parse_process, ref_parse_process):
+        try:
+            got = print_process(parse(text, store=NodeStore()))
+        except ParseError as exc:
+            got = str(exc)
+        assert got == expected, parse
 
 
 def test_forward_references_between_lets(store):
@@ -407,60 +426,3 @@ def test_session_interns_all_bindings_in_one_batch(monkeypatch):
     assert batches == [6]
     assert M.participants == ("p", "q", "r", "s", "t", "u")
     assert M["p"] is M["s"] and M["u"] is store.end_process
-
-
-# ---------------------------------------------------------------------------
-# `intern_term` drives the same slots as the reader, over tuple terms.
-
-def _ref_tuples(text, glob):
-    """(term, defs) as the old recursive descent built them."""
-    p = _RefParser(text, "<fuzz>", glob)
-    defs = p.parse_defs()
-    term = p.term()
-    p.lx.expect("eof", "end of input")
-    return term, defs
-
-
-def _interned(intern, store, term, defs, glob):
-    try:
-        return intern(store, term, defs, glob)
-    except TermError as exc:
-        return type(exc), str(exc)
-
-
-def test_intern_term_matches_the_reference():
-    rng = random.Random(37)
-    store = NodeStore()
-    cases = [
-        (("in", "p", [("é", ("end",))]), None, False),
-        (("in", "p", [("a", ("end",)), ("a", ("end",))]), None, False),
-        (("in", "p", []), None, False),
-        (("comm", "p", "p", [("a", ("end",))]), None, True),
-        (("out", "p", [("a", ("end",))]), None, True),
-        (("var", "A"), {"A": ("var", "B"), "B": ("rec", "X", ("var", "A"))}, False),
-        (("var", "A"), {"A": ("out", "q", [("a", ("var", "Q"))]), "B": ("var", "B")}, False),
-    ]
-    for _ in range(3000):
-        glob = rng.random() < 0.5
-        try:
-            cases.append((*_ref_tuples(_random_source(rng, "gt" if glob else "proc"), glob),
-                          glob))
-        except ParseError:
-            pass
-    outcomes = Counter()
-    for term, defs, glob in cases:
-        new = _interned(intern_term, store, term, defs, glob)
-        assert new == _interned(ref_intern_term, store, term, defs, glob), (term, defs)
-        outcomes[new[0].__name__ if isinstance(new, tuple) else "node"] += 1
-    assert outcomes["node"] > 500 and outcomes["UnboundVariable"] > 100
-    assert outcomes["UnguardedRecursion"] > 100 and outcomes["TermError"] == 5
-
-
-def test_intern_term_has_no_depth_limit(store):
-    n = 10 ** 4
-    term = ("end",)
-    for i in range(n):
-        term = ("comm", "p", "q", [(f"l{i % 2}", term)])
-    G = intern_term(store, ("rec", "X", term), glob=True)
-    assert print_global(G) == "".join(
-        f"p -> q : l{i % 2} . " for i in reversed(range(n))) + "end"
