@@ -62,11 +62,12 @@ if __name__ == "__main__":
 
     corpus = Path(args.corpus) if args.corpus else \
         Path(__file__).resolve().parents[1] / "corpus"
-    out = Path(args.out) if args.out else Path(tempfile.mkdtemp(prefix="mpst_"))
-    out.mkdir(parents=True, exist_ok=True)
-
-    print(f"corpus: {corpus}")
-    print(f"artifacts: {out}")
-    good = pipeline(corpus, out)
+    with tempfile.TemporaryDirectory(prefix="mpst_") as scratch:
+        # without --out the artifacts go to a temp dir, removed at exit
+        out = Path(args.out or scratch)
+        out.mkdir(parents=True, exist_ok=True)
+        print(f"corpus: {corpus}")
+        print(f"artifacts: {out}")
+        good = pipeline(corpus, out)
     print("pipeline ok" if good else "pipeline FAILED")
     sys.exit(0 if good else 1)

@@ -8,6 +8,7 @@ violated precondition, exploration bound).
 """
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -218,7 +219,11 @@ def _via(text):
     return tuple(parts)
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and then kept: parsing
+    leaves no state in it, and building it costs more than a small
+    command."""
     top = argparse.ArgumentParser(prog="mpst",
                                   description="analyze multiparty sessions and global types")
     sub = top.add_subparsers(dest="command", required=True)

@@ -19,10 +19,13 @@ by partition refinement together with the existing nodes it reaches, which
 merges each class bisimilar to one of those.
 An existing node bisimilar to a remaining class is not reachable from it, and
 then its own component is an isomorphic copy of the class's, with the same
-children outside the component.  So the remaining classes are looked up by a
-flat key confined to their component: the component listed breadth first,
-with the edges that leave it recorded by child nid.  Nothing recurses on the
-size of a term, and only a cyclic component walks the nodes below it.
+children outside the component.  So the component is looked up by one flat
+key: itself listed breadth first from a root class, with the edges that leave
+it recorded by child nid.  The root is the class of least signature (shape and
+child nids, an inner child as -1) among those that occur once, so the copy
+has the same root; with no unique signature every class is keyed.  Nothing
+recurses on the size of a term, and only a cyclic component walks the nodes
+below it.
 
 Every node gets its participant set when it is made: its own names and its
 children's sets, or for the new classes of a cyclic component one set shared
@@ -252,7 +255,7 @@ class NodeStore:
 
     def __init__(self):
         self._cons = {}           # (shape, child nids) -> node, for every node
-        self._cycles = {}         # flat key of a cyclic component -> node
+        self._cycles = {}         # flat key of a cyclic component -> its root
         self._count = 0
         self._memos = {}
         self.end_process = self._intern([(("pend",), ())], [0])[0]
@@ -365,12 +368,17 @@ class NodeStore:
         reaches merges every class bisimilar to one of those nodes.  Any
         other existing node bisimilar to a class lies on a cycle that the
         class does not reach; its component is then isomorphic to the
-        class's, with the same children outside it.  So each remaining class
-        is looked up by a flat key: the component listed breadth first from
-        that class, shape by shape, with inner edges as positions in the
-        listing and edges that leave it as ("n", nid).  Every class has its
-        own key of the component's length, so a component of k new classes
-        costs O(k^2) in time and in key storage.
+        class's, with the same children outside it, so every remaining class
+        has an image there or none has.  The component is looked up by one
+        flat key: its classes listed breadth first from its root, shape by
+        shape, with inner edges as positions in the listing and edges that
+        leave it as ("n", nid).  The root has the least signature (shape,
+        child nids with -1 for an inner child) of those that occur once, as
+        in the copy.  A hit maps the other classes by walking both
+        components in step; a miss makes the nodes and stores the key, so a
+        component of k new classes costs O(k) in keys.  With no unique
+        signature every class is keyed, O(k^2), as the copy's were, and the
+        first class's key decides.
         """
         k = len(scc)
         unit = {d: u for u, d in enumerate(scc)}
@@ -420,23 +428,41 @@ class NodeStore:
                         key.append(pos[c])
                 return tuple(key)
 
-            keys = {b: listing(b) for b in rep}
-            for b, key in keys.items():
-                hit = self._cycles.get(key)
-                if hit is not None:
-                    image[b] = hit
-            fresh = [b for b in rep if b not in image]
-            names = _participants_of(
-                [n for b in fresh for n in shapes[rep[b]][1:-1]],
-                [image[c] for b in fresh for c in kids_of[b] if c not in rep])
-            for b in fresh:
-                image[b] = self._make(shapes[rep[b]], names)
-            for b in fresh:
-                shape = shapes[rep[b]]
-                kids = tuple(image[c] for c in kids_of[b])
-                _attach(image[b], shape, kids)
-                self._cons[(shape, tuple(c.nid for c in kids))] = image[b]
-                self._cycles[keys[b]] = image[b]
+            roots = rep            # a lone class is its own root
+            if len(rep) > 1:
+                sig = {}
+                shared = {}        # signature -> whether two classes have it
+                for b, u in rep.items():
+                    s = sig[b] = (shapes[u], tuple([-1 if c in rep else image[c].nid
+                                                    for c in kids_of[b]]))
+                    shared[s] = s in shared
+                unique = [(s, b) for b, s in sig.items() if not shared[s]]
+                if unique:
+                    roots = [min(unique)[1]]
+            keys = {b: listing(b) for b in roots}
+            root = next(iter(keys))
+            hit = self._cycles.get(keys[root])
+            if hit is not None:    # map the classes onto hit's component in step
+                image[root] = hit
+                seq = [root]
+                for b in seq:
+                    for c, (_, n) in zip(kids_of[b], image[b].branches):
+                        if c not in image:
+                            image[c] = n
+                            seq.append(c)
+            else:
+                names = _participants_of(
+                    [n for b in rep for n in shapes[rep[b]][1:-1]],
+                    [image[c] for b in rep for c in kids_of[b] if c not in rep])
+                for b in rep:
+                    image[b] = self._make(shapes[rep[b]], names)
+                for b in rep:
+                    shape = shapes[rep[b]]
+                    kids = tuple(image[c] for c in kids_of[b])
+                    _attach(image[b], shape, kids)
+                    self._cons[(shape, tuple(c.nid for c in kids))] = image[b]
+                for b, key in keys.items():
+                    self._cycles[key] = image[b]
         for u, d in enumerate(scc):
             done[d] = image[block[u]]
 

@@ -1,12 +1,18 @@
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
+import mpst.cli
 from mpst.cli import main
 from mpst.core import NodeStore
-from mpst.parser import parse_global, parse_process, parse_session, print_global
+from mpst.parser import (parse_global, parse_process, parse_session, print_global,
+                         print_process, print_session)
+from mpst.typecheck import project
+
+import randgen
 
 
 def run(capsys, *argv):
@@ -302,6 +308,150 @@ def test_non_utf8_input_is_exit_two(cx, tmp_path):
         assert proc.returncode == 2, argv
         assert proc.stdout.startswith(f"cannot read {bad}: ") and proc.stdout.count("\n") == 1
         assert "0xff" in proc.stdout and "Traceback" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# one argument parser per process
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of `main(argv)`, an argparse exit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _fresh(monkeypatch):
+    """Make `main` build a new parser on every call."""
+    monkeypatch.setattr(mpst.cli, "_build_parser", mpst.cli._build_parser.__wrapped__)
+
+
+def test_parser_is_built_once(cx, capsys):
+    assert run(capsys, "check", str(cx.path("relay.gt")))[0] == 0
+    assert mpst.cli._build_parser() is mpst.cli._build_parser()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["check", "--help"], ["compose", "--help"], [], ["bogus"],
+    ["check"], ["project", "x.gt"], ["compose", "--left", "a", "--right", "b", "--via", "h"],
+    ["type", "a", "--against", "b", "--mode", "loose"], ["simulate", "a", "--steps", "x"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_help_and_usage_errors_match_a_fresh_parser(capsys, monkeypatch, argv):
+    _outcome(capsys, ["check", "--help"])     # the kept parser has served a call
+    kept = _outcome(capsys, argv)
+    assert kept[0] in (0, 2) and (kept[1] if kept[0] == 0 else kept[2])
+    _fresh(monkeypatch)
+    assert _outcome(capsys, argv) == kept
+
+
+def test_command_after_a_failed_parse(cx, capsys):
+    gt = str(cx.path("relay.gt"))
+    assert _outcome(capsys, ["check", gt, "--mode", "plus"])[0] == 2
+    code, out, err = _outcome(capsys, ["check", gt])
+    assert code == 0 and out.rstrip().endswith("well-formed") and err == ""
+
+
+def test_defaults_do_not_leak_between_calls(cx, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    gt, sess = str(cx.path("relay.gt")), str(cx.path("relay.sess"))
+    pairs = [
+        (["check", gt, "--json"], ["check", gt]),
+        (["type", sess, "--against", gt, "--mode", "plus"], ["type", sess, "--against", gt]),
+        (["simulate", sess, "--steps", "3", "--seed", "9"], ["simulate", sess]),
+        (["compose", "--left", sess, "--right", str(cx.path("right.sess")),
+          "--via", "h,k", "--out", "first"],
+         ["compose", "--left", sess, "--right", str(cx.path("right.sess")), "--via", "h,k"]),
+    ]
+    alone = [_outcome(capsys, then) for _, then in pairs]
+    after = [(_outcome(capsys, first), _outcome(capsys, then))[1] for first, then in pairs]
+    assert after == alone
+    assert after[0][0] == 0 and not after[0][1].startswith("{")
+    assert after[1][1] == "typed (standard mode)\n"
+    assert (tmp_path / "composed.sess").exists()
+    _fresh(monkeypatch)
+    assert after == [_outcome(capsys, then) for _, then in pairs]
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract on garbage: every subcommand, text and --json, over
+# printed random terms, about 30% of them mutated
+
+_JUNK = ("->", ":", ".", ",", "{", "}", "!", "?", "|>", "||", "=", "0", "rec", "let",
+         "end", "X", "p", "h", "k", " ", "\n", "#", "(", "\u00e9", "\x00")
+
+
+def _mutate(rng, text):
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randint(1, 12))
+        roll = rng.random()
+        if roll < 0.3:
+            text = text[:i] + text[j:]
+        elif roll < 0.6:
+            text = text[:i] + rng.choice(_JUNK) + text[i:]
+        elif roll < 0.8:
+            text = text[:j] + text[i:j] + text[j:]
+        else:
+            text = text[:i]
+    return text
+
+
+def _garbage_files(rng, d, n):
+    """n rounds of printed terms: a compatible pair of global types with
+    their self-projected sessions, their interface processes and a random
+    global type; about 30% of the files mutated, a few not UTF-8."""
+    store = NodeStore()
+    rounds = []
+    while len(rounds) < n:
+        pair = randgen.compatible_global_pair(rng, store, max_nodes=6)
+        if pair is None:
+            continue
+        G, h, G2, k = pair
+        texts = {"l.gt": print_global(G), "r.gt": print_global(G2),
+                 "l.sess": print_session(randgen.self_projection(store, G)),
+                 "r.sess": print_session(randgen.self_projection(store, G2)),
+                 "h.proc": print_process(project(G, h)),
+                 "k.proc": print_process(project(G2, k)),
+                 "x.gt": print_global(randgen.random_global(rng, store, max_nodes=6))}
+        files = {}
+        for name, text in texts.items():
+            path = d / f"{len(rounds)}{name}"
+            if rng.random() < 0.3:
+                text = _mutate(rng, text)
+            if rng.random() < 0.02:
+                path.write_bytes(text.encode() + b"\xff")
+            else:
+                path.write_text(text, encoding="utf-8")
+            files[name] = str(path)
+        rounds.append(files)
+    return rounds
+
+
+def test_exit_codes_on_garbage(capsys, monkeypatch, tmp_path):
+    rng = random.Random(11)
+    monkeypatch.chdir(tmp_path)
+    codes = {}
+    for f in _garbage_files(rng, tmp_path, 120):
+        commands = [
+            ["check", f["l.gt"]], ["check", f["x.gt"]],
+            ["project", f["l.gt"], "--participant", rng.choice("pqhkz")],
+            ["type", f["l.sess"], "--against", f["l.gt"], "--mode", rng.choice(("standard", "plus"))],
+            ["type", f["r.sess"], "--against", f["x.gt"]],
+            ["compat", f["h.proc"], f["k.proc"]],
+            ["compose", "--left", f["l.sess"], "--right", f["r.sess"], "--via", "h,k"],
+            ["compose", "--left", f["l.sess"], "--right", f["r.sess"], "--via", "h,k",
+             "--left-type", f["l.gt"], "--right-type", f["r.gt"]],
+            ["simulate", f["l.sess"], "--steps", "8", "--seed", "3", "--dot", "g.dot"],
+            ["lockfree", f["r.sess"]], ["lockfree", f["l.sess"]],
+        ]
+        for argv in commands + [argv + ["--json"] for argv in commands]:
+            code, out, err = _outcome(capsys, argv)
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in out + err, argv
+            codes[code] = codes.get(code, 0) + 1
+    assert min(codes.get(c, 0) for c in (0, 1, 2)) >= 50, codes
 
 
 # ---------------------------------------------------------------------------

@@ -402,9 +402,107 @@ def test_long_cycle_with_distinct_labels(store):
     nodes = cycle(0)
     assert len({n.nid for n in nodes}) == n
     assert node_branch(nodes[-1], f"l{n - 1}") is nodes[0]
+    # every signature is unique, so the component is stored under one key
+    # of O(n) entries, not one key per class
+    assert len(store._cycles) == 1
+    assert sum(len(key) for key in store._cycles) <= 2 * n
     rotated = cycle(7)
     assert rotated == nodes[7:] + nodes[:7]
+    assert len(store._cycles) == 1
     assert store.adopt(NodeStore().adopt(nodes[3])) is nodes[3]
+
+
+def _ring(store, word, exits):
+    """Drafts of a ring: draft i has shape word[i], a branch `a` to draft
+    i + 1 and, where exits[i] is a node, a branch `b` to it."""
+    b = store.builder()
+    drafts = [b.reserve() for _ in word]
+    for i, (kind, peer) in enumerate(word):
+        branches = [("a", drafts[(i + 1) % len(word)])]
+        if exits[i] is not None:
+            branches.append(("b", exits[i]))
+        (b.fill_in if kind == "?" else b.fill_out)(drafts[i], peer, branches)
+    return b, drafts
+
+
+def _signatures(nodes):
+    """The signature of each node of one cyclic component, computed from the
+    nodes: shape, then each child's nid, or -1 for a child inside."""
+    inside = set(nodes)
+    return [(type(n).__name__, n.peer, node_labels(n),
+             tuple(-1 if c in inside else c.nid for _, c in n.branches))
+            for n in nodes]
+
+
+def _copy_in_a_second_batch(rng, store, nodes):
+    """Intern a copy of the component `nodes` whose drafts are made in a
+    shuffled order; its edges that leave the component keep their nodes."""
+    b = store.builder()
+    order = rng.sample(nodes, len(nodes))
+    draft = {n: b.reserve() for n in order}
+    for n in order:
+        _fill_like(b, draft[n], n, [(l, draft.get(c, c)) for l, c in n.branches])
+    count, keys = store._count, len(store._cycles)
+    got = _intern_checked(b, [draft[n] for n in nodes])
+    assert store._count == count and len(store._cycles) == keys
+    return got
+
+
+def test_component_folds_onto_a_copy_it_cannot_reach(store):
+    # random rings, their exits to `end` or to nodes of earlier rings: each
+    # minimal ring is stored under one key when some signature is unique
+    # and under one key per class otherwise; a copy interned later, which
+    # cannot reach the ring, maps every class onto the ring's nodes
+    rng = random.Random(21)
+    pool = [store.end_process]
+    cases = {True: 0, False: 0}
+    for _ in range(150):
+        k = rng.randint(2, 9)
+        peers = rng.choice(("q", "qr"))     # one peer: signatures repeat more
+        word = [(rng.choice("!?"), rng.choice(peers)) for _ in range(k)]
+        exits = [rng.choice(pool) if rng.random() < 0.2 else None for _ in range(k)]
+        b, drafts = _ring(store, word, exits)
+        count, keys = store._count, len(store._cycles)
+        nodes = _intern_checked(b, drafts)
+        ring = list({n: None for n in nodes})
+        if store._count > count:
+            assert store._count - count == len(ring)
+            sigs = _signatures(ring)
+            unique = any(sigs.count(s) == 1 for s in sigs)
+            assert len(store._cycles) - keys == (1 if unique else len(ring))
+            cases[unique] += 1
+        assert _copy_in_a_second_batch(rng, store, ring) == ring
+        pool.append(rng.choice(ring))
+    assert cases[True] >= 60 and cases[False] >= 5
+    nodes = _reachable(pool)
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1:]:
+            assert not _naive_bisimilar(a, b), (a, b)
+
+
+def test_component_with_no_unique_signature_keys_every_class(store):
+    # rings whose shape words are primitive and use each letter at least
+    # twice: minimal, with no unique signature, so every class gets a key
+    rng = random.Random(22)
+    made = 0
+    while made < 40:
+        k = rng.randint(4, 12)
+        word = [rng.choice((("!", "q"), ("!", "r"), ("?", "q"))) for _ in range(k)]
+        if (any(word.count(s) == 1 for s in word)
+                or any(k % p == 0 and word == word[p:] + word[:p] for p in range(1, k))):
+            continue
+        keys = len(store._cycles)
+        b, drafts = _ring(store, word, [None] * k)
+        ring = _intern_checked(b, drafts)
+        if len(store._cycles) == keys:
+            continue           # a rotation of a ring made earlier
+        made += 1
+        assert len(set(ring)) == k
+        assert len(store._cycles) - keys == k
+        for i, a in enumerate(ring):
+            for c in ring[i + 1:]:
+                assert not _naive_bisimilar(a, c)
+        assert _copy_in_a_second_batch(rng, store, ring) == ring
 
 
 # ---------------------------------------------------------------------------
