@@ -219,6 +219,15 @@ def _via(text):
     return tuple(parts)
 
 
+class _NotNegative(argparse.Action):
+    """Store an int option, rejecting a negative value as a usage error."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            raise argparse.ArgumentError(self, f"must not be negative, got {value}")
+        setattr(namespace, self.dest, value)
+
+
 @functools.cache
 def _build_parser():
     """The argument parser, built on first use and then kept: parsing
@@ -259,7 +268,7 @@ def _build_parser():
 
     p = add("simulate", "run a random execution of a session")
     p.add_argument("file")
-    p.add_argument("--steps", type=int, default=20)
+    p.add_argument("--steps", type=int, default=20, action=_NotNegative)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dot", metavar="FILE", help="also write the full state graph")
 

@@ -25,10 +25,10 @@ from .core import (
     POut,
     Session,
     TermError,
+    branch_pairs,
     check_ident,
     coinductive_closure,
     node_branch,
-    node_labels,
     participants,
 )
 from .typecheck import IllFormedGlobalType, Mode, leq, project, typecheck, well_formed
@@ -45,22 +45,15 @@ class IncompatibleSessions(Exception):
 # ---------------------------------------------------------------------------
 # Process compatibility.
 
-def _labels(node):
-    return frozenset(l for l, _ in node.branches)
-
-
 def _compatible_step(P, Q):
-    if isinstance(P, PEnd) and isinstance(Q, PEnd):
-        return []
-    if isinstance(P, PIn) and isinstance(Q, POut):
+    if P.__class__ is PIn:
         P, Q = Q, P
-    if isinstance(P, POut) and isinstance(Q, PIn):
+    if P.__class__ is POut and Q.__class__ is PIn:
         # Peers are irrelevant; the input labels must all be offered by the
         # output, and the paired continuations must stay compatible.
-        if not _labels(Q) <= _labels(P):
-            return None
-        out = dict(P.branches)
-        return [(out[l], cont) for l, cont in Q.branches]
+        return branch_pairs(P, Q, Q.shape[-1])
+    if P.__class__ is PEnd and Q.__class__ is PEnd:
+        return []
     return None
 
 
@@ -97,8 +90,8 @@ def gateway(P, h):
         if label is not None:
             relay = h if isinstance(n, PIn) else n.peer
             return ("pout", relay, (label,)), ((node_branch(n, label), None),)
-        labels = node_labels(n)
-        return (("pin", n.peer if isinstance(n, PIn) else h, labels),
+        labels = n.shape[-1]
+        return (n.shape if isinstance(n, PIn) else ("pin", h, labels),
                 tuple((n, l) for l in labels))
 
     b = store.builder()
@@ -234,19 +227,19 @@ def connect_globals(G, h, G_prime, k):
             if isinstance(L, GEnd):
                 return R
             if isinstance(L, GComm) and L.receiver == h:
-                return (("gcomm", L.sender, h, node_labels(L)),
+                return (L.shape,
                         [(h, k, StarMarker("fwd", l), cont, R, swapped, False)
                          for l, cont in L.branches])
             if isinstance(L, GComm) and h not in (L.sender, L.receiver):
-                return (("gcomm", L.sender, L.receiver, node_labels(L)),
+                return (L.shape,
                         [(k, h, HASH, R, cont, not swapped, False)
                          for _, cont in L.branches])
             if isinstance(R, GComm) and R.receiver == k:
-                return (("gcomm", R.sender, k, node_labels(R)),
+                return (R.shape,
                         [(h, k, StarMarker("bwd", l), L, cont, swapped, False)
                          for l, cont in R.branches])
             if isinstance(R, GComm) and k not in (R.sender, R.receiver):
-                return (("gcomm", R.sender, R.receiver, node_labels(R)),
+                return (R.shape,
                         [(k, h, HASH, cont, L, not swapped, False)
                          for _, cont in R.branches])
         else:
@@ -267,7 +260,7 @@ def connect_globals(G, h, G_prime, k):
                     return (("gcomm", other, T.receiver, (star.label,)),
                             [(h, k, HASH, *moved(cont), swapped, False)])
             elif isinstance(T, GComm) and T.receiver != other:
-                return (("gcomm", T.sender, T.receiver, node_labels(T)),
+                return (T.shape,
                         [(h, k, star, *moved(cont), swapped, False)
                          for _, cont in T.branches])
         raise NoClauseApplies(CnKey(h, k, star, L.nid, R.nid, swapped))

@@ -27,9 +27,14 @@ has the same root; with no unique signature every class is keyed.  Nothing
 recurses on the size of a term, and only a cyclic component walks the nodes
 below it.
 
-Every node gets its participant set when it is made: its own names and its
-children's sets, or for the new classes of a cyclic component one set shared
-by all of them, so `participants` reads a field.
+Every node keeps its shape, the half of its hash-cons key that is not child
+nids: ("pend", ()), ("gend", ()), ("pin" | "pout", peer, labels) or ("gcomm",
+sender, receiver, labels).  Its `peer`, `sender` and `receiver` read the
+shape, its labels are always the shape's last item, and a map from graph to
+graph may hand a node's own shape to `GraphBuilder.unfold`.  Every node also
+gets its participant set when it is made: its own names and its children's
+sets, or for the new classes of a cyclic component one set shared by all of
+them, so `participants` reads a field.
 """
 
 from __future__ import annotations
@@ -67,10 +72,11 @@ def check_ident(name, what="identifier"):
 
 # ---------------------------------------------------------------------------
 # Nodes.  Plain classes with identity semantics; instances are created by the
-# store only and are immutable afterwards by convention.
+# store only and are immutable afterwards by convention.  The named fields
+# read the node's shape; its branches pair the shape's labels with children.
 
 class Node:
-    __slots__ = ("store", "nid", "_participants")
+    __slots__ = ("store", "nid", "_participants", "shape", "branches")
 
 
 class Process(Node):
@@ -85,17 +91,19 @@ class PEnd(Process):
 
 
 class PIn(Process):
-    __slots__ = ("peer", "branches")
+    __slots__ = ()
+    peer = property(lambda n: n.shape[1])
 
     def __repr__(self):
-        return f"<proc {self.peer}?{{{','.join(l for l, _ in self.branches)}}}#{self.nid}>"
+        return f"<proc {self.peer}?{{{','.join(self.shape[-1])}}}#{self.nid}>"
 
 
 class POut(Process):
-    __slots__ = ("peer", "branches")
+    __slots__ = ()
+    peer = property(lambda n: n.shape[1])
 
     def __repr__(self):
-        return f"<proc {self.peer}!{{{','.join(l for l, _ in self.branches)}}}#{self.nid}>"
+        return f"<proc {self.peer}!{{{','.join(self.shape[-1])}}}#{self.nid}>"
 
 
 class GlobalType(Node):
@@ -110,15 +118,20 @@ class GEnd(GlobalType):
 
 
 class GComm(GlobalType):
-    __slots__ = ("sender", "receiver", "branches")
+    __slots__ = ()
+    sender = property(lambda n: n.shape[1])
+    receiver = property(lambda n: n.shape[2])
 
     def __repr__(self):
-        labels = ",".join(l for l, _ in self.branches)
+        labels = ",".join(self.shape[-1])
         return f"<global {self.sender}->{self.receiver}:{{{labels}}}#{self.nid}>"
 
 
+_KINDS = {"pend": PEnd, "pin": PIn, "pout": POut, "gend": GEnd, "gcomm": GComm}
+
+
 def node_labels(n):
-    return tuple(l for l, _ in n.branches)
+    return n.shape[-1]
 
 
 def node_branch(n, label):
@@ -128,37 +141,20 @@ def node_branch(n, label):
     raise KeyError(label)
 
 
-_KINDS = {"pend": PEnd, "pin": PIn, "pout": POut, "gend": GEnd, "gcomm": GComm}
-_END_SHAPES = {PEnd: ("pend",), GEnd: ("gend",)}
+def branch_pairs(x, y, labels):
+    """[(x's child, y's child)] for each of `labels`, in their order; None
+    when x or y has no branch for one of them."""
+    xs, ys = dict(x.branches), dict(y.branches)
+    try:
+        return [(xs[l], ys[l]) for l in labels]
+    except KeyError:
+        return None
 
 
 def _split(n):
-    """(shape, children) of a node; a node's hash-cons key is its shape with
-    the nids of its children.
-
-    shape is ("pend",), ("gend",), ("pin" | "pout", peer, labels) or
-    ("gcomm", sender, receiver, labels); children follow the labels.
-    """
-    t = type(n)
-    if t in _END_SHAPES:
-        return _END_SHAPES[t], ()
-    labels, kids = zip(*n.branches)
-    if t is GComm:
-        return ("gcomm", n.sender, n.receiver, labels), kids
-    if t is PIn or t is POut:
-        return ("pin" if t is PIn else "pout", n.peer, labels), kids
-    raise TypeError(n)
-
-
-def _attach(node, shape, kids):
-    """Give a fresh node the fields its shape and children describe."""
-    if kids:
-        if shape[0] == "gcomm":
-            node.sender, node.receiver = shape[1], shape[2]
-        else:
-            node.peer = shape[1]
-        node.branches = tuple(zip(shape[-1], kids))
-    return node
+    """(shape, children) of a node: the shape it keeps and its children in
+    label order.  Its hash-cons key is the shape with the children's nids."""
+    return n.shape, tuple([c for _, c in n.branches])
 
 
 def _filled(drafts, d):
@@ -258,8 +254,8 @@ class NodeStore:
         self._cycles = {}         # flat key of a cyclic component -> its root
         self._count = 0
         self._memos = {}
-        self.end_process = self._intern([(("pend",), ())], [0])[0]
-        self.end_global = self._intern([(("gend",), ())], [0])[0]
+        self.end_process = self._intern([(("pend", ()), ())], [0])[0]
+        self.end_global = self._intern([(("gend", ()), ())], [0])[0]
 
     def memo(self, name):
         """A named per-store memo table: every cache of the store, keyed by
@@ -349,15 +345,19 @@ class NodeStore:
         key = (shape, tuple([c.nid for c in kids]))
         node = self._cons.get(key)
         if node is None:
-            node = self._cons[key] = _attach(
-                self._make(shape, _participants_of(shape[1:-1], kids)), shape, kids)
+            node = self._cons[key] = self._make(
+                shape, kids, _participants_of(shape[1:-1], kids))
         return node
 
-    def _make(self, shape, names):
+    def _make(self, shape, kids, names):
+        """A new node of the kind its shape names, its branches pairing the
+        shape's labels with `kids`."""
         node = object.__new__(_KINDS[shape[0]])
         node.store = self
         node.nid = self._count
         node._participants = names
+        node.shape = shape
+        node.branches = tuple(zip(shape[-1], kids))
         self._count += 1
         return node
 
@@ -454,13 +454,13 @@ class NodeStore:
                 names = _participants_of(
                     [n for b in rep for n in shapes[rep[b]][1:-1]],
                     [image[c] for b in rep for c in kids_of[b] if c not in rep])
+                for b in rep:       # made first, linked once every class has a node
+                    image[b] = self._make(shapes[rep[b]], (), names)
                 for b in rep:
-                    image[b] = self._make(shapes[rep[b]], names)
-                for b in rep:
-                    shape = shapes[rep[b]]
-                    kids = tuple(image[c] for c in kids_of[b])
-                    _attach(image[b], shape, kids)
-                    self._cons[(shape, tuple(c.nid for c in kids))] = image[b]
+                    node = image[b]
+                    kids = [image[c] for c in kids_of[b]]
+                    node.branches = tuple(zip(node.shape[-1], kids))
+                    self._cons[(node.shape, tuple([c.nid for c in kids]))] = node
                 for b, key in keys.items():
                     self._cycles[key] = image[b]
         for u, d in enumerate(scc):
@@ -495,8 +495,23 @@ class GraphBuilder:
             return self.unfold([target], _split)[target]
         raise TypeError(f"branch target must be a draft index or node, got {target!r}")
 
-    def _branches(self, branches, proc):
-        """(labels, refs) of a choice, sorted by label."""
+    def fill_in(self, i, peer, branches):
+        return self._fill(i, "pin", (peer,), branches)
+
+    def fill_out(self, i, peer, branches):
+        return self._fill(i, "pout", (peer,), branches)
+
+    def fill_comm(self, i, sender, receiver, branches):
+        return self._fill(i, "gcomm", (sender, receiver), branches)
+
+    def _fill(self, i, kind, names, branches):
+        """Fill draft i with the shape (kind, *names, labels), the labels
+        sorted and each branch target a node of the kind's sort or a draft."""
+        for name in names:
+            check_ident(name, "participant")
+        if len(names) == 2 and names[0] == names[1]:
+            raise TermError(f"{names[0]!r} cannot communicate with itself")
+        want = GlobalType if kind == "gcomm" else Process
         out = []
         seen = set()
         for label, target in branches:
@@ -505,36 +520,14 @@ class GraphBuilder:
                 raise TermError(f"duplicate branch label {label!r}")
             seen.add(label)
             ref = self._ref(target)
-            if ref.__class__ is not int:
-                want = Process if proc else GlobalType
-                if not isinstance(ref, want):
-                    raise TermError(f"branch {label!r} targets a node of the wrong kind")
+            if ref.__class__ is not int and not isinstance(ref, want):
+                raise TermError(f"branch {label!r} targets a node of the wrong kind")
             out.append((label, ref))
         if not out:
             raise TermError("a choice needs at least one branch")
         out.sort(key=lambda item: item[0])
         labels, refs = zip(*out)
-        return labels, refs
-
-    def fill_in(self, i, peer, branches):
-        check_ident(peer, "participant")
-        labels, refs = self._branches(branches, proc=True)
-        self._drafts[i] = (("pin", peer, labels), refs)
-        return i
-
-    def fill_out(self, i, peer, branches):
-        check_ident(peer, "participant")
-        labels, refs = self._branches(branches, proc=True)
-        self._drafts[i] = (("pout", peer, labels), refs)
-        return i
-
-    def fill_comm(self, i, sender, receiver, branches):
-        check_ident(sender, "participant")
-        check_ident(receiver, "participant")
-        if sender == receiver:
-            raise TermError(f"{sender!r} cannot communicate with itself")
-        labels, refs = self._branches(branches, proc=False)
-        self._drafts[i] = (("gcomm", sender, receiver, labels), refs)
+        self._drafts[i] = ((kind, *names, labels), refs)
         return i
 
     def _desc(self, target):
@@ -580,8 +573,9 @@ class GraphBuilder:
         explicit depth-first worklist in place of a recursion.
 
         `expand(key)` gives the key's value as a node, or (shape, child
-        keys): the key then gets a draft, filled from the shape (`_split`'s
-        vocabulary, children in label order) once its children have values.
+        keys): the key then gets a draft, filled from the shape (laid out
+        as a node's, and it may be a node's own `shape`; children in label
+        order) once its children have values.
         Shape names must come from canonical nodes, as the fill checks
         nothing.  A shape of None leaves the draft for the caller to fill.
         Returns {key: draft or node}, children before parents.

@@ -27,13 +27,12 @@ from .core import (
     PEnd,
     PIn,
     POut,
-    Process,
     Session,
     _sccs,
     _split,
+    branch_pairs,
     check_ident,
     coinductive_closure,
-    node_labels,
     participants,
 )
 from .parser import print_process
@@ -186,11 +185,11 @@ def _project_run(store, root, p):
         if p not in participants(g):
             cache[(g.nid, p)] = store.end_process
             return store.end_process
-        shape, kids = _split(g)
-        if g.sender == p:
-            return ("pout", g.receiver, shape[3]), kids
-        if g.receiver == p:
-            return ("pin", g.sender, shape[3]), kids
+        (_, sender, receiver, labels), kids = _split(g)
+        if sender == p:
+            return ("pout", receiver, labels), kids
+        if receiver == p:
+            return ("pin", sender, labels), kids
         merges.add(g)
         return None, kids
 
@@ -304,39 +303,24 @@ def _project_run(store, root, p):
 # Structural preorders.
 
 def _leq_step(x, y):
-    if isinstance(x, PEnd) and isinstance(y, PEnd):
-        return ()
-    if isinstance(x, PIn) and isinstance(y, PIn) and x.peer == y.peer:
+    kind = x.__class__
+    if kind is not y.__class__ or x.shape[1] != y.shape[1]:
+        return None
+    if kind is PIn:
         # the smaller process may accept extra labels
-        mine = dict(x.branches)
-        pairs = []
-        for l, yc in y.branches:
-            xc = mine.get(l)
-            if xc is None:
-                return None
-            pairs.append((xc, yc))
-        return pairs
-    if isinstance(x, POut) and isinstance(y, POut) and x.peer == y.peer:
-        if node_labels(x) != node_labels(y):
-            return None
-        return [(xc, yc) for (_, xc), (_, yc) in zip(x.branches, y.branches)]
-    return None
+        return branch_pairs(x, y, y.shape[-1])
+    if kind is POut and x.shape == y.shape:
+        return branch_pairs(x, y, x.shape[-1])
+    return () if kind is PEnd else None
 
 
 def _leq_plus_step(x, y):
-    if isinstance(x, POut) and isinstance(y, POut) and x.peer == y.peer:
-        # the smaller process may offer fewer labels
-        theirs = dict(y.branches)
-        pairs = []
-        for l, xc in x.branches:
-            yc = theirs.get(l)
-            if yc is None:
-                return None
-            pairs.append((xc, yc))
-        return pairs
-    if isinstance(x, POut) or isinstance(y, POut):
+    if x.__class__ is not POut:
+        return _leq_step(x, y)
+    if y.__class__ is not POut or x.peer != y.peer:
         return None
-    return _leq_step(x, y)
+    # the smaller process may offer fewer labels
+    return branch_pairs(x, y, x.shape[-1])
 
 
 def leq(P, Q):

@@ -13,13 +13,15 @@ the last prefix, not for every binder still being resolved, so that
 recurses once per node, so they only suit small inputs.  `ref_depth_raw` is the three-walk depth that preceded the one pass
 over `core._sccs`, and `ref_participants` the fold over `core._sccs` that
 computed participant sets on demand before each node got its own at
-creation.
+creation.  `ref_leq`, `ref_leq_plus` and `ref_compatible` decide the three
+coinductive relations as greatest fixpoints by deletion, with no closure
+search and no memo.
 """
 
 import re
 
 from mpst.compose import HASH, CnKey, NoClauseApplies, ParticipantCollision, StarMarker
-from mpst.core import (GComm, GEnd, NodeStore, PEnd, PIn, Session, TermError,
+from mpst.core import (GComm, GEnd, NodeStore, PEnd, PIn, POut, Session, TermError,
                        UnboundVariable, UnguardedRecursion, _sccs, _split,
                        check_ident, node_branch, node_labels, normalize_session,
                        participants)
@@ -875,3 +877,66 @@ def ref_participants(node):
         for nid in inside:
             pt[nid] = acc
     return pt[node.nid]
+
+
+# ---------------------------------------------------------------------------
+# Coinductive relations.
+
+def _reachable_set(root):
+    seen = {root}
+    stack = [root]
+    while stack:
+        for _, c in stack.pop().branches:
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return seen
+
+
+def _greatest_fixpoint(a, b, holds):
+    """Whether (a, b) is in the greatest relation R over the nodes reachable
+    from a and from b in which every pair satisfies `holds(x, y, R)`: start
+    from every pair and delete the pairs that fail until none does."""
+    rel = {(x, y) for x in _reachable_set(a) for y in _reachable_set(b)}
+    while True:
+        failing = {(x, y) for x, y in rel if not holds(x, y, rel)}
+        if not failing:
+            return (a, b) in rel
+        rel -= failing
+
+
+def _leq_holds(x, y, rel, plus):
+    if isinstance(x, PEnd) or isinstance(y, PEnd):
+        return isinstance(x, PEnd) and isinstance(y, PEnd)
+    if type(x) is not type(y) or x.peer != y.peer:
+        return False
+    xs, ys = dict(x.branches), dict(y.branches)
+    if isinstance(x, PIn):          # the smaller process may accept more
+        ok, need = set(ys) <= set(xs), ys
+    elif plus:                      # and under <=+ offer fewer
+        ok, need = set(xs) <= set(ys), xs
+    else:
+        ok, need = set(xs) == set(ys), xs
+    return ok and all((xs[l], ys[l]) in rel for l in need)
+
+
+def ref_leq(P, Q):
+    return _greatest_fixpoint(P, Q, lambda x, y, rel: _leq_holds(x, y, rel, False))
+
+
+def ref_leq_plus(P, Q):
+    return _greatest_fixpoint(P, Q, lambda x, y, rel: _leq_holds(x, y, rel, True))
+
+
+def _compatible_holds(x, y, rel):
+    if isinstance(x, PEnd) or isinstance(y, PEnd):
+        return isinstance(x, PEnd) and isinstance(y, PEnd)
+    if isinstance(x, POut) == isinstance(y, POut):
+        return False
+    xs, ys = dict(x.branches), dict(y.branches)
+    inputs, outputs = (xs, ys) if isinstance(x, PIn) else (ys, xs)
+    return set(inputs) <= set(outputs) and all((xs[l], ys[l]) in rel for l in inputs)
+
+
+def ref_compatible(P, Q):
+    return _greatest_fixpoint(P, Q, _compatible_holds)

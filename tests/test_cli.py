@@ -227,6 +227,15 @@ def test_simulate_json(cx, capsys):
     assert len(data["trace"]) == 3
 
 
+def test_simulate_rejects_negative_steps(cx, capsys):
+    target = str(cx.path("relay.sess"))
+    code, out, err = _outcome(capsys, ["simulate", target, "--steps", "-3"])
+    assert code == 2 and out == ""
+    assert err.startswith("usage: mpst simulate")
+    assert "argument --steps: must not be negative, got -3" in err
+    assert _outcome(capsys, ["simulate", target, "--steps", "0"]) == (0, "status: bound\n", "")
+
+
 # ---------------------------------------------------------------------------
 # lockfree
 

@@ -7,7 +7,7 @@ from mpst.compose import (HASH, CnKey, IncompatibleSessions, NoClauseApplies,
                           compatible_globals, compatible_sessions,
                           connect_globals, connect_sessions, gateway,
                           verify_connection)
-from mpst.core import (Session, TermError, bisimilar, node_branch,
+from mpst.core import (NodeStore, Session, TermError, bisimilar, node_branch,
                        participants, sessions_bisimilar)
 from mpst.parser import (parse_global, parse_process, parse_session,
                          print_process)
@@ -16,6 +16,7 @@ from mpst.typecheck import (IllFormedGlobalType, Mode, ProjectionError, leq,
                             leq_plus, project, typecheck, well_formed)
 
 import randgen
+from oracles import ref_compatible
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +92,35 @@ def test_compatibility_closed_under_leq_but_not_conversely(store):
     assert compatible(out, thin)
     assert leq(fat, thin)          # inputs may offer more than required
     assert not compatible(out, fat)  # yet the wider input is not compatible
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_compatible_matches_the_reference(seed):
+    # partners built by polarity flipping, partners of a weakened process
+    # (near misses), partners facing a widened process, and unrelated pairs
+    # over one peer and two labels; each pair both ways, within one store
+    # and with one side copied into another store
+    rng = random.Random(seed)
+    store, other = NodeStore(), NodeStore()
+
+    def small():
+        return randgen.random_process(rng, store, peers=("q",), labels=("a", "b"),
+                                      max_nodes=3)
+
+    verdicts = {True: 0, False: 0}
+    for _ in range(120):
+        P = randgen.random_process(rng, store, max_nodes=6)
+        Q = randgen.compatible_partner(rng, store, P)
+        for a, b in ((P, Q),
+                     (P, randgen.compatible_partner(rng, store, randgen.weaken(rng, store, P))),
+                     (randgen.widen_plus(rng, store, P), Q),
+                     (P, randgen.random_process(rng, store, max_nodes=6)),
+                     (small(), small())):
+            for x, y in ((a, b), (b, a), (a, other.adopt(b)), (other.adopt(a), b)):
+                got = compatible(x, y)
+                assert got == ref_compatible(x, y), (print_process(x), print_process(y))
+                verdicts[got] += 1
+    assert min(verdicts.values()) >= 300, verdicts
 
 
 # ---------------------------------------------------------------------------

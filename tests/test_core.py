@@ -301,6 +301,37 @@ def test_interning_agrees_with_naive_bisimulation(proc, seed):
             assert not _naive_bisimilar(a, b), (a, b)
 
 
+def test_every_node_keeps_its_hash_cons_shape(cx):
+    for suffix, load in ((".proc", cx.proc), (".gt", cx.gt), (".sess", cx.sess)):
+        for name in cx.names(suffix):
+            load(name)
+    rng = random.Random(5)
+    store = NodeStore()
+    for proc in (True, False):
+        pool = [store.end_process if proc else store.end_global]
+        for _ in range(60):      # batches of drafts, cyclic ones included
+            pool.extend(_random_drafts(rng, store, pool, proc))
+        make = randgen.random_process if proc else randgen.random_global
+        for _ in range(60):
+            make(rng, store)
+    for s in (cx.store, store):
+        nodes = list(s._cons.values())
+        assert len(nodes) == s._count
+        for n in nodes:
+            assert s._cons[(n.shape, tuple(c.nid for _, c in n.branches))] is n
+            assert node_labels(n) == n.shape[-1] == tuple(l for l, _ in n.branches)
+            assert type(n) is mpst.core._KINDS[n.shape[0]]
+            if isinstance(n, GComm):
+                assert (n.sender, n.receiver) == n.shape[1:3]
+            elif isinstance(n, (PIn, POut)):
+                assert n.peer == n.shape[1]
+            else:
+                assert n.shape[1:] == ((),)
+            for field in ("peer", "sender", "receiver"):
+                with pytest.raises(AttributeError):
+                    setattr(n, field, "x")
+
+
 def _spy_sccs(monkeypatch):
     """Record the vertices whose successors `core._sccs` asks for."""
     asked = []

@@ -9,7 +9,7 @@ from mpst.typecheck import (DepthValue, IllFormedGlobalType, Mode,
                             leq_plus, project, typecheck, well_formed)
 
 import randgen
-from oracles import ref_depth_raw
+from oracles import ref_depth_raw, ref_leq, ref_leq_plus
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +201,35 @@ def test_leq_is_contained_in_leq_plus(store):
         R = randgen.random_process(rng, store)
         if leq(P, R):
             assert leq_plus(P, R)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_leq_relations_match_the_reference(seed):
+    # related pairs (weaken, widen_plus), unrelated ones, and unrelated ones
+    # over one peer and two labels so that some hold; each pair both ways,
+    # within one store and with one side copied into another store
+    rng = random.Random(seed)
+    store, other = NodeStore(), NodeStore()
+
+    def small():
+        return randgen.random_process(rng, store, peers=("q",), labels=("a", "b"),
+                                      max_nodes=3)
+
+    verdicts = {}
+    for _ in range(120):
+        P = randgen.random_process(rng, store, max_nodes=6)
+        for a, b in ((P, randgen.weaken(rng, store, P)),
+                     (P, randgen.widen_plus(rng, store, P)),
+                     (P, randgen.random_process(rng, store, max_nodes=6)),
+                     (small(), small())):
+            for x, y in ((a, b), (b, a), (a, other.adopt(b)), (other.adopt(a), b)):
+                for lib, ref in ((leq, ref_leq), (leq_plus, ref_leq_plus)):
+                    got = lib(x, y)
+                    assert got == ref(x, y), (lib.__name__, print_process(x),
+                                              print_process(y))
+                    key = lib.__name__, got
+                    verdicts[key] = verdicts.get(key, 0) + 1
+    assert len(verdicts) == 4 and min(verdicts.values()) >= 100, verdicts
 
 
 def test_leq_recurses_through_cycles(store):
