@@ -85,29 +85,13 @@ class StateSpaceBoundExceeded(Exception):
 # ---------------------------------------------------------------------------
 # Session transitions.
 
-def _moves(M, memo):
-    """Rule comm: (action, sender's continuation, receiver's continuation).
-
-    Bindings are sorted by participant, branches by label, and a sender
-    talks to one peer, so the moves come out in CommAction order.  `memo`
-    caches the moves of each (sender, process, peer's process) triple.
-    """
-    out = []
-    for p, P in M.items():
-        if not isinstance(P, POut):
-            continue
-        Q = M.get(P.peer)
-        hit = memo.get((p, P, Q))
-        if hit is None:
-            hit = memo[(p, P, Q)] = _pair_moves(p, P, Q)
-        out.extend(hit)
-    return out
-
-
 def _pair_moves(p, P, Q):
-    """The moves of sender p running P while its peer runs Q (or is unbound)."""
-    q = P.peer
-    if not (isinstance(Q, PIn) and Q.peer == p):
+    """Rule comm for sender p running P while its peer runs Q, which is an
+    end node or None once the peer has ended or when it is unbound: one
+    (action, sender's continuation, receiver's continuation) per label of P,
+    in label order, or none unless Q inputs every one of them from p."""
+    q = P.shape[1]
+    if not (isinstance(Q, PIn) and Q.shape[1] == p):
         return ()
     accept = dict(Q.branches)
     if not all(l in accept for l, _ in P.branches):
@@ -116,13 +100,20 @@ def _pair_moves(p, P, Q):
 
 
 def session_enabled(M):
-    """Enabled communications with their successors, rule comm."""
+    """Enabled communications with their successors, rule comm.
+
+    Bindings are sorted by participant, branches by label, and a sender
+    talks to one peer, so the actions come out in CommAction order.
+    """
     out = []
-    for action, P, Q in _moves(M, {}):
-        succ = dict(M.items())
-        succ[action.sender] = P
-        succ[action.receiver] = Q
-        out.append((action, Session._trusted(succ)))
+    for p, P in M.items():
+        if not isinstance(P, POut):
+            continue
+        for action, P2, Q2 in _pair_moves(p, P, M.get(P.shape[1])):
+            succ = dict(M.items())
+            succ[p] = P2
+            succ[action.receiver] = Q2
+            out.append((action, Session._trusted(succ)))
     return out
 
 
@@ -297,41 +288,64 @@ class StateGraph:
 def explore(M, bound=None):
     """Reachability closure of rule comm over canonical states.
 
-    States are numbered breadth first and keyed by their (participant, nid)
-    pairs, so each distinct state is built once.  Raises
-    StateSpaceBoundExceeded as soon as more than `bound` states are found.
+    The participants of the normalized initial session fix one order, and a
+    state is keyed by the vector of its nodes in that order, compared by
+    identity; an ended participant holds its end node.  A participant's
+    nodes all come from the store of its initial process, so this numbers
+    states exactly as keying them by their (participant, nid) pairs would.
+    States are numbered breadth first, each distinct state is built once,
+    and the moves of each (position, process, peer's process) are derived
+    once.  Raises StateSpaceBoundExceeded as soon as more than `bound`
+    states are found.
     """
     if bound is None:
         bound = _env_state_bound()
     init = normalize_session(M)
+    names = init.participants
+    at = {p: k for k, p in enumerate(names)}
+    start = tuple(init._bindings.values())
     states = [init]
-    keys = [_state_key(init)]
-    index = {keys[0]: 0}
+    vecs = [start]
+    index = {start: 0}
     edges = []
-    memo = {}
-    for i, state in enumerate(states):
-        key = keys[i]
-        pos = {p: k for k, (p, _) in enumerate(key)}
-        for action, P, Q in _moves(state, memo):
-            p, q = action.sender, action.receiver
-            succ_key = list(key)
-            succ_key[pos[p]] = None if isinstance(P, PEnd) else (p, P.nid)
-            succ_key[pos[q]] = None if isinstance(Q, PEnd) else (q, Q.nid)
-            while None in succ_key:
-                succ_key.remove(None)
-            succ_key = tuple(succ_key)
-            j = index.get(succ_key)
+    # memo[k]: output node P at position k -> (peer's position or None,
+    # {peer's node Q: the moves of P against Q})
+    memo = [{} for _ in names]
+    for i, vec in enumerate(vecs):
+        bindings = states[i]._bindings
+        for k, P in enumerate(vec):
+            if not isinstance(P, POut):
+                continue
+            hit = memo[k].get(P)
+            if hit is None:
+                hit = memo[k][P] = (at.get(P.shape[1]), {})
+            j, by_peer = hit
             if j is None:
-                j = len(states)
-                if j == bound:
-                    raise StateSpaceBoundExceeded(j + 1, bound)
-                index[succ_key] = j
-                keys.append(succ_key)
-                succ = dict(state.items())
-                succ[p], succ[q] = P, Q
-                states.append(Session._trusted(
-                    {r: R for r, R in succ.items() if not isinstance(R, PEnd)}))
-            edges.append((i, action, j))
+                continue
+            Q = vec[j]
+            moves = by_peer.get(Q)
+            if moves is None:
+                moves = by_peer[Q] = _pair_moves(names[k], P, Q)
+            for action, P2, Q2 in moves:
+                succ = list(vec)
+                succ[k] = P2
+                succ[j] = Q2
+                succ = tuple(succ)
+                t = index.get(succ)
+                if t is None:
+                    t = len(vecs)
+                    if t == bound:
+                        raise StateSpaceBoundExceeded(t + 1, bound)
+                    index[succ] = t
+                    vecs.append(succ)
+                    succ_bindings = dict(bindings)
+                    succ_bindings[action.sender] = P2
+                    succ_bindings[action.receiver] = Q2
+                    if isinstance(P2, PEnd) or isinstance(Q2, PEnd):
+                        succ_bindings = {r: R for r, R in succ_bindings.items()
+                                         if not isinstance(R, PEnd)}
+                    states.append(Session._trusted(succ_bindings))
+                edges.append((i, action, t))
     return StateGraph(states, edges)
 
 
@@ -364,30 +378,36 @@ def lock_free(M, bound=None):
     (a) every reachable state is all-terminated or can step; (b) whenever a
     participant still has work, some reachable transition involves it.
 
-    Participants are bits of a mask.  One pass over the edges gives each
-    state its targets, the mask of its own edges, and the edge that first
-    reaches it.  `explore` numbers the states breadth first and lists the
-    edges in that order, so that edge is the BFS parent and witness paths
-    are shortest.  Then one fold over the strongly connected components,
-    sinks first, gives each state the mask of every edge reachable from it.
+    Participants are bits of a mask; every state binds a subset of the
+    initial state's.  One pass over the edges gives each state its targets,
+    the mask of its own edges, and the edge that first reaches it.
+    `explore` numbers the states breadth first and lists the edges in that
+    order, so that edge is the BFS parent and witness paths are shortest.
+    Then one fold over the strongly connected components, sinks first, gives
+    each state the mask of every edge reachable from it, and one pass ORs
+    each state's bound participants that no such edge involves into one
+    `starving` mask.  Only a participant in that mask is looked for state by
+    state, least first, so the witness is the least starving participant at
+    the first state where it starves.
     """
     graph = explore(M, bound)
     states = graph.states
-    size = {"states": len(states), "edges": len(graph.edges)}
-    participants = sorted({p for state in states for p in state.participants})
+    n = len(states)
+    size = {"states": n, "edges": len(graph.edges)}
+    participants = states[0].participants
     bit = {p: 1 << k for k, p in enumerate(participants)}
     succ = [[] for _ in states]
-    own = [0] * len(states)
-    parent = {graph.initial: None}
+    own = [0] * n
+    parent = [None] * n   # state 0, the initial one, has none
     for s, a, t in graph.edges:
         succ[s].append(t)
         own[s] |= bit[a.sender] | bit[a.receiver]
-        if t not in parent:
+        if parent[t] is None and t:
             parent[t] = (s, a)
 
     def path(i):
         acc = []
-        while parent[i] is not None:
+        while i:
             i, a = parent[i]
             acc.append(a)
         acc.reverse()
@@ -396,8 +416,8 @@ def lock_free(M, bound=None):
     for i, state in enumerate(states):
         if not succ[i] and len(state) > 0:
             return LockReport(False, deadlock_witness=path(i), **size)
-    reach = [0] * len(states)
-    for scc in _sccs(range(len(states)), succ.__getitem__):
+    reach = [0] * n
+    for scc in _sccs(range(n), succ.__getitem__):
         m = 0
         for x in scc:   # the masks of this component are still 0
             m |= own[x]
@@ -405,10 +425,19 @@ def lock_free(M, bound=None):
                 m |= reach[y]
         for x in scc:
             reach[x] = m
+    live = {}   # bound participants of a state -> their mask
+    starving = 0
+    for i, state in enumerate(states):
+        names = state.participants
+        m = live.get(names)
+        if m is None:
+            m = live[names] = sum(bit[p] for p in names)
+        starving |= m & ~reach[i]
     for p in participants:
-        for i, state in enumerate(states):
-            if p in state and not reach[i] & bit[p]:
-                return LockReport(False, starvation_witness=(path(i), p), **size)
+        if starving & bit[p]:
+            for i, state in enumerate(states):
+                if p in state and not reach[i] & bit[p]:
+                    return LockReport(False, starvation_witness=(path(i), p), **size)
     return LockReport(True, **size)
 
 

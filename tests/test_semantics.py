@@ -394,6 +394,63 @@ def test_engine_matches_reference_when_senders_share_a_process(store):
     assert [str(a) for _, a, _ in explore(M).edges] == ["p -l-> r", "q -l-> r"]
 
 
+def test_starvation_witness_is_least_participant_at_its_first_state(store):
+    # z starves from the initial state on; c starves only once d has served
+    # it, at BFS state 1.  The least starving participant is reported, at
+    # the first state where it starves.
+    loop = "p |> rec X . q!l . X || q |> rec Y . p?l . Y || z |> p?go . 0"
+    assert lock_free(parse_session(loop, store=store)).starvation_witness == ([], "z")
+    M = parse_session(loop + " || c |> d?a . p?never . 0 || d |> c!a . 0",
+                      store=store)
+    report = _assert_engines_agree(M)
+    actions, starving = report.starvation_witness
+    assert starving == "c"
+    assert [str(a) for a in actions] == ["d -a-> c"]
+    assert explore(M).edges[0][2] == 1
+
+
+def test_deadlock_reachable_before_any_starvation_is_reported(store):
+    # halt leads to a stuck state (BFS state 1); spin starves w (state 2)
+    spin = ("p |> q!{halt . r?never . 0, spin . rec X . q!l . X, wake . w!x . 0}"
+            " || q |> p?{halt . 0, spin . rec Y . p?l . Y, wake . 0}"
+            " || w |> p?x . 0")
+    report = _assert_engines_agree(parse_session(spin, store=store))
+    assert report.starvation_witness is None
+    assert [str(a) for a in report.deadlock_witness] == ["p -halt-> q"]
+    no_halt = spin.replace("halt . r?never . 0, ", "").replace("halt . 0, ", "")
+    report = _assert_engines_agree(parse_session(no_halt, store=store))
+    assert report.deadlock_witness is None
+    assert [str(a) for a in report.starvation_witness[0]] == ["p -spin-> q"]
+    assert report.starvation_witness[1] == "w"
+
+
+def test_engine_matches_reference_when_bindings_come_from_two_stores():
+    # Each participant's nodes stay in the store of its initial process.
+    # Parsed into two fresh stores (0 and 1), p and q run nodes with equal
+    # nids, so states keyed by node identity must number like (participant,
+    # nid).  In the last case p and q step independently, so two states
+    # hold the same nids at swapped positions.
+    cases = [
+        ("lock-free", {"p": (0, "q!a . q!b . r!c . 0"), "q": (1, "p?a . p?b . r?d . 0"),
+                       "r": (1, "p?c . q!d . 0")}),
+        ("lock-free", {"p": (0, "rec X . q!{go . X, stop . r!c . 0}"),
+                       "q": (1, "rec Y . p?{go . Y, stop . r?d . 0}"),
+                       "r": (1, "p?c . q!d . 0")}),
+        ("starvation", {"p": (0, "rec X . q!l . X"), "q": (1, "rec Y . p?l . Y"),
+                        "r": (1, "p?c . 0")}),
+        ("deadlock", {"p": (0, "q!a . r?c . 0"), "q": (1, "p?a . r?x . 0"),
+                      "r": (1, "q?d . 0")}),
+        ("lock-free", {"p": (0, "r!a . r!b . 0"), "q": (1, "s!a . s!b . 0"),
+                       "r": (0, "p?a . p?b . 0"), "s": (1, "q?a . q?b . 0")}),
+    ]
+    for verdict, bindings in cases:
+        stores = NodeStore(), NodeStore()
+        M = Session({p: parse_process(text, store=stores[side])
+                     for p, (side, text) in bindings.items()})
+        assert M["p"].store is not M["q"].store and M["p"].nid == M["q"].nid
+        assert _verdict(_assert_engines_agree(M)) == verdict
+
+
 def _swap_one(rng, store, M):
     """M with one process swapped for an arbitrary one over the same peers."""
     p = rng.choice(M.participants)
