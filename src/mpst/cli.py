@@ -77,9 +77,9 @@ def cmd_check(path, json_out=False):
     lines = []
     for p, value in sorted(report.depths.items()):
         lines.append(f"depth({p})={value}")
-    for p, cause in report.failures():
-        if "depth" not in cause:
-            lines.append(f"projection onto {p} fails: {cause}")
+    for p, value in report.projections.items():
+        if isinstance(value, ProjectionError):
+            lines.append(f"projection onto {p} fails: {value}")
     lines.append("well-formed" if report.ok else "not well-formed")
     return CommandOutcome(0 if report.ok else 1, "\n".join(lines))
 

@@ -16,16 +16,15 @@ Conchon, 2006), in O(1) per draft.  Only a batch whose search meets a cycle
 pays for Tarjan's pass: the drafts not yet resolved are split into strongly
 connected components, still children first.  A cyclic component is minimised
 by partition refinement together with the existing nodes it reaches, which
-merges each class bisimilar to one of those.
-An existing node bisimilar to a remaining class is not reachable from it, and
-then its own component is an isomorphic copy of the class's, with the same
-children outside the component.  So the component is looked up by one flat
-key: itself listed breadth first from a root class, with the edges that leave
-it recorded by child nid.  The root is the class of least signature (shape and
-child nids, an inner child as -1) among those that occur once, so the copy
-has the same root; with no unique signature every class is keyed.  Nothing
-recurses on the size of a term, and only a cyclic component walks the nodes
-below it.
+merges each class bisimilar to one of those.  Each refinement round numbers
+its blocks by the rank of their signature among the sorted distinct
+signatures, so a block id depends only on which bisimulation classes occur
+among the units.  A component that does not merge is looked up by one key:
+its new classes in block order, each with its shape and its children's
+blocks, a child outside the component by its nid.  An isomorphic copy already
+in the store has the same children outside it, so its refinement met the same
+classes and gave them the same blocks: the same key.  Nothing recurses on
+the size of a term, and only a cyclic component walks the nodes below it.
 
 Every node keeps its shape, the half of its hash-cons key that is not child
 nids: ("pend", ()), ("gend", ()), ("pin" | "pout", peer, labels) or ("gcomm",
@@ -223,19 +222,26 @@ def _sccs(starts, succ):
     return sccs
 
 
+def _ranks(sigs):
+    """Each signature's rank among the sorted distinct signatures, and how
+    many distinct signatures there are."""
+    rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
+    return [rank[s] for s in sigs], len(rank)
+
+
 def _refine(shapes, children):
     """Block of each unit in the coarsest bisimulation partition: refine the
     partition by shape until the signatures (own block, children's blocks)
-    stop splitting it."""
-    ids = {}
-    block = [ids.setdefault(s, len(ids)) for s in shapes]
+    stop splitting it.  Each round numbers its blocks by the rank of their
+    signature, so a block id depends only on the unit's bisimulation class
+    and on which classes occur among the units, not on the units' order."""
+    block, count = _ranks(shapes)
     while True:
-        sigs = {}
-        new = [sigs.setdefault((block[u], tuple(block[c] for c in kids)), len(sigs))
-               for u, kids in enumerate(children)]
-        if len(sigs) == len(ids):
+        new, n = _ranks([(block[u], tuple([block[c] for c in kids]))
+                         for u, kids in enumerate(children)])
+        if n == count:
             return block
-        block, ids = new, sigs
+        block, count = new, n
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +257,7 @@ class NodeStore:
 
     def __init__(self):
         self._cons = {}           # (shape, child nids) -> node, for every node
-        self._cycles = {}         # flat key of a cyclic component -> its root
+        self._cycles = {}         # key of a cyclic component -> its nodes
         self._count = 0
         self._memos = {}
         self.end_process = self._intern([(("pend", ()), ())], [0])[0]
@@ -365,20 +371,18 @@ class NodeStore:
         """Resolve one cyclic component of drafts into `done`.
 
         Partition refinement over the component and the existing nodes it
-        reaches merges every class bisimilar to one of those nodes.  Any
-        other existing node bisimilar to a class lies on a cycle that the
-        class does not reach; its component is then isomorphic to the
-        class's, with the same children outside it, so every remaining class
-        has an image there or none has.  The component is looked up by one
-        flat key: its classes listed breadth first from its root, shape by
-        shape, with inner edges as positions in the listing and edges that
-        leave it as ("n", nid).  The root has the least signature (shape,
-        child nids with -1 for an inner child) of those that occur once, as
-        in the copy.  A hit maps the other classes by walking both
-        components in step; a miss makes the nodes and stores the key, so a
-        component of k new classes costs O(k) in keys.  With no unique
-        signature every class is keyed, O(k^2), as the copy's were, and the
-        first class's key decides.
+        reaches merges every class bisimilar to one of those nodes; the
+        component is strongly connected, so either every class merges or
+        none does.  Any other existing node bisimilar to a class lies on a
+        cycle that the class does not reach; its component is then a copy
+        of the remaining classes, with the same children outside it.  Those
+        children reach the same existing nodes, so the copy's refinement met
+        the same bisimulation classes and numbered them with the same
+        blocks.  The component is therefore looked up by one key, its new
+        classes in block order, each as its shape and then its children's
+        blocks, an existing child as ~nid; the key maps to the component's
+        nodes in the same order.  A miss makes the nodes in the order of
+        their first draft.
         """
         k = len(scc)
         unit = {d: u for u, d in enumerate(scc)}
@@ -405,52 +409,17 @@ class NodeStore:
         block = _refine(shapes, children)
 
         image = {block[u]: existing[u] for u in range(k, len(existing))}
-        rep = {}                   # block of no existing node -> one unit
+        rep = {}                   # block of no existing node -> its first unit
         for u in range(k):
             if block[u] not in image:
                 rep.setdefault(block[u], u)
         if rep:
             kids_of = {b: [block[c] for c in children[u]] for b, u in rep.items()}
-
-            def listing(root):
-                pos = {root: 0}
-                seq = [root]
-                key = []
-                for b in seq:
-                    key.append(shapes[rep[b]])
-                    for c in kids_of[b]:
-                        if c not in rep:
-                            key.append(("n", image[c].nid))
-                            continue
-                        if c not in pos:
-                            pos[c] = len(seq)
-                            seq.append(c)
-                        key.append(pos[c])
-                return tuple(key)
-
-            roots = rep            # a lone class is its own root
-            if len(rep) > 1:
-                sig = {}
-                shared = {}        # signature -> whether two classes have it
-                for b, u in rep.items():
-                    s = sig[b] = (shapes[u], tuple([-1 if c in rep else image[c].nid
-                                                    for c in kids_of[b]]))
-                    shared[s] = s in shared
-                unique = [(s, b) for b, s in sig.items() if not shared[s]]
-                if unique:
-                    roots = [min(unique)[1]]
-            keys = {b: listing(b) for b in roots}
-            root = next(iter(keys))
-            hit = self._cycles.get(keys[root])
-            if hit is not None:    # map the classes onto hit's component in step
-                image[root] = hit
-                seq = [root]
-                for b in seq:
-                    for c, (_, n) in zip(kids_of[b], image[b].branches):
-                        if c not in image:
-                            image[c] = n
-                            seq.append(c)
-            else:
+            order = sorted(rep)
+            key = tuple([(shapes[rep[b]], *[c if c in rep else ~image[c].nid
+                                            for c in kids_of[b]]) for b in order])
+            nodes = self._cycles.get(key)
+            if nodes is None:
                 names = _participants_of(
                     [n for b in rep for n in shapes[rep[b]][1:-1]],
                     [image[c] for b in rep for c in kids_of[b] if c not in rep])
@@ -461,8 +430,8 @@ class NodeStore:
                     kids = [image[c] for c in kids_of[b]]
                     node.branches = tuple(zip(node.shape[-1], kids))
                     self._cons[(node.shape, tuple([c.nid for c in kids]))] = node
-                for b, key in keys.items():
-                    self._cycles[key] = image[b]
+                nodes = self._cycles[key] = tuple([image[b] for b in order])
+            image.update(zip(order, nodes))
         for u, d in enumerate(scc):
             done[d] = image[block[u]]
 

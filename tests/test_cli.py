@@ -36,6 +36,22 @@ def test_check_unbounded_depth(cx, capsys):
     assert "depth(r)=inf" in out and "not well-formed" in out
 
 
+@pytest.mark.parametrize("text, depth_r", [
+    # a label named `depth`
+    ("p -> q : {depth . r -> q : x . end, b . r -> q : y . end}", "1"),
+    # r's depth is unbounded and its projection undefined
+    ("rec X . p -> q : {a . X, b . r -> q : x . end, c . r -> q : y . end}", "inf"),
+], ids=["label-named-depth", "unbounded-and-undefined"])
+def test_check_prints_every_projection_failure(tmp_path, capsys, text, depth_r):
+    gt = tmp_path / "g.gt"
+    gt.write_text(text)
+    code, out = run(capsys, "check", str(gt))
+    assert code == 1
+    lines = out.splitlines()
+    assert f"depth(r)={depth_r}" in lines and lines[-1] == "not well-formed"
+    assert lines[-2].startswith("projection onto r fails: UnequalContinuations: ")
+
+
 def test_check_json(cx, capsys):
     code, out = run(capsys, "check", str(cx.path("relay.gt")), "--json")
     assert code == 0

@@ -433,14 +433,30 @@ def test_long_cycle_with_distinct_labels(store):
     nodes = cycle(0)
     assert len({n.nid for n in nodes}) == n
     assert node_branch(nodes[-1], f"l{n - 1}") is nodes[0]
-    # every signature is unique, so the component is stored under one key
-    # of O(n) entries, not one key per class
+    # the component is stored under one key of O(n) entries, not one key
+    # per class
     assert len(store._cycles) == 1
     assert sum(len(key) for key in store._cycles) <= 2 * n
     rotated = cycle(7)
     assert rotated == nodes[7:] + nodes[:7]
     assert len(store._cycles) == 1
     assert store.adopt(NodeStore().adopt(nodes[3])) is nodes[3]
+
+
+def test_long_cycle_with_no_unique_signature(store):
+    # the primitive word (!q)^(k-4) ?q ?q !r !r: every shape occurs at least
+    # twice, and the whole ring is still stored under one key of O(k)
+    # entries, onto which a rotated copy maps
+    k = 1000
+    word = [("!", "q")] * (k - 4) + [("?", "q")] * 2 + [("!", "r")] * 2
+    b, drafts = _ring(store, word, [None] * k)
+    nodes = b.intern(drafts)
+    assert len(set(nodes)) == k
+    assert len(store._cycles) == 1
+    assert sum(len(key) for key in store._cycles) <= 2 * k
+    b, drafts = _ring(store, word[5:] + word[:5], [None] * k)
+    assert b.intern(drafts) == nodes[5:] + nodes[:5]
+    assert len(store._cycles) == 1
 
 
 def _ring(store, word, exits):
@@ -481,9 +497,9 @@ def _copy_in_a_second_batch(rng, store, nodes):
 
 def test_component_folds_onto_a_copy_it_cannot_reach(store):
     # random rings, their exits to `end` or to nodes of earlier rings: each
-    # minimal ring is stored under one key when some signature is unique
-    # and under one key per class otherwise; a copy interned later, which
-    # cannot reach the ring, maps every class onto the ring's nodes
+    # minimal ring is stored under one key, whether or not some signature
+    # is unique; a copy interned later, which cannot reach the ring, maps
+    # every class onto the ring's nodes
     rng = random.Random(21)
     pool = [store.end_process]
     cases = {True: 0, False: 0}
@@ -500,7 +516,7 @@ def test_component_folds_onto_a_copy_it_cannot_reach(store):
             assert store._count - count == len(ring)
             sigs = _signatures(ring)
             unique = any(sigs.count(s) == 1 for s in sigs)
-            assert len(store._cycles) - keys == (1 if unique else len(ring))
+            assert len(store._cycles) - keys == 1
             cases[unique] += 1
         assert _copy_in_a_second_batch(rng, store, ring) == ring
         pool.append(rng.choice(ring))
@@ -511,9 +527,10 @@ def test_component_folds_onto_a_copy_it_cannot_reach(store):
             assert not _naive_bisimilar(a, b), (a, b)
 
 
-def test_component_with_no_unique_signature_keys_every_class(store):
+def test_component_with_no_unique_signature_gets_one_key(store):
     # rings whose shape words are primitive and use each letter at least
-    # twice: minimal, with no unique signature, so every class gets a key
+    # twice: minimal, with no unique signature, and still stored under one
+    # key
     rng = random.Random(22)
     made = 0
     while made < 40:
@@ -529,7 +546,7 @@ def test_component_with_no_unique_signature_keys_every_class(store):
             continue           # a rotation of a ring made earlier
         made += 1
         assert len(set(ring)) == k
-        assert len(store._cycles) - keys == k
+        assert len(store._cycles) - keys == 1
         for i, a in enumerate(ring):
             for c in ring[i + 1:]:
                 assert not _naive_bisimilar(a, c)
