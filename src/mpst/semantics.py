@@ -285,7 +285,7 @@ class StateGraph:
         return "\n".join(lines) + "\n"
 
 
-def explore(M, bound=None):
+def explore(M):
     """Reachability closure of rule comm over canonical states.
 
     The participants of the normalized initial session fix one order, and a
@@ -295,11 +295,10 @@ def explore(M, bound=None):
     states exactly as keying them by their (participant, nid) pairs would.
     States are numbered breadth first, each distinct state is built once,
     and the moves of each (position, process, peer's process) are derived
-    once.  Raises StateSpaceBoundExceeded as soon as more than `bound`
-    states are found.
+    once.  Raises StateSpaceBoundExceeded as soon as more than
+    MPST_STATE_BOUND states are found.
     """
-    if bound is None:
-        bound = _env_state_bound()
+    bound = _env_state_bound()
     init = normalize_session(M)
     names = init.participants
     at = {p: k for k, p in enumerate(names)}
@@ -372,7 +371,7 @@ class LockReport:
         }
 
 
-def lock_free(M, bound=None):
+def lock_free(M):
     """Exact check of the two lock-freedom conditions on the state graph.
 
     (a) every reachable state is all-terminated or can step; (b) whenever a
@@ -390,7 +389,7 @@ def lock_free(M, bound=None):
     state, least first, so the witness is the least starving participant at
     the first state where it starves.
     """
-    graph = explore(M, bound)
+    graph = explore(M)
     states = graph.states
     n = len(states)
     size = {"states": n, "edges": len(graph.edges)}

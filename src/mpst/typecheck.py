@@ -10,8 +10,11 @@ with pairwise-disjoint label sets (combined into a single input).
 The merge is computed corecursively over the global graph.  One
 `GraphBuilder.unfold` gives each global node a draft and fills those of the
 output and input clauses; the merges are then decided children first, each
-once the drafts of its branches are filled, and merges that wait on one
-another in a cycle are resolved last.  Decisions that assume two in-flight
+once the drafts of its branches are filled, in the order that sweeping the
+pending merges in list order would decide them.  One sweep and one ordering
+pass stand in for the repeated sweeps, so a chain of merges that each wait
+on a later one costs no sweep per merge.  Merges that wait on one another
+in a cycle are resolved last.  Decisions that assume two in-flight
 projections equal are verified once the whole run is interned, where equal
 means identical.
 """
@@ -249,6 +252,27 @@ def _project_run(store, root, p):
                f"branches of {g!r} project onto {p!r} as inputs whose label sets "
                f"overlap without being equal")
 
+    def settle(cells):
+        """Decide every cell that list-order sweeps would decide before
+        stalling, in the order they would, and return the rest in list
+        order.  One sweep settles the common case; after it, a cell's sweep
+        is the first one in which each cell it waits on is decided, in an
+        earlier sweep or earlier in this one, and a cell waiting on a cycle
+        stays pending."""
+        rest = [cell for cell in cells if not decide(cell)]
+        if not rest or len(rest) == len(cells):
+            return rest
+        index = {cell[1]: i for i, cell in enumerate(rest)}
+        waits = [[index[m] for m in cell[2] if m in index] for cell in rest]
+        sweep = {}   # cell position -> sweep number, for the cells decided
+        for scc in _sccs(range(len(rest)), waits.__getitem__):
+            i = scc[0]
+            if len(scc) == 1 and all(j in sweep for j in waits[i]):
+                sweep[i] = max((sweep[j] + (j > i) for j in waits[i]), default=0)
+        for i in sorted(sweep, key=lambda i: (sweep[i], i)):
+            decide(rest[i])
+        return [cell for i, cell in enumerate(rest) if i not in sweep]
+
     value = b.unfold([root], expand)
     drafts = [(g, d) for g, d in value.items() if d.__class__ is int]
     pending = []   # the merges, children first: (node, draft, members, had_self)
@@ -264,9 +288,9 @@ def _project_run(store, root, p):
                 members.remove(d)
             pending.append((g, d, members, had_self))
     while pending:
-        rest = [cell for cell in pending if not decide(cell)]
-        if len(rest) == len(pending):
-            # The remaining merges wait on one another in a cycle.  A cyclic
+        rest = settle(pending)
+        if rest:
+            # The remaining merges wait on a cycle of merges.  A cyclic
             # union has no consistent label set, so the only reading left is
             # that each such merge equals its members; pick the first member
             # whose shape is known and leave the equalities to the checks.
@@ -277,9 +301,10 @@ def _project_run(store, root, p):
                 if known:
                     b.fill_copy(d, known[0])
                     checks.extend((g, known[0], m) for m in members if m != known[0])
-            rest = [cell for cell in rest if b.shape_of(cell[1]) is None]
-            if len(rest) == len(pending):
+            still = [cell for cell in rest if b.shape_of(cell[1]) is None]
+            if len(still) == len(rest):
                 raise AssertionError("merge cycle with no resolved member")
+            rest = still
         pending = rest
 
     targets = [d for _, d in drafts]

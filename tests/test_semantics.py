@@ -168,26 +168,24 @@ def test_explore_state_count_bounded_by_node_product(cx):
         assert len(graph.states) <= max(product, 1)
 
 
-def test_explore_honors_bound(cx):
-    with pytest.raises(StateSpaceBoundExceeded):
-        explore(cx.sess("right.sess"), bound=2)
-
-
 def test_explore_reads_bound_from_environment(cx, monkeypatch):
     monkeypatch.setenv("MPST_STATE_BOUND", "2")
     with pytest.raises(StateSpaceBoundExceeded):
         explore(cx.sess("right.sess"))
 
 
-def test_explore_bound_counts_discovered_states(cx):
+def test_explore_bound_counts_discovered_states(cx, monkeypatch):
     for name in cx.names(".sess"):
         M = cx.sess(name)
+        monkeypatch.delenv("MPST_STATE_BOUND", raising=False)
         n = len(explore(M).states)
-        assert len(explore(M, bound=n).states) == n
+        monkeypatch.setenv("MPST_STATE_BOUND", str(n))
+        assert len(explore(M).states) == n
         if n == 1:
             continue
+        monkeypatch.setenv("MPST_STATE_BOUND", str(n - 1))
         with pytest.raises(StateSpaceBoundExceeded) as info:
-            explore(M, bound=n - 1)
+            explore(M)
         assert info.value.states == n and info.value.bound == n - 1
         assert f"found more than {n - 1} states" in str(info.value)
 

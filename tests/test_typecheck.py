@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mpst.core import NodeStore, PEnd, Session, bisimilar
+from mpst.core import GraphBuilder, NodeStore, PEnd, Session, bisimilar
 from mpst.parser import parse_global, parse_process, print_process
 from mpst.typecheck import (DepthValue, IllFormedGlobalType, Mode,
                             ProjectionError, ProjectionErrorKind, depth, leq,
@@ -136,6 +136,31 @@ def test_projection_rejects_contradictory_merge_cycle(store):
     """, store=store)
     err = project(G, "h")
     assert isinstance(err, ProjectionError)
+
+
+def _merge_chain(k, last="x"):
+    """k merges for p, each waiting on the next, the last on itself."""
+    eqs = [f"let M{i} = q -> r : {{a{i} . p -> q : x . M{i - 1 if i > 1 else k}, "
+           f"b{i} . {f'p -> q : {last} . M{k}' if i == k else f'M{i + 1}'}}}\n"
+           for i in range(1, k + 1)]
+    return "".join(eqs) + "M1\n"
+
+
+def test_projection_decides_a_merge_chain_in_linear_work(store, monkeypatch):
+    # Each merge waits on the next one, which a list-order sweep of the
+    # pending merges meets one sweep later: k sweeps, k^2/2 shape reads.
+    reads = []
+    shape_of = GraphBuilder.shape_of
+    monkeypatch.setattr(GraphBuilder, "shape_of",
+                        lambda b, target: reads.append(1) or shape_of(b, target))
+    k = 300
+    G = parse_global(_merge_chain(k), store=store)
+    assert project(G, "p") is parse_process("rec X . q!x . X", store=store)
+    assert len(reads) <= 10 * k
+    # the failing merge named is the one the sweeps meet first: Mk
+    err = project(parse_global(_merge_chain(k, last="y"), store=store), "p")
+    assert err.kind is ProjectionErrorKind.UnequalContinuations
+    assert [label for label, _ in err.node.branches] == [f"a{k}", f"b{k}"]
 
 
 def test_projection_never_crashes_on_arbitrary_types(store):
