@@ -4,7 +4,8 @@ Every analysis is exposed as a batch subcommand.  Exit codes follow one
 convention throughout: 0 means the property holds (or the command simply
 succeeded), 1 means the input was understood but the answer is negative,
 and 2 means the input itself was bad (parse failure, ill-formed type,
-violated precondition, exploration bound).
+violated precondition such as a `--via` name its session does not bind,
+exploration bound).
 
 Each subcommand is declared once, in the command table `_build_parser`,
 with its arguments and its handler.  `main` makes the command's one
@@ -125,6 +126,9 @@ def cmd_compose(args, store):
     M = _parse(parse_session, args.left, store)
     M2 = _parse(parse_session, args.right, store)
     h, k = args.via
+    for name, session, path in ((h, M, args.left), (k, M2, args.right)):
+        if name not in session:
+            raise InputProblem(f"{path}: --via names {name!r}, which the session does not bind")
     if (args.left_type is None) != (args.right_type is None):
         raise InputProblem("--left-type and --right-type must be given together")
     out = args.out
@@ -141,7 +145,11 @@ def cmd_compose(args, store):
         report = verify_connection(M, G, M2, G2, h, k)
     except IncompatibleSessions as exc:
         return CommandOutcome(1, str(exc))
-    except (ValueError, IllFormedGlobalType, NoClauseApplies) as exc:
+    except IllFormedGlobalType as exc:  # the composed type is in no file
+        path = (args.left_type if exc.global_type is G
+                else args.right_type if exc.global_type is G2 else None)
+        raise InputProblem(f"{path}: {exc}" if path else str(exc)) from exc
+    except (ValueError, NoClauseApplies) as exc:
         raise InputProblem(str(exc)) from exc
     session, global_type = print_session(report.composed_session), print_global(report.composed_global)
     data = report.to_json()

@@ -7,24 +7,24 @@ are bisimilar exactly when they are the same object, and all the structural
 algorithms in the package lean on that identity.
 
 Interning rests on one fact: the nodes already in a store are canonical.  A
-batch of draft nodes is resolved children first, by one depth-first search
-from its roots that resolves each draft in post-order.  An acyclic draft then
-has canonical children, so it is bisimilar to an existing node exactly when
-that node has the same shape and the same child nids; one store-wide table
-maps (shape, child nids) to its node (hash-consing after Filliatre and
-Conchon, 2006), in O(1) per draft.  Only a batch whose search meets a cycle
-pays for Tarjan's pass: the drafts not yet resolved are split into strongly
-connected components, still children first.  A cyclic component is minimised
-by partition refinement together with the existing nodes it reaches, which
-merges each class bisimilar to one of those.  Each refinement round numbers
-its blocks by the rank of their signature among the sorted distinct
-signatures, so a block id depends only on which bisimulation classes occur
-among the units.  A component that does not merge is looked up by one key:
-its new classes in block order, each with its shape and its children's
-blocks, a child outside the component by its nid.  An isomorphic copy already
-in the store has the same children outside it, so its refinement met the same
-classes and gave them the same blocks: the same key.  Nothing recurses on
-the size of a term, and only a cyclic component walks the nodes below it.
+batch of draft nodes is resolved children first, one strongly connected
+component at a time, by one depth-first search from its roots that keeps
+Tarjan's lowlinks (Tarjan, 1972).  A draft that is its own component and has
+no edge to itself then has canonical children, so it is bisimilar to an
+existing node exactly when that node has the same shape and the same child
+nids; one store-wide table maps (shape, child nids) to its node (hash-consing
+after Filliatre and Conchon, 2006), in O(1) per draft.  Any other component
+is cyclic: it is minimised by partition refinement together with the
+existing nodes it reaches, which merges each class bisimilar to one of
+those.  Each refinement round numbers its blocks by the rank of their
+signature among the sorted distinct signatures, so a block id depends only
+on which bisimulation classes occur among the units.  A component that does
+not merge is looked up by one key: its new classes in block order, each with
+its shape and its children's blocks, a child outside the component by its
+nid.  An isomorphic copy already in the store has the same children outside
+it, so its refinement met the same classes and gave them the same blocks:
+the same key.  Nothing recurses on the size of a term, and only a cyclic
+component walks the nodes below it.
 
 Every node keeps its shape, the half of its hash-cons key that is not child
 nids: ("pend", ()), ("gend", ()), ("pin" | "pout", peer, labels) or ("gcomm",
@@ -295,53 +295,50 @@ class NodeStore:
         references.
 
         Nodes of the store are canonical already, so drafts are resolved
-        children first.  An acyclic draft then has canonical children and is
-        bisimilar to an existing node exactly when that node has the same
-        shape and child nids: one lookup in the hash-cons table.  One
-        depth-first search from the roots resolves each draft that way as it
-        finishes, in post-order.  Only when the search meets a draft still on
-        its own path, a cycle, does it stop: the drafts not yet resolved are
-        then split into strongly connected components (`_sccs`), and a
-        cyclic component goes through `_intern_cycle`.  Either way the nodes
-        are made in the order Tarjan's pass would give.
+        children first, one strongly connected component at a time, by one
+        depth-first search from the roots that keeps Tarjan's lowlinks.  A
+        draft that is not the first of its component waits on a stack with
+        its discovery index (Pearce, 2016), so an acyclic draft costs what a
+        post-order search costs: alone in its component and with no edge to
+        itself, it is bisimilar to an existing node exactly when that node
+        has the same shape and child nids, one lookup in the hash-cons
+        table.  Any other component goes through `_intern_cycle`, listed as
+        `_sccs` lists it: by discovery index, last first.
         """
-        done = {}                  # draft -> its node; None while on the path
-        frames = [(None, iter(roots))]
+        done = {}        # draft -> its lowlink while unresolved, then its node
+        waiting = []     # (index, draft) of finished drafts in an open component
+        cyclic = set()   # drafts with an edge to an unresolved draft
+        frames = [(None, 0, iter(roots))]
         while frames:
-            d, it = frames[-1]
+            d, i, it = frames[-1]
             for t in it:
                 if t.__class__ is int:
                     if t not in done:
-                        done[t] = None
-                        frames.append((t, iter(_filled(drafts, t)[1])))
+                        done[t] = i = len(done)
+                        frames.append((t, i, iter(_filled(drafts, t)[1])))
                         break
-                    if done[t] is None:
-                        return self._intern_sccs(drafts, roots, done)
+                    low = done[t]
+                    if low.__class__ is int:      # t is unresolved: a cycle
+                        done[d] = min(done[d], low)
+                        cyclic.add(d)
             else:
                 frames.pop()
-                if frames:
+                if not frames:
+                    break
+                low = done[d]
+                if low < i:
+                    waiting.append((i, d))
+                    parent = frames[-1][0]
+                    done[parent] = min(done[parent], low)
+                elif (waiting and waiting[-1][0] > i) or d in cyclic:
+                    j = len(waiting)
+                    while j and waiting[j - 1][0] > i:
+                        j -= 1
+                    scc = [w for _, w in sorted(waiting[j:], reverse=True)] + [d]
+                    del waiting[j:]
+                    self._intern_cycle(drafts, scc, done)
+                else:
                     done[d] = self._cons_node(*drafts[d], done)
-        return [done[t] if t.__class__ is int else t for t in roots]
-
-    def _intern_sccs(self, drafts, roots, done):
-        """Finish `_intern` after its search met a cycle: the drafts it left
-        on its path (None in `done`) and those it never reached are resolved
-        one strongly connected component at a time, children first."""
-        for d in [d for d, node in done.items() if node is None]:
-            del done[d]
-
-        def succ(d):
-            return [t for t in _filled(drafts, d)[1]
-                    if t.__class__ is int and t not in done]
-
-        starts = [t for t in roots if t.__class__ is int and t not in done]
-        for scc in _sccs(starts, succ):
-            d = scc[0]
-            shape, refs = drafts[d]
-            if len(scc) > 1 or d in refs:
-                self._intern_cycle(drafts, scc, done)
-                continue
-            done[d] = self._cons_node(shape, refs, done)
         return [done[t] if t.__class__ is int else t for t in roots]
 
     def _cons_node(self, shape, refs, done):

@@ -214,6 +214,18 @@ def test_compose_half_typed_is_usage_error(cx, capsys, tmp_path, monkeypatch):
     assert code == 2
 
 
+def test_compose_names_the_ill_formed_left_type(cx, capsys, tmp_path, monkeypatch):
+    # the right-hand case is in the golden snapshot
+    monkeypatch.chdir(tmp_path)
+    bad = str(cx.path("unbounded.gt"))
+    code, out = run(capsys, "compose",
+                    "--left", str(cx.path("relay.sess")),
+                    "--right", str(cx.path("right.sess")), "--via", "h,k",
+                    "--left-type", bad, "--right-type", str(cx.path("right.gt")))
+    assert code == 2
+    assert out == f"{bad}: global type is not well formed (offending: r)\n"
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

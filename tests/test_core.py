@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -332,29 +333,36 @@ def test_every_node_keeps_its_hash_cons_shape(cx):
                     setattr(n, field, "x")
 
 
-def _spy_sccs(monkeypatch):
-    """Record the vertices whose successors `core._sccs` asks for."""
-    asked = []
-    sccs = mpst.core._sccs
+def test_node_ids_are_stable(cx):
+    # the nids a store hands out are part of its behaviour: a change to the
+    # interning search must make the same nodes, with the same ids, in the
+    # same order
+    store = NodeStore()
+    for suffix, parse in ((".proc", parse_process), (".gt", parse_global),
+                          (".sess", parse_session)):
+        for name in cx.names(suffix):
+            parse(cx.text(name), store=store, filename=name)
+    rng = random.Random(5)
+    for proc in (True, False):
+        pool = [store.end_process if proc else store.end_global]
+        for _ in range(300):
+            pool.extend(_random_drafts(rng, store, pool, proc))
+    for _ in range(300):
+        randgen.random_process(rng, store)
+        randgen.random_global(rng, store)
+    for _ in range(200):
+        randgen.compatible_global_pair(rng, store)
+    digest = hashlib.sha256()
+    for n in sorted(store._cons.values(), key=lambda n: n.nid):
+        digest.update(repr((n.nid, n.shape, [c.nid for _, c in n.branches],
+                            sorted(n._participants))).encode())
+    assert (store._count, len(store._cycles)) == (6411, 787)
+    assert digest.hexdigest() == (
+        "3bfc29bc2e0fc3d3ef3dd3503351c1fbfc676513caeaafdc32efac69ad69205b")
 
-    def spy(starts, succ):
-        return sccs(starts, lambda v: asked.append(v) or succ(v))
 
-    monkeypatch.setattr(mpst.core, "_sccs", spy)
-    return asked
-
-
-def test_acyclic_batch_runs_no_scc_pass(store, monkeypatch):
-    asked = _spy_sccs(monkeypatch)
-    G = parse_global("p -> q : {a . q -> r : c . end, b . r -> p : d . end}",
-                     store=store)
-    assert asked == []
-    assert participants(G) == frozenset("pqr")
-
-
-def test_search_keeps_drafts_it_finished_before_a_cycle(store, monkeypatch):
+def test_search_keeps_drafts_it_finished_before_a_cycle(store):
     # the search finishes the acyclic branch `a`, then meets the cycle in `b`
-    asked = _spy_sccs(monkeypatch)
     b = store.builder()
     top = b.reserve()
     tail = b.add_out("q", [("c", store.end_process)])
@@ -362,11 +370,10 @@ def test_search_keeps_drafts_it_finished_before_a_cycle(store, monkeypatch):
     loop = b.add_out("p", [("e", top)])
     b.fill_out(top, "p", [("a", chain), ("b", loop)])
     got = _intern_checked(b, [top, chain, loop])
-    assert sorted(asked) == [top, loop]
     assert got[0] is parse_process("rec X . p!{a . q?d . q!c . 0, b . p!e . X}",
                                    store=store)
     assert got[1] is parse_process("q?d . q!c . 0", store=store)
-    assert got[1].nid < got[0].nid  # children first, as Tarjan's pass orders them
+    assert got[1].nid < got[0].nid  # children first, as Tarjan's search orders them
 
 
 @pytest.mark.parametrize("cyclic", [False, True], ids=["acyclic", "after-cycle"])
@@ -374,7 +381,7 @@ def test_unfilled_draft_is_an_error(store, cyclic):
     b = store.builder()
     hole = b.reserve()
     if cyclic:
-        # the search meets the self-loop first, so Tarjan's pass finds the hole
+        # the search meets the self-loop before it reaches the hole
         top = b.reserve()
         b.fill_out(top, "p", [("a", top), ("b", hole)])
     else:
@@ -417,6 +424,34 @@ def test_incremental_interning_has_no_depth_limit(store):
     for _ in range(10 ** 4 - 3):
         H = store.comm("p", "q", [("l", H)])
     assert H is G
+
+
+def test_one_batch_has_no_depth_limit(store):
+    # a ring of n classes, one of which leads to a chain of n drafts: the
+    # search goes round the ring, then down the chain while the ring is
+    # still open; a second root enters the ring half way
+    n = 10 ** 4
+    b = store.builder()
+    ring = [b.reserve() for _ in range(n)]
+    chain = [b.reserve() for _ in range(n)]
+    for j, d in enumerate(chain):
+        b.fill_out(d, "q", [(f"c{j}", chain[j + 1] if j + 1 < n else store.end_process)])
+    for k, d in enumerate(ring):
+        exits = [("z", chain[0])] if k == 0 else []
+        b.fill_out(d, "q", [(f"l{k}", ring[(k + 1) % n])] + exits)
+    top, half = b.intern([ring[0], ring[n // 2]])
+    nodes = [top]
+    while len(nodes) < n:
+        nodes.append(node_branch(nodes[-1], f"l{len(nodes) - 1}"))
+    assert nodes[n // 2] is half and node_branch(nodes[-1], f"l{n - 1}") is top
+    assert len(set(nodes)) == n
+    assert len(store._cycles) == 1
+    links = [node_branch(top, "z")]
+    while len(links) < n:
+        links.append(node_branch(links[-1], f"c{len(links) - 1}"))
+    nids = [c.nid for c in links]
+    assert nids == sorted(nids, reverse=True)     # children first
+    assert nids[0] < min(c.nid for c in nodes)
 
 
 def test_long_cycle_with_distinct_labels(store):
