@@ -130,14 +130,26 @@ def session_step(M, action):
 # every branch.  Derivations are finite, so a premise that loops back to a
 # judgment already under consideration fails.
 
+def _fires(g, action):
+    """Rule ecomm: does `action` fire g's root communication?"""
+    return (not isinstance(g, GEnd) and g.sender == action.sender
+            and g.receiver == action.receiver and action.label in node_labels(g))
+
+
 def _can_step(G, action, memo):
     """Is `action` derivable at G?  Decided for each node a derivation would
     pass through, one strongly connected component at a time, children
-    first: such a node on a cycle has no finite derivation.  `memo` maps
-    (nid, action) to the verdicts decided so far; the caller owns it."""
+    first: such a node on a cycle has no finite derivation.  A root that
+    involves the action's participants is decided by rule ecomm alone.
+    `memo` maps (nid, action) to the verdicts decided so far; the caller
+    owns it."""
     def passes(g):
         return not (isinstance(g, GEnd) or action.involves(g.sender)
                     or action.involves(g.receiver))
+
+    if not passes(G):
+        res = memo[(G.nid, action)] = _fires(G, action)
+        return res
 
     def succ(g):
         return [c for _, c in g.branches] if (g.nid, action) not in memo and passes(g) else ()
@@ -150,20 +162,22 @@ def _can_step(G, action, memo):
             res = len(scc) == 1 and all(c is not g and memo[(c.nid, action)]
                                         for _, c in g.branches)
         else:
-            res = (not isinstance(g, GEnd) and g.sender == action.sender
-                   and g.receiver == action.receiver and action.label in node_labels(g))
+            res = _fires(g, action)
         for g in scc:
             memo[(g.nid, action)] = res
     return memo[(G.nid, action)]
 
 
 def _do_step(G, action):
-    """G after `action` fires wherever `_can_step` derived it."""
+    """G after `action` fires wherever `_can_step` derived it: the chosen
+    branch when it fires at G itself, else a type rebuilt below G."""
     def expand(g):
         if g.sender == action.sender and g.receiver == action.receiver:
             return node_branch(g, action.label)
         return _split(g)
 
+    if G.sender == action.sender and G.receiver == action.receiver:
+        return expand(G)
     b = G.store.builder()
     return b.intern([b.unfold([G], expand)[G]])[0]
 

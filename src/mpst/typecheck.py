@@ -156,11 +156,13 @@ class _Reject(Exception):
 
 def project(G, p):
     """Process the participant must run to follow G, or a ProjectionError."""
-    check_ident(p, "participant")
     cache = G.store.memo("project")
-    hit = cache.get((G.nid, p))
+    # Every key of the memo names a checked participant, so only a miss
+    # needs the name checked.
+    hit = cache.get((G.nid, p)) if isinstance(p, str) else None
     if hit is not None:
         return hit
+    check_ident(p, "participant")
     try:
         return _project_run(G.store, G, p)
     except _Reject as r:
@@ -441,22 +443,27 @@ def typecheck(M, G, mode=Mode.Standard, require_wf=True):
     when some projection is undefined or some depth unbounded.  Stepping a
     well-formed type can unbound the depth of a participant involved in the
     step while keeping every projection defined, so checks that follow
-    reductions pass require_wf=False to relax the depth half only.
+    reductions pass require_wf=False to relax the depth half only.  That
+    check reads only the projections; it computes depths, through
+    `well_formed`, only for the report of an undefined projection.
     """
     if not isinstance(M, Session):
         raise TypeError(f"expected a Session, got {M!r}")
-    wf = well_formed(G)
-    if not wf.ok:
-        undefined = any(isinstance(v, ProjectionError)
-                        for v in wf.projections.values())
-        if require_wf or undefined:
+    if require_wf:
+        wf = well_formed(G)
+        if not wf.ok:
             raise IllFormedGlobalType(G, wf)
+        projections = wf.projections
+    else:
+        projections = {p: project(G, p) for p in sorted(participants(G))}
+        if any(isinstance(v, ProjectionError) for v in projections.values()):
+            raise IllFormedGlobalType(G, well_formed(G))
     rel = leq if mode is Mode.Standard else leq_plus
     end = G.store.end_process
     failures = []
     for p, P in M.items():
-        expected = wf.projections.get(p, end)
+        expected = projections.get(p, end)
         if not rel(P, expected):
             failures.append((p, expected, P))
-    missing = [p for p in wf.depths if p not in M]
+    missing = [p for p in projections if p not in M]
     return TypingReport(not failures and not missing, failures, missing, mode)

@@ -1,3 +1,4 @@
+import importlib
 import os
 import random
 from collections import deque
@@ -5,16 +6,17 @@ from collections import deque
 import pytest
 
 import mpst.semantics
-from mpst.core import (GEnd, NodeStore, PEnd, PIn, POut, Session,
+from mpst.core import (GEnd, NodeStore, PEnd, PIn, POut, Session, _split,
                        node_branch, node_labels, normalize_session)
 from mpst.parser import (parse_global, parse_process, parse_session,
                          print_global, print_session)
-from mpst.semantics import (CommAction, LockReport, StateSpaceBoundExceeded,
-                            explore, fidelity_harness,
+from mpst.semantics import (CommAction, FidelityVerdict, LockReport,
+                            StateSpaceBoundExceeded, explore, fidelity_harness,
                             global_enabled, global_step, lock_free,
                             session_enabled, session_step, simulate,
                             standard_witness)
-from mpst.typecheck import Mode, typecheck
+from mpst.typecheck import (IllFormedGlobalType, Mode, ProjectionError,
+                            TypingReport, leq, leq_plus, typecheck, well_formed)
 
 import randgen
 from oracles import ref_can_step, ref_do_step
@@ -554,6 +556,156 @@ def test_fidelity_harness_stops_at_the_state_bound(store, monkeypatch):
         fidelity_harness(M, G)
     assert (exc.value.states, exc.value.bound) == (51, 50)
     assert len(calls) <= 51
+
+
+def test_fidelity_harness_computes_depths_only_for_its_entry_check(monkeypatch):
+    # a 64-step relay; each step is checked by the relaxed typecheck, which
+    # reads only projections
+    store = NodeStore()
+    roles = ("p", "q", "r")
+    G = parse_global(" . ".join(f"{roles[i % 3]} -> {roles[(i + 1) % 3]} : l"
+                                for i in range(64)) + " . end", store=store)
+    M = randgen.self_projection(store, G)
+    tc = importlib.import_module("mpst.typecheck")  # the package exports a function by that name
+    depth_raw = tc._depth_raw
+    calls = []
+
+    def counted(g, p):
+        calls.append((g, p))
+        return depth_raw(g, p)
+
+    monkeypatch.setattr(tc, "_depth_raw", counted)
+    verdict = fidelity_harness(M, G)
+    assert verdict.ok and verdict.visited == 65
+    assert sorted(calls, key=lambda c: c[1]) == [(G, p) for p in roles]
+
+
+# ---------------------------------------------------------------------------
+# Reference harness: the same breadth-first co-exploration over the
+# reference step functions above, checking each successor pair with the
+# relaxed typecheck as it was when it ran `well_formed` on every type.
+
+def _ref_relaxed_typecheck(M, G, mode):
+    wf = well_formed(G)
+    if any(isinstance(v, ProjectionError) for v in wf.projections.values()):
+        raise IllFormedGlobalType(G, wf)
+    rel = leq if mode is Mode.Standard else leq_plus
+    end = G.store.end_process
+    failures = [(p, wf.projections.get(p, end), P) for p, P in M.items()
+                if not rel(P, wf.projections.get(p, end))]
+    missing = [p for p in wf.depths if p not in M]
+    return TypingReport(not failures and not missing, failures, missing, mode)
+
+
+def _ref_fidelity(M, G, mode, bound):
+    if not typecheck(M, G, mode).ok:
+        raise ValueError("not typed")
+
+    def diverge(kind, action, state, g):
+        return FidelityVerdict(False, {"kind": kind, "action": str(action),
+                                       "session": print_session(state) or "0",
+                                       "global": print_global(g)}, len(visited))
+
+    init = normalize_session(M)
+    visited = {(_ref_state_key(init), G.nid)}
+    queue = deque([(init, G)])
+    while queue:
+        state, g = queue.popleft()
+        sa = dict(_ref_session_enabled(state))
+        ga = dict(_ref_global_enabled(g))
+        for action in sorted(set(sa) | set(ga)):
+            if action not in sa:
+                return diverge("global action unmatched by the session", action, state, g)
+            if action not in ga:
+                return diverge("session action unmatched by the global type",
+                               action, state, g)
+            succ, gsucc = normalize_session(sa[action]), ga[action]
+            if not _ref_relaxed_typecheck(succ, gsucc, mode).ok:
+                return diverge("successors no longer typecheck", action, succ, gsucc)
+            key = (_ref_state_key(succ), gsucc.nid)
+            if key not in visited:
+                if len(visited) == bound:
+                    raise StateSpaceBoundExceeded(bound + 1, bound)
+                visited.add(key)
+                queue.append((succ, gsucc))
+    return FidelityVerdict(True, None, len(visited))
+
+
+def _fidelity_outcome(run, M, G, mode):
+    try:
+        verdict = run(M, G, mode)
+    except StateSpaceBoundExceeded as exc:
+        return ("bound", exc.states, exc.bound)
+    except ValueError:
+        return "not typed"
+    return (verdict.ok, verdict.divergence, verdict.visited)
+
+
+def _assert_harnesses_agree(M, G, mode, bound):
+    got = _fidelity_outcome(fidelity_harness, M, G, mode)
+    want = _fidelity_outcome(lambda M, G, mode: _ref_fidelity(M, G, mode, bound),
+                             M, G, mode)
+    assert got == want, (print_session(M), print_global(G), mode)
+    return got
+
+
+def _narrow_outputs(rng, store, P):
+    """A process Q with Q <=+ P: each output keeps a nonempty subset of its
+    branches."""
+    def expand(n):
+        if isinstance(n, PEnd):
+            return n
+        if not isinstance(n, POut):
+            return _split(n)
+        keep = [br for br in n.branches if rng.random() < 0.6] or [n.branches[0]]
+        return ("pout", n.peer, tuple(l for l, _ in keep)), [c for _, c in keep]
+
+    b = store.builder()
+    return b.intern([b.unfold([P], expand)[P]])[0]
+
+
+@pytest.mark.parametrize("sess_name,gt_name", [
+    ("relay.sess", "relay.gt"),
+    ("right.sess", "right.gt"),
+    ("composed.sess", "composed.gt"),
+    ("plus_only.sess", "plus_only.gt"),
+    ("counter_left.sess", "counter_left.gt"),
+    ("counter_right.sess", "counter_right.gt"),
+    ("crossed_left.sess", "crossed_left.gt"),
+    ("crossed_right.sess", "crossed_right.gt"),
+])
+def test_fidelity_matches_the_reference_on_corpus(cx, sess_name, gt_name):
+    for mode in Mode:
+        _assert_harnesses_agree(cx.sess(sess_name), cx.gt(gt_name), mode,
+                                mpst.semantics.DEFAULT_STATE_BOUND)
+
+
+def test_fidelity_matches_the_reference_on_random_pairs(monkeypatch):
+    bound = 200
+    monkeypatch.setenv("MPST_STATE_BOUND", str(bound))
+    rng = random.Random(17)
+    store = NodeStore()
+    # every `q -a-> p` step unrolls the loop once more, so both stop at the bound
+    G = parse_global("rec X . r -> s : b . q -> p : a . X", store=store)
+    assert _assert_harnesses_agree(randgen.self_projection(store, G), G, Mode.Standard,
+                                   bound) == ("bound", bound + 1, bound)
+    kinds = {}
+    pairs = 0
+    while pairs < 300:
+        G = randgen.random_wf_global(rng, store,
+                                     participants=("p", "q", "h", "r")[:rng.randint(2, 4)],
+                                     max_nodes=rng.randint(1, 10))
+        if G is None:
+            continue
+        pairs += 1
+        M = randgen.self_projection(store, G)
+        narrow = M.rebind({p: _narrow_outputs(rng, store, P) for p, P in M.items()})
+        for N, mode in ((M, Mode.Standard), (M, Mode.Plus), (narrow, Mode.Plus)):
+            ok, divergence, _ = _assert_harnesses_agree(N, G, mode, bound)
+            kind = divergence["kind"] if ok is False else ok
+            kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds[True] >= 600 and kinds["bound"] >= 3, kinds
+    assert kinds["global action unmatched by the session"] >= 50, kinds
 
 
 def test_standard_witness_narrows_the_type(cx):

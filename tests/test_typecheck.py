@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mpst.core import GraphBuilder, NodeStore, PEnd, Session, bisimilar
+from mpst.core import GraphBuilder, NodeStore, PEnd, Session, TermError, bisimilar
 from mpst.parser import parse_global, parse_process, print_process
 from mpst.typecheck import (DepthValue, IllFormedGlobalType, Mode,
                             ProjectionError, ProjectionErrorKind, depth, leq,
@@ -108,6 +108,14 @@ def test_projection_error_kinds(store, text, who, kind):
     assert err.kind is kind
     assert who in str(err)
     assert err.to_json()["error"] == kind.value
+
+
+@pytest.mark.parametrize("name", ["", "1p", "end", "p q", None, ["p"]])
+def test_projection_checks_the_name_after_a_memo_hit(cx, name):
+    G = cx.gt("relay.gt")
+    assert project(G, "p") is cx.proc("relay_p.proc")  # G's projections are cached
+    with pytest.raises(TermError):
+        project(G, name)
 
 
 def test_projection_merges_disjoint_inputs(store):
@@ -323,6 +331,33 @@ def test_typing_rejects_ill_formed_type(cx):
     with pytest.raises(IllFormedGlobalType) as info:
         typecheck(cx.sess("relay.sess"), cx.gt("unbounded.gt"))
     assert info.value.report.ok is False
+
+
+def test_relaxed_typing_ignores_unbounded_depth(cx):
+    # every projection of unbounded.gt is defined; only r's depth is unbounded
+    G = cx.gt("unbounded.gt")
+    wf = well_formed(G)
+    assert [p for p, _ in wf.failures()] == ["r"]
+    assert not any(isinstance(v, ProjectionError) for v in wf.projections.values())
+    M = Session({"p": wf.projections["p"],
+                 "q": parse_process("p?l1 . 0", store=cx.store)})
+    with pytest.raises(IllFormedGlobalType):
+        typecheck(M, G)
+    for mode in Mode:
+        report = typecheck(M, G, mode, require_wf=False)
+        assert report.failures == [("q", wf.projections["q"], M["q"])]
+        assert report.missing == ["r"]
+        assert not report.ok and report.mode is mode
+
+
+def test_relaxed_typing_rejects_an_undefined_projection(store):
+    G = parse_global("p -> q : {l1 . r -> s : a . end, l2 . end}", store=store)
+    M = Session({"p": parse_process("q!{l1 . 0, l2 . 0}", store=store)})
+    for require_wf in (True, False):
+        with pytest.raises(IllFormedGlobalType) as info:
+            typecheck(M, G, require_wf=require_wf)
+        assert info.value.report == well_formed(G)
+        assert str(info.value) == "global type is not well formed (offending: r, s)"
 
 
 def test_depth_decrease_under_root_steps(cx):
