@@ -69,12 +69,10 @@ from .semantics import (
     standard_witness,
 )
 from .compose import (
-    CnKey,
     ConnectionReport,
     IncompatibleSessions,
     NoClauseApplies,
     ParticipantCollision,
-    StarMarker,
     compatible,
     compatible_globals,
     compatible_sessions,

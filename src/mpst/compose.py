@@ -135,52 +135,22 @@ def connect_sessions(M, h, M_prime, k):
 # ---------------------------------------------------------------------------
 # Global-type connection.
 
-@dataclass(frozen=True)
-class StarMarker:
-    """Routing state threaded through the connection clauses.
-
-    "hash" means any interaction may come next; "fwd" (resp. "bwd") means the
-    first (resp. second) forwarder owes the other a delivery of `label`.
-    """
-    kind: str
-    label: str = None
-
-    def __post_init__(self):
-        if self.kind not in ("hash", "fwd", "bwd"):
-            raise ValueError(f"unknown marker kind {self.kind!r}")
-        if (self.label is None) != (self.kind == "hash"):
-            raise ValueError("directed markers carry exactly one label")
-
-    def __str__(self):
-        if self.kind == "hash":
-            return "#"
-        return f"{self.label}->" if self.kind == "fwd" else f"<-{self.label}"
-
-
-HASH = StarMarker("hash")
-
-
-@dataclass(frozen=True)
-class CnKey:
-    """Identity of one connection call; also the memo key tying cycles."""
-    h: str
-    k: str
-    star: StarMarker
-    left: int
-    right: int
-    swapped: bool
-
-    def __str__(self):
-        side = " (swapped)" if self.swapped else ""
-        return (f"connect({self.h}, {self.k}, {self.star}, "
-                f"node {self.left}, node {self.right}){side}")
-
-
 class NoClauseApplies(Exception):
-    """No connection clause matched; unreachable for compatible inputs."""
+    """No connection clause matched; unreachable for compatible inputs.
+
+    `key` is (h, k, marker, left nid, right nid, swapped), the arguments of
+    the clause that found no match.  `marker` is the routing state: None for
+    `#` (any interaction may come next), or ("fwd", l) (resp. ("bwd", l))
+    when the first (resp. second) forwarder owes the other a delivery of l.
+    """
 
     def __init__(self, key):
-        super().__init__(f"no connection clause applies at {key}")
+        h, k, marker, left, right, swapped = key
+        star = ("#" if marker is None else
+                f"{marker[1]}->" if marker[0] == "fwd" else f"<-{marker[1]}")
+        side = " (swapped)" if swapped else ""
+        super().__init__(f"no connection clause applies at connect({h}, {k}, "
+                         f"{star}, node {left}, node {right}){side}")
         self.key = key
 
 
@@ -220,52 +190,54 @@ def connect_globals(G, h, G_prime, k):
     G_prime = store.adopt(G_prime)
 
     def expand(key):
-        # the arguments of one connection clause; `relay` marks the second
-        # of the two forwarding steps that deliver a directed marker's label
-        h, k, star, L, R, swapped, relay = key
-        if star.kind == "hash":
+        # the arguments of one connection clause, with `marker` as in
+        # NoClauseApplies; `relay` marks the second of the two forwarding
+        # steps that deliver a directed marker's label
+        h, k, marker, L, R, swapped, relay = key
+        if marker is None:
             if isinstance(L, GEnd):
                 return R
             if isinstance(L, GComm) and L.receiver == h:
                 return (L.shape,
-                        [(h, k, StarMarker("fwd", l), cont, R, swapped, False)
+                        [(h, k, ("fwd", l), cont, R, swapped, False)
                          for l, cont in L.branches])
             if isinstance(L, GComm) and h not in (L.sender, L.receiver):
                 return (L.shape,
-                        [(k, h, HASH, R, cont, not swapped, False)
+                        [(k, h, None, R, cont, not swapped, False)
                          for _, cont in L.branches])
             if isinstance(R, GComm) and R.receiver == k:
                 return (R.shape,
-                        [(h, k, StarMarker("bwd", l), L, cont, swapped, False)
+                        [(h, k, ("bwd", l), L, cont, swapped, False)
                          for l, cont in R.branches])
             if isinstance(R, GComm) and k not in (R.sender, R.receiver):
                 return (R.shape,
-                        [(k, h, HASH, cont, L, not swapped, False)
+                        [(k, h, None, cont, L, not swapped, False)
                          for _, cont in R.branches])
         else:
-            # star.kind "fwd": h holds a message for k and the second type
-            # must route it onward; "bwd" is the mirror image
-            fwd = star.kind == "fwd"
+            # "fwd": h holds a message for k and the second type must route
+            # it onward; "bwd" is the mirror image
+            direction, label = marker
+            fwd = direction == "fwd"
             me, other, T = (h, k, R) if fwd else (k, h, L)
 
             def moved(cont):  # the two types once T has moved on to cont
                 return (L, cont) if fwd else (cont, R)
 
             if isinstance(T, GComm) and T.sender == other:
-                cont = dict(T.branches).get(star.label)
+                cont = dict(T.branches).get(label)
                 if cont is not None and not relay:
-                    return (("gcomm", me, other, (star.label,)),
-                            [(h, k, star, L, R, swapped, True)])
+                    return (("gcomm", me, other, (label,)),
+                            [(h, k, marker, L, R, swapped, True)])
                 if cont is not None:
-                    return (("gcomm", other, T.receiver, (star.label,)),
-                            [(h, k, HASH, *moved(cont), swapped, False)])
+                    return (("gcomm", other, T.receiver, (label,)),
+                            [(h, k, None, *moved(cont), swapped, False)])
             elif isinstance(T, GComm) and T.receiver != other:
                 return (T.shape,
-                        [(h, k, star, *moved(cont), swapped, False)
+                        [(h, k, marker, *moved(cont), swapped, False)
                          for _, cont in T.branches])
-        raise NoClauseApplies(CnKey(h, k, star, L.nid, R.nid, swapped))
+        raise NoClauseApplies((h, k, marker, L.nid, R.nid, swapped))
 
-    root = (h, k, HASH, G, G_prime, False, False)
+    root = (h, k, None, G, G_prime, False, False)
     b = store.builder()
     return b.intern([b.unfold([root], expand)[root]])[0]
 

@@ -267,10 +267,6 @@ def simulate(M, steps, seed=0):
 # ---------------------------------------------------------------------------
 # Exhaustive exploration.
 
-def _state_key(M):
-    return tuple((p, P.nid) for p, P in M.items())
-
-
 @dataclass
 class StateGraph:
     states: list  # canonical (normalized) sessions, index 0 = initial
@@ -483,9 +479,10 @@ def fidelity_harness(M, G, mode=Mode.Standard):
     def spot(state, g):
         return {"session": print_session(state) or "0", "global": print_global(g)}
 
-    visited = set()
+    # a pair is keyed by the normalized session, which compares its
+    # (participant, node) pairs by node identity, and by the type node
     queue = deque([(normalize_session(M), G)])
-    visited.add((_state_key(queue[0][0]), G.nid))
+    visited = {queue[0]}
     while queue:
         state, g = queue.popleft()
         sa = dict(session_enabled(state))
@@ -504,12 +501,12 @@ def fidelity_harness(M, G, mode=Mode.Standard):
                 return FidelityVerdict(False, dict(
                     kind="successors no longer typecheck",
                     action=str(action), **spot(succ, gsucc)), len(visited))
-            key = (_state_key(succ), gsucc.nid)
+            key = (succ, gsucc)
             if key not in visited:
                 if len(visited) == bound:
                     raise StateSpaceBoundExceeded(bound + 1, bound)
                 visited.add(key)
-                queue.append((succ, gsucc))
+                queue.append(key)
     return FidelityVerdict(True, None, len(visited))
 
 

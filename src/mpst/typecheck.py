@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import total_ordering
 
 from .core import (
     GComm,
@@ -44,6 +45,7 @@ from .parser import print_process
 # ---------------------------------------------------------------------------
 # Depth: how many communications can precede a participant's first one.
 
+@total_ordering
 @dataclass(frozen=True)
 class DepthValue:
     """A path-prefix length; value None means the prefix is unbounded."""
@@ -65,20 +67,12 @@ class DepthValue:
     def __str__(self):
         return "inf" if self.value is None else str(self.value)
 
-    def _key(self):
-        return float("inf") if self.value is None else self.value
-
     def __lt__(self, other):
-        return self._key() < other._key()
-
-    def __le__(self, other):
-        return self._key() <= other._key()
-
-    def __gt__(self, other):
-        return self._key() > other._key()
-
-    def __ge__(self, other):
-        return self._key() >= other._key()
+        if not isinstance(other, DepthValue):
+            return NotImplemented
+        if self.value is None:
+            return False
+        return other.value is None or self.value < other.value
 
     def to_json(self):
         return "inf" if self.value is None else self.value

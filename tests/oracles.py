@@ -15,19 +15,20 @@ over `core._sccs`, and `ref_participants` the fold over `core._sccs` that
 computed participant sets on demand before each node got its own at
 creation.  `ref_leq`, `ref_leq_plus` and `ref_compatible` decide the three
 coinductive relations as greatest fixpoints by deletion, with no closure
-search and no memo.
+search and no memo.  `ref_connect_globals` and `ref_standard_witness`
+build their own markers, memo keys and state keys, so that the reference
+imports no private helper of the code it checks.
 """
 
 import re
 
-from mpst.compose import HASH, CnKey, NoClauseApplies, ParticipantCollision, StarMarker
+from mpst.compose import NoClauseApplies, ParticipantCollision
 from mpst.core import (GComm, GEnd, NodeStore, PEnd, PIn, POut, Session, TermError,
                        UnboundVariable, UnguardedRecursion, _sccs, _split,
                        check_ident, node_branch, node_labels, normalize_session,
                        participants)
 from mpst.parser import (DiagKind, ParseDiagnostic, ParseError, SourceSpan,
                          print_process)
-from mpst.semantics import _state_key
 from mpst.typecheck import (DepthValue, Mode, ProjectionError, ProjectionErrorKind,
                             typecheck)
 
@@ -274,43 +275,44 @@ def ref_connect_globals(G, h, G_prime, k):
     b = store.builder()
     cells = {}
 
+    # star is None for `#`, else ("fwd", l) or ("bwd", l)
     def cn(h, k, star, L, R, swapped):
-        key = CnKey(h, k, star, L.nid, R.nid, swapped)
+        key = (h, k, star, L.nid, R.nid, swapped)
         hit = cells.get(key)
         if hit is not None:
             return hit
-        if star.kind == "hash" and isinstance(L, GEnd):
+        if star is None and isinstance(L, GEnd):
             cells[key] = R
             return R
         d = cells[key] = b.reserve()
-        if star.kind == "hash":
+        if star is None:
             if isinstance(L, GComm) and L.receiver == h:
                 b.fill_comm(d, L.sender, h,
-                            [(l, cn(h, k, StarMarker("fwd", l), cont, R, swapped))
+                            [(l, cn(h, k, ("fwd", l), cont, R, swapped))
                              for l, cont in L.branches])
             elif isinstance(L, GComm) and h not in (L.sender, L.receiver):
                 b.fill_comm(d, L.sender, L.receiver,
-                            [(l, cn(k, h, HASH, R, cont, not swapped))
+                            [(l, cn(k, h, None, R, cont, not swapped))
                              for l, cont in L.branches])
             elif isinstance(R, GComm) and R.receiver == k:
                 b.fill_comm(d, R.sender, k,
-                            [(l, cn(h, k, StarMarker("bwd", l), L, cont, swapped))
+                            [(l, cn(h, k, ("bwd", l), L, cont, swapped))
                              for l, cont in R.branches])
             elif isinstance(R, GComm) and k not in (R.sender, R.receiver):
                 b.fill_comm(d, R.sender, R.receiver,
-                            [(l, cn(k, h, HASH, cont, L, not swapped))
+                            [(l, cn(k, h, None, cont, L, not swapped))
                              for l, cont in R.branches])
             else:
                 raise NoClauseApplies(key)
-        elif star.kind == "fwd":
+        elif star[0] == "fwd":
             # h holds a message for k; the second type must route it onward.
             if isinstance(R, GComm) and R.sender == k:
-                cont = dict(R.branches).get(star.label)
+                cont = dict(R.branches).get(star[1])
                 if cont is None:
                     raise NoClauseApplies(key)
                 inner = b.add_comm(k, R.receiver,
-                                   [(star.label, cn(h, k, HASH, L, cont, swapped))])
-                b.fill_comm(d, h, k, [(star.label, inner)])
+                                   [(star[1], cn(h, k, None, L, cont, swapped))])
+                b.fill_comm(d, h, k, [(star[1], inner)])
             elif isinstance(R, GComm) and R.receiver != k:
                 b.fill_comm(d, R.sender, R.receiver,
                             [(l, cn(h, k, star, L, cont, swapped))
@@ -320,12 +322,12 @@ def ref_connect_globals(G, h, G_prime, k):
         else:
             # k holds a message for h; the first type must route it onward.
             if isinstance(L, GComm) and L.sender == h:
-                cont = dict(L.branches).get(star.label)
+                cont = dict(L.branches).get(star[1])
                 if cont is None:
                     raise NoClauseApplies(key)
                 inner = b.add_comm(h, L.receiver,
-                                   [(star.label, cn(h, k, HASH, cont, R, swapped))])
-                b.fill_comm(d, k, h, [(star.label, inner)])
+                                   [(star[1], cn(h, k, None, cont, R, swapped))])
+                b.fill_comm(d, k, h, [(star[1], inner)])
             elif isinstance(L, GComm) and L.receiver != h:
                 b.fill_comm(d, L.sender, L.receiver,
                             [(l, cn(h, k, star, cont, R, swapped))
@@ -334,7 +336,7 @@ def ref_connect_globals(G, h, G_prime, k):
                 raise NoClauseApplies(key)
         return d
 
-    root = cn(h, k, HASH, G, G_prime, False)
+    root = cn(h, k, None, G, G_prime, False)
     return b.intern([root])[0] if isinstance(root, int) else root
 
 
@@ -391,7 +393,7 @@ def ref_standard_witness(M, G):
     def go(state, g):
         if isinstance(g, GEnd):
             return store.end_global
-        key = (_state_key(state), g.nid)
+        key = (tuple((p, P.nid) for p, P in state.items()), g.nid)
         if key in cells:
             return cells[key]
         d = b.reserve()

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from mpst.compose import (HASH, CnKey, IncompatibleSessions, NoClauseApplies,
-                          ParticipantCollision, StarMarker, compatible,
+from mpst.compose import (IncompatibleSessions, NoClauseApplies,
+                          ParticipantCollision, compatible,
                           compatible_globals, compatible_sessions,
                           connect_globals, connect_sessions, gateway,
                           verify_connection)
@@ -261,6 +261,9 @@ def test_connect_globals_signals_contradictions(store):
     with pytest.raises(NoClauseApplies) as info:
         connect_globals(G, "h", Gp, "k")
     assert "connect(" in str(info.value)
+    # the left type blocks on an output of h, so the right one must move,
+    # but it starts with k's output, which nothing owes: no clause applies
+    assert info.value.key == ("h", "k", None, G.nid, Gp.nid, False)
 
 
 @pytest.mark.parametrize("h,k", [("h", "h"), ("1h", "k"), ("h", "k k"),
@@ -281,17 +284,16 @@ def test_composed_type_is_well_formed(cx):
     assert max(d.value for d in report.depths.values()) == 7
 
 
-def test_star_markers_and_keys(store):
-    assert str(HASH) == "#"
-    assert str(StarMarker("fwd", "l")) == "l->"
-    assert str(StarMarker("bwd", "l")) == "<-l"
-    with pytest.raises(ValueError):
-        StarMarker("fwd")
-    with pytest.raises(ValueError):
-        StarMarker("hash", "l")
-    G = parse_global("p -> h : a . end", store=store)
-    key = CnKey("h", "k", HASH, G.nid, G.nid, False)
-    assert "connect(h, k, #" in str(key)
+@pytest.mark.parametrize("key,text", [
+    (("h", "k", None, 3, 4, False), "connect(h, k, #, node 3, node 4)"),
+    (("k", "h", ("fwd", "l"), 5, 6, True),
+     "connect(k, h, l->, node 5, node 6) (swapped)"),
+    (("h", "k", ("bwd", "l"), 7, 8, False), "connect(h, k, <-l, node 7, node 8)"),
+])
+def test_no_clause_applies_names_its_key(key, text):
+    err = NoClauseApplies(key)
+    assert str(err) == f"no connection clause applies at {text}"
+    assert err.key == key
 
 
 # ---------------------------------------------------------------------------

@@ -621,6 +621,20 @@ def test_session_accessors(cx):
     assert M != ended
 
 
+def test_session_equality_is_node_identity(store):
+    # the fidelity harness keys its visited pairs by the session: the same
+    # (participant, node) pairs, bound in either order, are one key
+    P = parse_process("q!l . 0", store=store)
+    Q = parse_process("p?l . 0", store=store)
+    M, N = Session({"p": P, "q": Q}), Session({"q": Q, "p": P})
+    assert M == N and hash(M) == hash(N)
+    assert normalize_session(Session({"q": Q, "r": store.end_process, "p": P})) == M
+    # a bisimilar copy from a second store is another node, so another key
+    copy = Session({"p": parse_process("q!l . 0", store=NodeStore()), "q": Q})
+    assert sessions_bisimilar(M, copy)
+    assert M != copy
+
+
 def test_normalize_drops_finished_bindings(store):
     M = parse_session("p |> q!l . 0 || q |> p?l . 0 || r |> 0", store=store)
     N = normalize_session(M)

@@ -78,6 +78,16 @@ def test_depth_value_ordering():
     assert DepthValue.infinite().to_json() == "inf"
 
 
+@pytest.mark.parametrize("other", [3, None])
+def test_depth_value_does_not_order_against_other_types(other):
+    with pytest.raises(TypeError):
+        DepthValue.finite(1) < other
+    with pytest.raises(TypeError):
+        other >= DepthValue.infinite()
+    with pytest.raises(TypeError):
+        sorted([DepthValue.finite(1), other])
+
+
 # ---------------------------------------------------------------------------
 # Projection.
 
