@@ -31,7 +31,8 @@ from .core import (
     node_branch,
     participants,
 )
-from .typecheck import IllFormedGlobalType, Mode, leq, project, typecheck, well_formed
+from .typecheck import (IllFormedGlobalType, Mode, ProjectionError, leq, project,
+                        typecheck, well_formed)
 
 
 class ParticipantCollision(Exception):
@@ -156,7 +157,7 @@ class NoClauseApplies(Exception):
 
 def _projection_or_raise(G, p):
     proc = project(G, p)
-    if not isinstance(proc, (PEnd, PIn, POut)):
+    if isinstance(proc, ProjectionError):
         raise IllFormedGlobalType(G, well_formed(G))
     return proc
 
@@ -287,22 +288,13 @@ def verify_connection(M, G, M_prime, G_prime, h, k, mode=Mode.Standard):
     G_prime = store.adopt(G_prime)
     composed_global = connect_globals(G, h, G_prime, k)
     typing = typecheck(composed_session, composed_global, mode)
-
-    def projected(T, p):
-        proc = project(T, p)
-        return proc if isinstance(proc, (PEnd, PIn, POut)) else None
-
     checks = []
     for p in sorted(participants(G) | participants(G_prime) | {h, k}):
-        target = projected(composed_global, p)
         if p == h:
-            expected = gateway(projected(G, h), k)
+            expected = gateway(project(G, h), k)
         elif p == k:
-            expected = gateway(projected(G_prime, k), h)
+            expected = gateway(project(G_prime, k), h)
         else:
-            origin = G if p in participants(G) else G_prime
-            expected = projected(origin, p)
-        holds = (expected is not None and target is not None
-                 and leq(expected, target))
-        checks.append((p, holds))
+            expected = project(G if p in participants(G) else G_prime, p)
+        checks.append((p, leq(expected, project(composed_global, p))))
     return ConnectionReport(composed_session, composed_global, typing, checks)

@@ -14,13 +14,12 @@ Grammar (ASCII, one definition per file, optional shared equations):
 
 Text is read in one pass.  One `findall` splits it into token strings, and
 a reader with an explicit stack (`_Reader`) fills graph drafts as it goes,
-so nothing recurses on the size of a term.  Names are resolved apart from
-the tokens, by the `let` and `rec` binder slots of `_TermDrafts`; a
-variable is guarded by any prefix between it and its binder.  Labels,
-definitions, participants, variables and the two ends of a communication
-are checked once, where their tokens are read; a session participant that
-talks to itself is found from the processes, which a session interns in
-one batch.
+so nothing recurses on the size of a term.  The reader resolves names
+through its own `let` and `rec` binder slots as it reads them; a variable
+is guarded by any prefix between it and its binder.  Labels, definitions,
+participants, variables and the two ends of a communication are checked
+once, where their tokens are read; a session participant that talks to
+itself is found from the processes, which a session interns in one batch.
 Tokens carry no positions: only a failing parse scans the text again, with
 `_scan`, to find the line and column of the token at fault, or an
 unexpected character before it.  The diagnostic is the first in this
@@ -143,7 +142,7 @@ def _scan(text, filename):
 
 
 # ---------------------------------------------------------------------------
-# Binder slots and drafts.
+# Reading.
 
 class _Slot:
     """A `let` name and its draft."""
@@ -159,8 +158,9 @@ class _Slot:
         self.use = use      # resolution order of a use before the `let`
 
 
-class _TermDrafts:
-    """The drafts of one term and its `let` equations, filled as they are read.
+class _Reader:
+    """One parse: the tokens, the drafts they fill, the `let` and `rec`
+    binders in scope, and the first unbound variable or unguarded recursion.
 
     Every body is read with a *target*: the draft its binder reserved.  A
     prefix at the head of the body fills the target itself, and a `rec` at
@@ -170,140 +170,29 @@ class _TermDrafts:
 
     A `let` name gets its slot at its `let` or at its first use, whichever
     comes first.  A body that is a bare name not yet defined, `let A = B`,
-    leaves an alias; `close_defs` chases each alias chain once, in
-    definition order.  Unbound variables and unguarded recursion are found
-    in resolution order (the equations in order, then the alias chains,
-    then the terms), and `error` keeps the first as (order, exception).
+    leaves an alias; `defs` chases each alias chain once, in definition
+    order.  Unbound variables and unguarded recursion are found in
+    resolution order (the equations in order, then the alias chains, then
+    the terms), and `error` keeps the first as (order, exception).
+    `binders` and `uses` keep the token index of each name's first binder
+    and first use as a variable: the spans of those diagnostics.
     """
-
-    def __init__(self, store, glob):
-        self.builder = store.builder()
-        self.drafts = self.builder._drafts
-        self.end = store.end_global if glob else store.end_process
-        self._recs = {}         # rec name in scope -> its draft
-        self._lets = {}         # let name -> _Slot
-        self._aliased = []      # let slots left with an alias, in definition order
-        self._current = None    # slot of the `let` whose body is being read
-        self._order = 0         # resolution order of the last variable
-        self.error = None
-        self._closed = False    # True once no `let` can follow
-
-    def _fail(self, exc, order=None):
-        order = self._order if order is None else order
-        if self.error is None or order < self.error[0]:
-            self.error = (order, exc)
-        return self.end
-
-    def let(self, name):
-        """Open `let name =`: the draft its body fills, or None when `name`
-        is defined already."""
-        slot = self._lets.get(name)
-        if slot is None:
-            slot = self._lets[name] = _Slot(name, self.builder.reserve(), None)
-        elif slot.state:
-            return None
-        slot.state = 1
-        self._current = slot
-        return slot.draft
-
-    def let_done(self):
-        slot, self._current = self._current, None
-        slot.state = 2
-        if slot.alias is not None:
-            self._aliased.append(slot)
-
-    def close_defs(self):
-        """No `let` follows: a name used but never defined is unbound, and
-        each alias takes the description at the end of its chain."""
-        self._closed = True
-        for slot in self._lets.values():
-            if slot.state == 0:
-                self._fail(UnboundVariable(slot.name), slot.use)
-        if self.error is not None:
-            return
-        for slot in self._aliased:
-            seen = {slot.name}
-            name, target = slot.alias
-            while target.alias is not None:
-                if name in seen:
-                    self._fail(UnguardedRecursion(name))
-                    return
-                seen.add(name)
-                name, target = target.alias
-            self.drafts[slot.draft] = self.drafts[target.draft]
-            slot.alias = None
-
-    def rec(self, name, target):
-        """Open `rec name .`: the draft its body fills, and the binding of
-        `name` it shadows, for `unrec`."""
-        if target is None:
-            target = self.builder.reserve()
-        shadowed = self._recs.get(name)
-        self._recs[name] = target
-        return target, shadowed
-
-    def unrec(self, name, shadowed):
-        if shadowed is None:
-            del self._recs[name]
-        else:
-            self._recs[name] = shadowed
-
-    def end_at(self, target):
-        if target is None:
-            return self.end
-        self.builder.fill_copy(target, self.end)
-        return target
-
-    def var(self, name, target):
-        """Value of a variable read with `target` (None: guarded).
-
-        The binders that share `target` are those opened since the last
-        prefix; a variable at the head of a body is unguarded for them
-        alone.  Any other binder is separated from it by a prefix, and the
-        variable stands for that binder's draft.
-        """
-        self._order += 1
-        d = self._recs.get(name)
-        if d is not None:
-            if d == target:
-                return self._fail(UnguardedRecursion(name))
-            return d
-        slot = self._lets.get(name)
-        if slot is None:
-            if self._closed:
-                return self._fail(UnboundVariable(name))
-            slot = self._lets[name] = _Slot(name, self.builder.reserve(), self._order)
-        if target is None:
-            return slot.draft
-        if slot.draft == target:   # the `let` being read, at the head of its body
-            return self._fail(UnguardedRecursion(name))
-        if slot.state == 2 and slot.alias is None:   # defined: copy its description
-            self.drafts[target] = self.drafts[slot.draft]
-            return target
-        # not defined yet, or an alias itself: the `let` being read becomes an
-        # alias, and a `rec` in a branch stands for the aliased name's draft
-        alias = slot.alias or (name, slot)
-        cur = self._current
-        if cur is not None and cur.draft == target:
-            cur.alias = alias
-            return target
-        return alias[1].draft
-
-
-# ---------------------------------------------------------------------------
-# Reading.
-
-class _Reader:
-    """One parse: the tokens, the drafts they fill, and the token index of
-    each name's first binder and first use as a variable (the spans of
-    unguarded-recursion and unbound-variable diagnostics)."""
 
     def __init__(self, text, store, filename, glob):
         self.text = text
         self.filename = filename
         self.toks = _tokens(text)
         self.glob = glob
-        self.t = _TermDrafts(store or NodeStore(), glob)
+        store = store or NodeStore()
+        self.builder = store.builder()
+        self.drafts = self.builder._drafts
+        self.end = store.end_global if glob else store.end_process
+        self.recs = {}          # rec name in scope -> its draft
+        self.lets = {}          # let name -> _Slot
+        self.current = None     # slot of the `let` whose body is being read
+        self.closed = False     # True once no `let` can follow
+        self.order = 0          # resolution order of the last variable
+        self.error = None
         self.binders = {}
         self.uses = {}
 
@@ -318,31 +207,99 @@ class _Reader:
         got = self.toks[i] or "end of input"
         return self.fail(i, DiagKind.Syntax, f"expected {what!r}, got {got!r}")
 
+    def note_error(self, exc, order=None):
+        """Keep `exc` if it is the first in resolution order; returns the
+        end node, which stands for the name meanwhile."""
+        order = self.order if order is None else order
+        if self.error is None or order < self.error[0]:
+            self.error = (order, exc)
+        return self.end
+
     def defs(self):
-        """Read the `let` equations; returns the index of the next token."""
-        toks, t = self.toks, self.t
+        """Read the `let` equations; returns the index of the next token.
+        Then a name used but never defined is unbound, and each alias takes
+        the description at the end of its chain."""
+        toks, lets, drafts = self.toks, self.lets, self.drafts
+        aliased = []   # let slots left with an alias, in definition order
         i = 0
         while toks[i] == "let":
             name = toks[i + 1]
             if name in _RESERVED:
                 raise self.expected(i + 1, "definition name")
-            target = t.let(name)
-            if target is None:
+            slot = lets.get(name)
+            if slot is None:
+                slot = lets[name] = _Slot(name, self.builder.reserve(), None)
+            elif slot.state:
                 raise self.fail(i + 1, DiagKind.Syntax, f"duplicate definition of {name!r}")
+            slot.state = 1
+            self.current = slot
             self.binders.setdefault(name, i + 1)
             if toks[i + 2] != "=":
                 raise self.expected(i + 2, "=")
-            i = self.term(i + 3, target)[0]
-            t.let_done()
-        t.close_defs()
+            i = self.term(i + 3, slot.draft)[0]
+            slot.state = 2
+            self.current = None
+            if slot.alias is not None:
+                aliased.append(slot)
+        self.closed = True
+        for slot in lets.values():
+            if slot.state == 0:
+                self.note_error(UnboundVariable(slot.name), slot.use)
+        if self.error is not None:
+            return i
+        for slot in aliased:
+            seen = {slot.name}
+            name, target = slot.alias
+            while target.alias is not None:
+                if name in seen:
+                    self.note_error(UnguardedRecursion(name))
+                    return i
+                seen.add(name)
+                name, target = target.alias
+            drafts[slot.draft] = drafts[target.draft]
+            slot.alias = None
         return i
+
+    def var(self, name, target):
+        """Value of a variable read with `target` (None: guarded).
+
+        The binders that share `target` are those opened since the last
+        prefix; a variable at the head of a body is unguarded for them
+        alone.  Any other binder is separated from it by a prefix, and the
+        variable stands for that binder's draft.
+        """
+        self.order += 1
+        d = self.recs.get(name)
+        if d is not None:
+            if d == target:
+                return self.note_error(UnguardedRecursion(name))
+            return d
+        slot = self.lets.get(name)
+        if slot is None:
+            if self.closed:
+                return self.note_error(UnboundVariable(name))
+            slot = self.lets[name] = _Slot(name, self.builder.reserve(), self.order)
+        if target is None:
+            return slot.draft
+        if slot.draft == target:   # the `let` being read, at the head of its body
+            return self.note_error(UnguardedRecursion(name))
+        if slot.state == 2 and slot.alias is None:   # defined: copy its description
+            self.drafts[target] = self.drafts[slot.draft]
+            return target
+        # not defined yet, or an alias itself: the `let` being read becomes an
+        # alias, and a `rec` in a branch stands for the aliased name's draft
+        alias = slot.alias or (name, slot)
+        cur = self.current
+        if cur is not None and cur.draft == target:
+            cur.alias = alias
+            return target
+        return alias[1].draft
 
     def term(self, i, target):
         """Read the term at token i into `target`, the draft of the binder
         whose body it is (None for a branch continuation); returns the index
         past it and the term's value."""
-        toks, t, uses = self.toks, self.t, self.uses
-        drafts = t.drafts
+        toks, drafts, recs, uses, end = self.toks, self.drafts, self.recs, self.uses, self.end
         prefixes = _PREFIXES[self.glob]
         stop = "end" if self.glob else "0"
         frames = []   # (name, shadowed) of an open rec; a list per open prefix
@@ -353,7 +310,7 @@ class _Reader:
                     kind = prefixes.get(toks[i + 1])
                     if kind is None:
                         uses.setdefault(tok, i)
-                        value = t.var(tok, target)
+                        value = self.var(tok, target)
                         i += 1
                         break
                     if kind == "gcomm":
@@ -383,13 +340,16 @@ class _Reader:
                     frames.append([target, head, labels, label, i])
                     if toks[i + 1] != ".":
                         i += 1
-                        value = t.end
+                        value = end
                         break
                     i += 2
                     target = None
                 elif tok == stop:
                     i += 1
-                    value = t.end_at(target)
+                    if target is None:
+                        value = end
+                    else:
+                        value = self.builder.fill_copy(target, end)
                     break
                 elif tok == "rec":
                     name = toks[i + 1]
@@ -399,15 +359,22 @@ class _Reader:
                     if toks[i + 2] != ".":
                         raise self.expected(i + 2, ".")
                     i += 3
-                    target, shadowed = t.rec(name, target)
-                    frames.append((name, shadowed))
+                    if target is None:
+                        target = len(drafts)
+                        drafts.append(None)
+                    frames.append((name, recs.get(name)))
+                    recs[name] = target
                 else:
                     got = tok or "end of input"
                     raise self.fail(i, DiagKind.Syntax, f"expected a term, got {got!r}")
             while frames:   # up, handing `value` to the open prefixes
                 frame = frames[-1]
                 if frame.__class__ is tuple:
-                    t.unrec(*frames.pop())
+                    name, shadowed = frames.pop()
+                    if shadowed is None:
+                        del recs[name]
+                    else:
+                        recs[name] = shadowed
                     continue
                 d, head, labels, label, at = frame
                 if labels is None:
@@ -427,7 +394,7 @@ class _Reader:
                             target = None
                             break
                         i += 2
-                        value = t.end
+                        value = end
                         continue
                     if toks[i] != "}":
                         raise self.expected(i, "}")
@@ -444,8 +411,8 @@ class _Reader:
         variable or unguarded recursion."""
         if i != len(self.toks) - 1:
             raise self.expected(i, "end of input")
-        if self.t.error is not None:
-            exc = self.t.error[1]
+        if self.error is not None:
+            exc = self.error[1]
             if isinstance(exc, UnboundVariable):
                 raise self.fail(self.uses[exc.name], DiagKind.UnboundVar, str(exc), exc.name)
             raise self.fail(self.binders[exc.name], DiagKind.UnguardedRec, str(exc), exc.name)
@@ -453,9 +420,9 @@ class _Reader:
 
 def _parse(text, store, filename, glob):
     r = _Reader(text, store, filename, glob)
-    i, root = r.term(r.defs(), r.t.builder.reserve())
+    i, root = r.term(r.defs(), r.builder.reserve())
     r.finish(i)
-    return r.t.builder.intern([root])[0]
+    return r.builder.intern([root])[0]
 
 
 def parse_process(text, store=None, filename="<proc>"):
@@ -468,7 +435,7 @@ def parse_global(text, store=None, filename="<gt>"):
 
 def parse_session(text, store=None, filename="<sess>"):
     r = _Reader(text, store, filename, glob=False)
-    toks, t = r.toks, r.t
+    toks, builder = r.toks, r.builder
     i = r.defs()
     parts = {}   # participant -> index of its token
     roots = []
@@ -479,7 +446,7 @@ def parse_session(text, store=None, filename="<sess>"):
         if toks[i + 1] != "|>":
             raise r.expected(i + 1, "|>")
         at = i
-        i, root = r.term(i + 2, t.builder.reserve())
+        i, root = r.term(i + 2, builder.reserve())
         if part in parts:
             raise r.fail(at, DiagKind.DuplicateParticipant,
                          f"participant {part!r} bound twice", part)
@@ -489,7 +456,7 @@ def parse_session(text, store=None, filename="<sess>"):
             break
         i += 1
     r.finish(i)
-    procs = t.builder.intern(roots)
+    procs = builder.intern(roots)
     for (part, at), proc in zip(parts.items(), procs):
         if part in participants(proc):
             raise r.fail(at, DiagKind.SelfCommunication,

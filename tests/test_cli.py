@@ -226,6 +226,16 @@ def test_compose_names_the_ill_formed_left_type(cx, capsys, tmp_path, monkeypatc
     assert out == f"{bad}: global type is not well formed (offending: r)\n"
 
 
+def test_compose_into_a_missing_directory_is_exit_two(cx, capsys, tmp_path):
+    out_base = tmp_path / "missing" / "x"
+    code, out = run(capsys, "compose",
+                    "--left", str(cx.path("relay.sess")),
+                    "--right", str(cx.path("right.sess")),
+                    "--via", "h,k", "--out", str(out_base))
+    assert code == 2
+    assert out == f"cannot write {out_base}.sess: No such file or directory\n"
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -244,6 +254,13 @@ def test_simulate_writes_dot(cx, capsys, tmp_path):
     assert code == 0
     text = dot.read_text()
     assert text.startswith("digraph") and "p:text->q" in text
+
+
+def test_simulate_dot_into_a_missing_directory_is_exit_two(cx, capsys, tmp_path):
+    dot = tmp_path / "missing" / "g.dot"
+    code, out = run(capsys, "simulate", str(cx.path("relay.sess")), "--dot", str(dot))
+    assert code == 2
+    assert out == f"cannot write {dot}: No such file or directory\n"
 
 
 def test_simulate_json(cx, capsys):
@@ -277,6 +294,14 @@ def test_lockfree_deadlock(cx, capsys):
     assert code == 1
     assert "not lock-free" in out
     assert "deadlock after: (initial state)" in out
+
+
+def test_lockfree_starvation(capsys, tmp_path):
+    sess = tmp_path / "starving.sess"
+    sess.write_text("p |> rec X . q!a . X || q |> rec Y . p?a . Y || r |> s?b . 0\n")
+    code, out = run(capsys, "lockfree", str(sess))
+    assert code == 1
+    assert out == "not lock-free\nr starves after: (initial state)\n"
 
 
 def test_lockfree_json(cx, capsys):

@@ -304,6 +304,15 @@ def test_global_compatibility_running_example(cx):
     assert not compatible_globals(cx.gt("relay.gt"), "h", cx.gt("relay.gt"), "h")
 
 
+def test_global_compatibility_needs_the_interface_projection(store):
+    G = parse_global("p -> q : {a . r -> q : x . end, b . r -> q : y . end}", store)
+    Gp = parse_global("w -> k : x . end", store)
+    assert isinstance(project(G, "r"), ProjectionError)
+    with pytest.raises(IllFormedGlobalType) as info:
+        compatible_globals(G, "r", Gp, "k")
+    assert info.value.report == well_formed(G)
+
+
 def test_global_compatibility_does_not_imply_session_compatibility(cx):
     # both sessions type their globals, the globals are compatible, and yet
     # the sessions are not: the left process offers fewer inputs than its

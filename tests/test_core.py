@@ -397,6 +397,8 @@ def test_bool_is_no_draft_reference(store):
         b.intern([True])
     with pytest.raises(TypeError, match="draft index or node"):
         b.add_out("p", [("a", False)])
+    with pytest.raises(TermError, match="draft reference 7 out of range"):
+        b.add_out("p", [("a", 7)])
 
 
 def test_new_self_loop_folds_onto_existing_cycle(store):
@@ -639,6 +641,7 @@ def test_normalize_drops_finished_bindings(store):
     M = parse_session("p |> q!l . 0 || q |> p?l . 0 || r |> 0", store=store)
     N = normalize_session(M)
     assert N.participants == ("p", "q")
+    assert not sessions_bisimilar(M, N)   # the domains differ in r
     assert sessions_bisimilar(N, parse_session("p |> q!l . 0 || q |> p?l . 0",
                                                store=store))
 
@@ -746,6 +749,10 @@ def test_unfold_passes_nodes_through_and_leaves_none_shapes_open(store):
     assert value["end"] is end
     assert b.shape_of(value["open"]) is None
     assert b.shape_of(value["leaf"]) == ("pin", "p", ("a", "b"))
+    with pytest.raises(TermError, match="cannot copy an unfilled draft"):
+        b.fill_copy(value["leaf"], value["open"])
+    with pytest.raises(TermError, match="target has no branches"):
+        b.branch_targets(value["end"])
     b.fill_copy(value["open"], value["leaf"])
     assert b.intern([value["open"]])[0] is parse_process("p?{a . 0, b . 0}", store=store)
 

@@ -337,6 +337,12 @@ def test_typing_modes_differ_on_width_example(cx):
     assert typecheck(M, G, Mode.Plus).ok
 
 
+def test_typing_requires_a_session(cx):
+    M = cx.sess("relay.sess")
+    with pytest.raises(TypeError, match="expected a Session"):
+        typecheck(dict(M.items()), cx.gt("relay.gt"))
+
+
 def test_typing_rejects_ill_formed_type(cx):
     with pytest.raises(IllFormedGlobalType) as info:
         typecheck(cx.sess("relay.sess"), cx.gt("unbounded.gt"))
