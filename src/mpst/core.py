@@ -33,7 +33,11 @@ shape, its labels are always the shape's last item, and a map from graph to
 graph may hand a node's own shape to `GraphBuilder.unfold`.  Every node also
 gets its participant set when it is made: its own names and its children's
 sets, or for the new classes of a cyclic component one set shared by all of
-them, so `participants` reads a field.
+them, so `participants` reads a field.  Likewise `_finite` records whether
+its tree is finite: a node made from an acyclic draft is finite exactly when
+its children are, and the new nodes of a cyclic component are not (such a
+component is never bisimilar to a finite node, so none of its classes merges
+into one).  Projection reads it to take its one-pass path.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ def check_ident(name, what="identifier"):
 # read the node's shape; its branches pair the shape's labels with children.
 
 class Node:
-    __slots__ = ("store", "nid", "_participants", "shape", "branches")
+    __slots__ = ("store", "nid", "_participants", "_finite", "shape", "branches")
 
 
 class Process(Node):
@@ -349,16 +353,18 @@ class NodeStore:
         node = self._cons.get(key)
         if node is None:
             node = self._cons[key] = self._make(
-                shape, kids, _participants_of(shape[1:-1], kids))
+                shape, kids, _participants_of(shape[1:-1], kids),
+                all([c._finite for c in kids]))
         return node
 
-    def _make(self, shape, kids, names):
+    def _make(self, shape, kids, names, finite):
         """A new node of the kind its shape names, its branches pairing the
         shape's labels with `kids`."""
         node = object.__new__(_KINDS[shape[0]])
         node.store = self
         node.nid = self._count
         node._participants = names
+        node._finite = finite
         node.shape = shape
         node.branches = tuple(zip(shape[-1], kids))
         self._count += 1
@@ -421,7 +427,7 @@ class NodeStore:
                     [n for b in rep for n in shapes[rep[b]][1:-1]],
                     [image[c] for b in rep for c in kids_of[b] if c not in rep])
                 for b in rep:       # made first, linked once every class has a node
-                    image[b] = self._make(shapes[rep[b]], (), names)
+                    image[b] = self._make(shapes[rep[b]], (), names, False)
                 for b in rep:
                     node = image[b]
                     kids = [image[c] for c in kids_of[b]]

@@ -7,15 +7,25 @@ results merged.  The merge accepts either branches that all project to the
 same process, or branches that all project to inputs from one common sender
 with pairwise-disjoint label sets (combined into a single input).
 
-The merge is computed corecursively over the global graph.  One
+A finite global type (see `core`'s `_finite`) is projected in one pass with
+no drafts.  An explicit-stack walk lists, children first, the nodes below it
+whose projection is neither cached nor 0.  Each is then decided in that
+order: an output or input clause as an entry (shape, refs), a merge as its
+first member or as a combined input.  Only then is each entry made, by one
+hash-cons lookup, so a rejected type makes no node, and every node, id and
+error is the one the draft path below would give.
+
+Any other type is projected corecursively over the global graph.  One
 `GraphBuilder.unfold` gives each global node a draft and fills those of the
 output and input clauses; the merges are then decided children first, each
 once the drafts of its branches are filled, in the order that sweeping the
 pending merges in list order would decide them.  One sweep and one ordering
 pass stand in for the repeated sweeps, so a chain of merges that each wait
 on a later one costs no sweep per merge.  Merges that wait on one another
-in a cycle are resolved last.  Decisions that assume two in-flight
-projections equal are verified once the whole run is interned, where equal
+in a cycle are resolved last.
+
+Both paths decide a merge by one rule, `_merge`, and verify the equalities
+it assumes between two projections once the nodes are made, where equal
 means identical.
 """
 
@@ -143,9 +153,16 @@ class ProjectionError(Exception):
 
 
 class _Reject(Exception):
+    """Carries a ProjectionError, never raised itself, so no cached error
+    holds a traceback."""
+
     def __init__(self, err):
         super().__init__(str(err))
         self.err = err
+
+
+def _reject(kind, g, p, message):
+    raise _Reject(ProjectionError(kind, g, p, message))
 
 
 def project(G, p):
@@ -158,10 +175,129 @@ def project(G, p):
         return hit
     check_ident(p, "participant")
     try:
-        return _project_run(G.store, G, p)
+        return (_project_finite if G._finite else _project_run)(G.store, G, p)
     except _Reject as r:
-        cache[(G.nid, p)] = r.err
+        # at the failing node, then at G (an error met cached is there already)
+        cache[(r.err.node.nid, p)] = cache[(G.nid, p)] = r.err
         return r.err
+
+
+def _merge(g, p, shapes, had_self=False):
+    """How the merge at g joins members of these shapes, in member order:
+    "first" when it is its first member, "equal" when it is too and every
+    other member must turn out identical to that one, "union" when their
+    inputs combine into one.  Any other merge is rejected."""
+    if not shapes:
+        raise AssertionError("empty merge despite the participant occurring")
+    if len(shapes) == 1:
+        return "first"
+    kinds = {s[0] for s in shapes}
+    if len(kinds) > 1:
+        words = {"pend": "end", "pin": "in", "pout": "out"}
+        _reject(ProjectionErrorKind.MixedShapes, g, p,
+                f"branches of {g!r} project onto {p!r} with different shapes "
+                f"({', '.join(sorted(words[k] for k in kinds))})")
+    kind = kinds.pop()
+    if kind == "pend":
+        return "first"
+    if kind == "pout":
+        if len({(s[1], s[2]) for s in shapes}) > 1:
+            _reject(ProjectionErrorKind.UnequalContinuations, g, p,
+                    f"branches of {g!r} project onto {p!r} as different outputs")
+        return "equal"
+    senders = {s[1] for s in shapes}
+    if len(senders) > 1:
+        _reject(ProjectionErrorKind.DifferentInputSenders, g, p,
+                f"branches of {g!r} project onto {p!r} as inputs from "
+                f"{', '.join(sorted(senders))}")
+    label_sets = [set(s[2]) for s in shapes]
+    if all(ls == label_sets[0] for ls in label_sets):
+        return "equal"
+    if all(not (label_sets[i] & label_sets[j])
+           for i in range(len(shapes)) for j in range(i + 1, len(shapes))):
+        if had_self:
+            _reject(ProjectionErrorKind.OverlappingInputLabels, g, p,
+                    f"a branch of {g!r} projects onto {p!r} to the merged input "
+                    f"itself, which cannot be disjoint from the union")
+        return "union"
+    _reject(ProjectionErrorKind.OverlappingInputLabels, g, p,
+            f"branches of {g!r} project onto {p!r} as inputs whose label sets "
+            f"overlap without being equal")
+
+
+def _verify(p, checks, made):
+    """Reject at the first (node, ref, ref) whose refs, assumed equal, were
+    made into two nodes; `made` maps a draft or entry index to its node."""
+    for g, a, c in checks:
+        fa = made[a] if a.__class__ is int else a
+        fc = made[c] if c.__class__ is int else c
+        if fa is not fc:
+            _reject(ProjectionErrorKind.UnequalContinuations, g, p,
+                    f"branches of {g!r} project onto {p!r} differently "
+                    f"({print_process(fa)} vs {print_process(fc)})")
+
+
+def _project_finite(store, root, p):
+    """Projection of a finite G: one walk, then every decision, then the
+    nodes, with no drafts."""
+    cache = store.memo("project")
+    # node met -> its cached projection, or itself when visited: a merge
+    # tells members apart by node, as the draft path tells drafts apart
+    seen = {}
+    order = []     # the visited nodes, children first
+    frames = [(None, iter([(None, root)]))]
+    while frames:
+        g, it = frames[-1]
+        for _, c in it:
+            if c not in seen:
+                hit = cache.get((c.nid, p))
+                if hit is None and p not in c._participants:
+                    hit = cache[(c.nid, p)] = store.end_process
+                if hit.__class__ is ProjectionError:
+                    raise _Reject(hit)
+                if hit is None:
+                    seen[c] = c
+                    frames.append((c, iter(c.branches)))
+                    break
+                seen[c] = hit
+        else:
+            frames.pop()
+            if frames:
+                order.append(g)
+
+    entries = []   # (shape, refs): each ref a node or an earlier entry's index
+    ref = {}       # visited node -> its projection's entry index or node
+    checks = []
+    for g in order:
+        shape = g.shape
+        members = [seen[k] for _, k in g.branches]
+        if p == shape[1] or p == shape[2]:
+            ref[g] = len(entries)
+            entries.append((("pout", shape[2], shape[3]) if p == shape[1] else
+                            ("pin", shape[1], shape[3]), [ref.get(m, m) for m in members]))
+            continue
+        refs = [ref.get(m, m) for m in dict.fromkeys(members)]
+        shapes = [entries[r][0] if r.__class__ is int else r.shape for r in refs]
+        how = _merge(g, p, shapes)
+        if how == "union":
+            # the label sets are disjoint, so the sort never compares refs
+            labels, kids = zip(*sorted(pair for r, s in zip(refs, shapes) for pair in (
+                zip(s[-1], entries[r][1]) if r.__class__ is int else r.branches)))
+            ref[g] = len(entries)
+            entries.append((("pin", shapes[0][1], labels), kids))
+            continue
+        ref[g] = refs[0]
+        if how == "equal":
+            checks.extend((g, refs[0], r) for r in refs[1:])
+
+    made = []
+    for shape, refs in entries:
+        made.append(store._cons_node(shape, refs, made))
+    _verify(p, checks, made)
+    for g in order:
+        r = ref[g]
+        cache[(g.nid, p)] = made[r] if r.__class__ is int else r
+    return cache[(root.nid, p)]
 
 
 def _project_run(store, root, p):
@@ -169,11 +305,6 @@ def _project_run(store, root, p):
     b = store.builder()
     checks = []  # (node, ref, ref): projections assumed equal, checked at the end
     merges = set()
-
-    def reject(kind, g, msg):
-        err = ProjectionError(kind, g, p, msg)
-        cache[(g.nid, p)] = err
-        raise _Reject(err)
 
     def expand(g):
         hit = cache.get((g.nid, p))
@@ -195,58 +326,17 @@ def _project_run(store, root, p):
     def decide(cell):
         """Fill the cell's draft, or return False while members are holes."""
         g, d, ms, had_self = cell
-        shapes = []
-        for m in ms:
-            s = b.shape_of(m)
-            if s is None:
-                return False
-            shapes.append(s)
-        if not ms:
-            raise AssertionError("empty merge despite the participant occurring")
-        if len(ms) == 1:
-            b.fill_copy(d, ms[0])
+        shapes = [b.shape_of(m) for m in ms]
+        if None in shapes:
+            return False
+        how = _merge(g, p, shapes, had_self)
+        if how == "union":
+            b.fill_in(d, shapes[0][1], [t for m in ms for t in b.branch_targets(m)])
             return True
-        kinds = {s[0] for s in shapes}
-        if len(kinds) > 1:
-            words = {"pend": "end", "pin": "in", "pout": "out"}
-            reject(ProjectionErrorKind.MixedShapes, g,
-                   f"branches of {g!r} project onto {p!r} with different shapes "
-                   f"({', '.join(sorted(words[k] for k in kinds))})")
-        kind = kinds.pop()
-        if kind == "pend":
-            b.fill_copy(d, ms[0])
-            return True
-        if kind == "pout":
-            if len({(s[1], s[2]) for s in shapes}) > 1:
-                reject(ProjectionErrorKind.UnequalContinuations, g,
-                       f"branches of {g!r} project onto {p!r} as different outputs")
-            b.fill_copy(d, ms[0])
+        b.fill_copy(d, ms[0])
+        if how == "equal":
             checks.extend((g, ms[0], m) for m in ms[1:])
-            return True
-        senders = {s[1] for s in shapes}
-        if len(senders) > 1:
-            reject(ProjectionErrorKind.DifferentInputSenders, g,
-                   f"branches of {g!r} project onto {p!r} as inputs from "
-                   f"{', '.join(sorted(senders))}")
-        label_sets = [set(s[2]) for s in shapes]
-        if all(ls == label_sets[0] for ls in label_sets):
-            b.fill_copy(d, ms[0])
-            checks.extend((g, ms[0], m) for m in ms[1:])
-            return True
-        if all(not (label_sets[i] & label_sets[j])
-               for i in range(len(ms)) for j in range(i + 1, len(ms))):
-            if had_self:
-                reject(ProjectionErrorKind.OverlappingInputLabels, g,
-                       f"a branch of {g!r} projects onto {p!r} to the merged input "
-                       f"itself, which cannot be disjoint from the union")
-            combined = []
-            for m in ms:
-                combined.extend(b.branch_targets(m))
-            b.fill_in(d, senders.pop(), combined)
-            return True
-        reject(ProjectionErrorKind.OverlappingInputLabels, g,
-               f"branches of {g!r} project onto {p!r} as inputs whose label sets "
-               f"overlap without being equal")
+        return True
 
     def settle(cells):
         """Decide every cell that list-order sweeps would decide before
@@ -303,18 +393,8 @@ def _project_run(store, root, p):
             rest = still
         pending = rest
 
-    targets = [d for _, d in drafts]
-    for _, a, c in checks:
-        targets.extend((a, c))
-    nodes = b.intern(targets)
-    at = len(drafts)
-    for g, a, c in checks:
-        fa, fc = nodes[at], nodes[at + 1]
-        at += 2
-        if fa is not fc:
-            reject(ProjectionErrorKind.UnequalContinuations, g,
-                   f"branches of {g!r} project onto {p!r} differently "
-                   f"({print_process(fa)} vs {print_process(fc)})")
+    nodes = b.intern([d for _, d in drafts])
+    _verify(p, checks, {d: node for (_, d), node in zip(drafts, nodes)})
     for (g, _), node in zip(drafts, nodes):
         cache[(g.nid, p)] = node
     return cache[(root.nid, p)]

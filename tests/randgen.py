@@ -65,6 +65,24 @@ def random_global(rng, store, participants=LEFT_PARTICIPANTS, labels=LABELS,
     return b.intern([drafts[0]])[0]
 
 
+def random_finite_global_text(rng, participants=LEFT_PARTICIPANTS, labels=LABELS,
+                              max_nodes=8):
+    """The text of an arbitrary finite global type (not necessarily well
+    formed): `let` equations D0 .. Dn-1 and the root D0, each continuation
+    `end` or a later equation, so the type is a DAG whose tree can be
+    exponentially longer than the text."""
+    n = rng.randint(1, max_nodes)
+    eqs = []
+    for i in range(n):
+        sender, receiver = rng.sample(participants, 2)
+        branches = ", ".join(
+            f"{l} . " + ("end" if i == n - 1 or rng.random() < 0.2
+                         else f"D{rng.randrange(i + 1, n)}")
+            for l in _pick_labels(rng, labels))
+        eqs.append(f"let D{i} = {sender} -> {receiver} : {{{branches}}}\n")
+    return "".join(eqs) + "D0\n"
+
+
 def random_wf_global(rng, store, participants=LEFT_PARTICIPANTS,
                      labels=LABELS, max_nodes=8, tries=400):
     """Rejection-sample a well-formed global type; None if the budget runs out."""

@@ -361,6 +361,51 @@ def test_node_ids_are_stable(cx):
         "3bfc29bc2e0fc3d3ef3dd3503351c1fbfc676513caeaafdc32efac69ad69205b")
 
 
+def _naive_finite(nodes):
+    """{node: no cycle is reachable from it}, by a plain depth-first search
+    that marks the nodes on its path."""
+    finite = {}
+
+    def search(n, path):
+        if n in path:
+            return False
+        if n not in finite:
+            path.add(n)
+            finite[n] = all([search(c, path) for _, c in n.branches])
+            path.remove(n)
+        return finite[n]
+
+    for n in nodes:
+        search(n, set())
+    return finite
+
+
+def test_finite_flag_matches_a_naive_search(cx):
+    store = NodeStore()
+    for suffix, parse in ((".proc", parse_process), (".gt", parse_global),
+                          (".sess", parse_session)):
+        for name in cx.names(suffix):
+            parse(cx.text(name), store=store, filename=name)
+    rng = random.Random(7)
+    folded = 0
+    for proc in (True, False):
+        make = randgen.random_process if proc else randgen.random_global
+        pool = [store.end_process if proc else store.end_global]
+        for _ in range(100):
+            pool.extend(_random_drafts(rng, store, pool, proc))
+            pool.append(store.adopt(make(rng, NodeStore())))
+            original = rng.choice(pool)
+            copies = _unrolled_copy(rng, store, pool, original)
+            # a cyclic component that merged into the nodes it copies
+            folded += bool(copies) and copies[0] is original and not original._finite
+            pool.extend(copies)
+    assert folded >= 10
+    nodes = list(store._cons.values())
+    naive = _naive_finite(nodes)
+    assert [n._finite for n in nodes] == [naive[n] for n in nodes]
+    assert 100 < sum(naive.values()) < len(nodes) - 100
+
+
 def test_search_keeps_drafts_it_finished_before_a_cycle(store):
     # the search finishes the acyclic branch `a`, then meets the cycle in `b`
     b = store.builder()

@@ -1,7 +1,10 @@
-"""The graph-to-graph maps built on `GraphBuilder.unfold`.
+"""The graph-to-graph maps built on `GraphBuilder.unfold`, and projection.
 
-Each map is compared with its recursive reference in `oracles` on random
-inputs, and then run on inputs far deeper than any recursion allows.
+Projection takes `unfold`'s draft path only for a type that is not finite;
+a finite type takes its one-pass path, so random types of both kinds are
+projected.  Each map is compared with its recursive reference in `oracles`
+on random inputs, and then run on inputs far deeper than any recursion
+allows.
 """
 
 import random
@@ -33,6 +36,14 @@ def _random_globals(seed, count):
             max_nodes=rng.randint(1, 12), branchiness=rng.random())
 
 
+def _finite_globals(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield parse_global(randgen.random_finite_global_text(
+            rng, NAMES[:rng.randint(2, 5)], max_nodes=rng.randint(1, 12)),
+            store=NodeStore())
+
+
 def _reachable(G):
     seen = {G}
     stack = [G]
@@ -47,10 +58,13 @@ def _reachable(G):
 # ---------------------------------------------------------------------------
 # Differential tests against the recursive references.
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_projection_matches_the_reference(seed):
-    failing = moved = 0
-    for G in _random_globals(seed, 1500):
+@pytest.mark.parametrize("types, seed, finite_types", [
+    (_random_globals, 1, 663), (_random_globals, 2, 688), (_finite_globals, 3, 1500)],
+    ids=["1", "2", "finite-3"])
+def test_projection_matches_the_reference(types, seed, finite_types):
+    failing = moved = finite = 0
+    for G in types(seed, 1500):
+        finite += G._finite
         for p in sorted(participants(G)) + ["zz"]:
             got, ref = project(G, p), ref_project(G, p)
             if not isinstance(ref, ProjectionError):
@@ -69,6 +83,8 @@ def test_projection_matches_the_reference(seed):
             assert isinstance(ref_project(alone, p), ProjectionError)
     assert failing > 100
     assert moved < failing / 20
+    # a finite type takes projection's one-pass path, any other its draft path
+    assert finite == finite_types
 
 
 def _stacked_globals(seed, count):

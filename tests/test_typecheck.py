@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from mpst.core import GraphBuilder, NodeStore, PEnd, Session, TermError, bisimilar
+from mpst.core import (GraphBuilder, NodeStore, PEnd, Session, TermError,
+                       bisimilar, participants)
 from mpst.parser import parse_global, parse_process, print_process
 from mpst.typecheck import (DepthValue, IllFormedGlobalType, Mode,
-                            ProjectionError, ProjectionErrorKind, depth, leq,
-                            leq_plus, project, typecheck, well_formed)
+                            ProjectionError, ProjectionErrorKind, _project_run,
+                            _Reject, depth, leq, leq_plus, project, typecheck,
+                            well_formed)
 
 import randgen
 from oracles import ref_depth_raw, ref_leq, ref_leq_plus
@@ -110,6 +112,10 @@ def test_projection_reproduces_golden_processes(cx):
      ProjectionErrorKind.UnequalContinuations),
     ("p -> q : {l1 . s -> r : a . end, l2 . s -> r : {a . s -> r : b . end}}",
      "r", ProjectionErrorKind.UnequalContinuations),
+    # the x1 and x2 members project alike but are distinct members, so the
+    # labels overlap: a merge is told its members by node, not by projection
+    ("let A = s -> r : a . end\nq -> p : {x1 . p -> q : y . A, x2 . A, x3 . s -> r : b . end}",
+     "r", ProjectionErrorKind.OverlappingInputLabels),
 ])
 def test_projection_error_kinds(store, text, who, kind):
     G = parse_global(text, store=store)
@@ -196,14 +202,12 @@ def test_projection_totality_on_well_formed_corpus(cx):
         report = well_formed(G)
         if not report.ok:
             continue
-        from mpst.core import participants
         for p in sorted(participants(G)) + ["fresh"]:
             assert not isinstance(project(G, p), ProjectionError)
 
 
 def test_projection_commutes_with_unfolding(cx):
     # a fresh store re-interns the same regular tree; projections agree
-    from mpst.core import participants
     for name in cx.names(".gt"):
         G = cx.gt(name)
         other = NodeStore()
@@ -214,6 +218,48 @@ def test_projection_commutes_with_unfolding(cx):
                 assert isinstance(b, ProjectionError) and a.kind is b.kind
             else:
                 assert bisimilar(a, b)
+
+
+def _fingerprint(store):
+    return [(n.nid, n.shape, [c.nid for _, c in n.branches])
+            for n in sorted(store._cons.values(), key=lambda n: n.nid)]
+
+
+def _draft_project(G, p):
+    """`project` held to the draft path, which any type may take."""
+    try:
+        return _project_run(G.store, G, p)
+    except _Reject as r:
+        return r.err
+
+
+def test_finite_projection_matches_the_draft_path():
+    # the one-pass path for finite types must give the errors and make the
+    # nodes, with the same ids and in the same order, that the draft path does
+    rng = random.Random(20)
+    defined = 0
+    kinds = []
+    for _ in range(1500):
+        text = randgen.random_finite_global_text(
+            rng, ("p", "q", "r", "s", "t")[:rng.randint(2, 5)],
+            max_nodes=rng.randint(1, 12))
+        one, two = NodeStore(), NodeStore()
+        G, H = parse_global(text, store=one), parse_global(text, store=two)
+        assert G._finite and H._finite
+        for p in sorted(participants(G)) + ["zz"]:
+            got, want = project(G, p), _draft_project(H, p)
+            if isinstance(want, ProjectionError):
+                assert isinstance(got, ProjectionError)
+                assert ((got.kind, got.message, got.node.nid)
+                        == (want.kind, want.message, want.node.nid))
+                kinds.append(got.kind)
+            else:
+                defined += 1
+                assert print_process(got) == print_process(want)
+            assert one._count == two._count
+            assert _fingerprint(one) == _fingerprint(two)
+    assert defined >= 200 and len(kinds) >= 100
+    assert set(kinds) == set(ProjectionErrorKind)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +424,6 @@ def test_relaxed_typing_rejects_an_undefined_projection(store):
 
 def test_depth_decrease_under_root_steps(cx):
     # communications strictly lower the depth of uninvolved participants
-    from mpst.core import participants
     G = cx.gt("relay.gt")
     for label, cont in G.branches:
         for r in participants(G) - {G.sender, G.receiver}:
