@@ -12,6 +12,7 @@ from mpst.core import (GComm, GEnd, NodeStore, PEnd, PIn, POut, Session,
 from mpst.parser import (parse_global, parse_process, parse_session,
                          print_global, print_process, print_session)
 from mpst.semantics import session_enabled
+from mpst.typecheck import ProjectionError, project
 
 import randgen
 from oracles import ref_participants
@@ -352,13 +353,45 @@ def test_node_ids_are_stable(cx):
         randgen.random_global(rng, store)
     for _ in range(200):
         randgen.compatible_global_pair(rng, store)
+    assert (store._count, len(store._cycles)) == (6411, 787)
+    assert _fingerprint(store) == (
+        "3bfc29bc2e0fc3d3ef3dd3503351c1fbfc676513caeaafdc32efac69ad69205b")
+
+
+def _fingerprint(store, results=()):
+    """sha256 of every node of the store, in nid order, then of `results`."""
     digest = hashlib.sha256()
     for n in sorted(store._cons.values(), key=lambda n: n.nid):
         digest.update(repr((n.nid, n.shape, [c.nid for _, c in n.branches],
                             sorted(n._participants))).encode())
-    assert (store._count, len(store._cycles)) == (6411, 787)
-    assert digest.hexdigest() == (
-        "3bfc29bc2e0fc3d3ef3dd3503351c1fbfc676513caeaafdc32efac69ad69205b")
+    for r in results:
+        digest.update(repr(r).encode())
+    return digest.hexdigest()
+
+
+def test_projection_node_ids_are_stable():
+    # projection's nodes are pinned too, cyclic types included: a change to
+    # how merges are decided or made must give every node the same id and
+    # every error the same kind, message and node
+    store = NodeStore()
+    rng = random.Random(21)
+    results = []
+    for i in range(3000):
+        names = ("p", "q", "r", "s", "h")[:rng.randint(2, 5)]
+        if i % 4 == 3:
+            G = parse_global(randgen.random_finite_global_text(
+                rng, names, max_nodes=rng.randint(1, 12)), store=store)
+        else:
+            G = randgen.random_global(rng, store, participants=names,
+                                      max_nodes=rng.randint(1, 12),
+                                      branchiness=rng.random())
+        for p in sorted(participants(G)) + ["zz"]:
+            res = project(G, p)
+            results.append((G.nid, p, res.nid) if not isinstance(res, ProjectionError)
+                           else (G.nid, p, res.kind.value, res.message, res.node.nid))
+    assert (store._count, len(store._cycles), len(results)) == (5590, 1051, 10220)
+    assert _fingerprint(store, results) == (
+        "8d24b7dee5e60261b2205b91fecdbb027bea50e64fde006f71e7957caf9e354f")
 
 
 def _naive_finite(nodes):
