@@ -1,4 +1,7 @@
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -476,3 +479,18 @@ def test_connection_can_prune_a_participant_into_starvation(store):
 
     vr = verify_connection(M, G, Mp, Gp, "h", "k")
     assert not vr.ok and not vr.typing.ok
+
+
+# ---------------------------------------------------------------------------
+# The composition audit script.
+
+def test_composition_audit_matches_its_golden_output():
+    # the audit's verdicts over 500 seeded cases; only its timing line varies
+    here = pathlib.Path(__file__).resolve().parent
+    proc = subprocess.run(
+        [sys.executable, str(here.parent / "scripts" / "composition_audit.py"),
+         "--seed", "111", "--cases", "500"],
+        capture_output=True, text=True, check=True)
+    out = "".join(line for line in proc.stdout.splitlines(keepends=True)
+                  if not line.startswith("elapsed: "))
+    assert out == (here / "audit_seed111.txt").read_text()
