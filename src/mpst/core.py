@@ -37,7 +37,9 @@ them, so `participants` reads a field.  Likewise `_finite` records whether
 its tree is finite: a node made from an acyclic draft is finite exactly when
 its children are, and the new nodes of a cyclic component are not (such a
 component is never bisimilar to a finite node, so none of its classes merges
-into one).  Projection reads it to take its one-pass path.
+into one).  Projection is its one reader: a merge at a finite node is an
+alias of its member, and a finite type's projection is made in list order
+with no interning search.
 """
 
 from __future__ import annotations
@@ -502,31 +504,14 @@ class GraphBuilder:
         self._drafts[i] = ((kind, *names, labels), refs)
         return i
 
-    def _desc(self, target):
-        """(shape, refs) of a draft or node; None while still unfilled."""
-        ref = self._ref(target)
-        return self._drafts[ref] if ref.__class__ is int else _split(ref)
-
     def fill_copy(self, i, target):
         """Give draft i the same description as another draft or node."""
-        desc = self._desc(target)
+        ref = self._ref(target)
+        desc = self._drafts[ref] if ref.__class__ is int else _split(ref)
         if desc is None:
             raise TermError("cannot copy an unfilled draft")
         self._drafts[i] = desc
         return i
-
-    def shape_of(self, target):
-        """Shape of a draft or node, as `_split` gives it; None while the
-        draft is still unfilled."""
-        desc = self._desc(target)
-        return None if desc is None else desc[0]
-
-    def branch_targets(self, target):
-        """[(label, draft index or node)] of a filled draft or node."""
-        desc = self._desc(target)
-        if desc is None or not desc[1]:
-            raise TermError("target has no branches")
-        return list(zip(desc[0][-1], desc[1]))
 
     def add_in(self, peer, branches):
         return self.fill_in(self.reserve(), peer, branches)
@@ -549,8 +534,7 @@ class GraphBuilder:
         as a node's, and it may be a node's own `shape`; children in label
         order) once its children have values.
         Shape names must come from canonical nodes, as the fill checks
-        nothing.  A shape of None leaves the draft for the caller to fill.
-        Returns {key: draft or node}, children before parents.
+        nothing.  Returns {key: draft or node}, children before parents.
         """
         seen = {}      # key -> draft or node, from its first visit on
         done = {}
@@ -570,9 +554,8 @@ class GraphBuilder:
                 frames.pop()
                 if kids is not None:
                     done[key] = seen[key]
-                    if shape is not None:
-                        self._drafts[seen[key]] = (shape, tuple(
-                            self._ref(seen[k]) for k in kids))
+                    self._drafts[seen[key]] = (shape, tuple(
+                        self._ref(seen[k]) for k in kids))
         return done
 
 

@@ -7,26 +7,28 @@ results merged.  The merge accepts either branches that all project to the
 same process, or branches that all project to inputs from one common sender
 with pairwise-disjoint label sets (combined into a single input).
 
-A finite global type (see `core`'s `_finite`) is projected in one pass with
-no drafts.  An explicit-stack walk lists, children first, the nodes below it
-whose projection is neither cached nor 0.  Each is then decided in that
-order: an output or input clause as an entry (shape, refs), a merge as its
-first member or as a combined input.  Only then is each entry made, by one
-hash-cons lookup, so a rejected type makes no node, and every node, id and
-error is the one the draft path below would give.
+Every global type is projected by one function, `_project`, in three
+steps.  An explicit-stack walk lists, children first, the nodes below G
+whose projection is neither cached nor 0.  Each gets an entry index on its
+first visit, so that a back edge can name it, and each output or input
+clause its entry (shape, refs) once listed, each ref an index or a cached
+process.  The merges are then decided by one rule, `_merge`, in the order
+that sweeping the undecided ones in list order until none moves would
+decide them, but without the repeated sweeps: a merge the first sweep
+leaves is decided right after the last merge it waits on, in that merge's
+sweep or the next, so a chain of merges that each wait on a later one
+costs no sweep per merge.  Merges that wait on one another in a cycle fall
+back to their first member whose projection is known.  Only then are the
+nodes made, so a rejected type makes none, and the equalities a merge
+assumed between two projections are verified, where equal means identical.
 
-Any other type is projected corecursively over the global graph.  One
-`GraphBuilder.unfold` gives each global node a draft and fills those of the
-output and input clauses; the merges are then decided children first, each
-once the drafts of its branches are filled, in the order that sweeping the
-pending merges in list order would decide them.  One sweep and one ordering
-pass stand in for the repeated sweeps, so a chain of merges that each wait
-on a later one costs no sweep per merge.  Merges that wait on one another
-in a cycle are resolved last.
-
-Both paths decide a merge by one rule, `_merge`, and verify the equalities
-it assumes between two projections once the nodes are made, where equal
-means identical.
+A finite type's entries (see `core`'s `_finite`) are made in list order,
+one hash-cons lookup each, as its children come first, and a merge that is
+its first member takes that member's node with no lookup.  Any other type's
+entries go to one interning batch, where such a merge keeps its own entry,
+a copy of its member's: an alias inside a cyclic type would change which
+entries `NodeStore._intern_cycle` meets first, and so the order, and the
+ids, of the nodes it makes.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import total_ordering
+from heapq import heappop, heappush
 
 from .core import (
     GComm,
@@ -175,22 +178,26 @@ def project(G, p):
         return hit
     check_ident(p, "participant")
     try:
-        return (_project_finite if G._finite else _project_run)(G.store, G, p)
+        return _project(G.store, G, p)
     except _Reject as r:
         # at the failing node, then at G (an error met cached is there already)
         cache[(r.err.node.nid, p)] = cache[(G.nid, p)] = r.err
         return r.err
 
 
-def _merge(g, p, shapes, had_self=False):
-    """How the merge at g joins members of these shapes, in member order:
-    "first" when it is its first member, "equal" when it is too and every
-    other member must turn out identical to that one, "union" when their
-    inputs combine into one.  Any other merge is rejected."""
-    if not shapes:
+def _merge(g, p, members, had_self=False):
+    """How the merge at g joins its members, given as (shape, refs) in member
+    order: None while one is undecided (None), "first" when it is its
+    first member, "equal" when it is too and every other member must turn
+    out identical to that one, "union" when their inputs combine into one.
+    Any other merge is rejected."""
+    if None in members:
+        return None
+    if not members:
         raise AssertionError("empty merge despite the participant occurring")
-    if len(shapes) == 1:
+    if len(members) == 1:
         return "first"
+    shapes = [m[0] for m in members]
     kinds = {s[0] for s in shapes}
     if len(kinds) > 1:
         words = {"pend": "end", "pin": "in", "pout": "out"}
@@ -227,7 +234,7 @@ def _merge(g, p, shapes, had_self=False):
 
 def _verify(p, checks, made):
     """Reject at the first (node, ref, ref) whose refs, assumed equal, were
-    made into two nodes; `made` maps a draft or entry index to its node."""
+    made into two nodes; `made` maps an entry index to its node."""
     for g, a, c in checks:
         fa = made[a] if a.__class__ is int else a
         fc = made[c] if c.__class__ is int else c
@@ -237,14 +244,36 @@ def _verify(p, checks, made):
                     f"({print_process(fa)} vs {print_process(fc)})")
 
 
-def _project_finite(store, root, p):
-    """Projection of a finite G: one walk, then every decision, then the
-    nodes, with no drafts."""
+def _decide(p, entries, alias, checks, i, g, ms, had_self):
+    """Fill the entry of the merge at g, or return False while one of its
+    members is undecided.  Each member is an entry index or a process."""
+    ds = [entries[m] if m.__class__ is int else _split(m) for m in ms]
+    how = _merge(g, p, ds, had_self)
+    if how is None:
+        return False
+    if how == "union":
+        # the label sets are disjoint, so the sort never compares refs
+        labels, kids = zip(*sorted(pair for shape, refs in ds
+                                   for pair in zip(shape[-1], refs)))
+        entries[i] = (("pin", ds[0][0][1], labels), kids)
+    else:
+        entries[i] = ds[0]
+        if alias is not None:
+            alias[i] = ms[0]
+        if how == "equal":
+            checks.extend((g, ms[0], m) for m in ms[1:])
+    return True
+
+
+def _project(store, root, p):
+    """Projection of G onto p: one walk, then every decision, then the nodes."""
     cache = store.memo("project")
-    # node met -> its cached projection, or itself when visited: a merge
-    # tells members apart by node, as the draft path tells drafts apart
+    # node met -> its cached projection, or when visited its entry index,
+    # reserved on the first visit so that a back edge can name it
     seen = {}
+    entries = []   # each visited node's (shape, refs), a ref an index or a process
     order = []     # the visited nodes, children first
+    merges = []    # (index, node, distinct members but itself, had itself)
     frames = [(None, iter([(None, root)]))]
     while frames:
         g, it = frames[-1]
@@ -256,7 +285,8 @@ def _project_finite(store, root, p):
                 if hit.__class__ is ProjectionError:
                     raise _Reject(hit)
                 if hit is None:
-                    seen[c] = c
+                    seen[c] = len(entries)
+                    entries.append(None)
                     frames.append((c, iter(c.branches)))
                     break
                 seen[c] = hit
@@ -264,139 +294,74 @@ def _project_finite(store, root, p):
             frames.pop()
             if frames:
                 order.append(g)
+                i = seen[g]
+                _, sender, receiver, labels = g.shape
+                kids = [seen[k] for _, k in g.branches]
+                if p == sender:
+                    entries[i] = (("pout", receiver, labels), kids)
+                elif p == receiver:
+                    entries[i] = (("pin", sender, labels), kids)
+                else:
+                    merges.append((i, g, [m for m in dict.fromkeys(kids) if m != i],
+                                   i in kids))
 
-    entries = []   # (shape, refs): each ref a node or an earlier entry's index
-    ref = {}       # visited node -> its projection's entry index or node
-    checks = []
-    for g in order:
-        shape = g.shape
-        members = [seen[k] for _, k in g.branches]
-        if p == shape[1] or p == shape[2]:
-            ref[g] = len(entries)
-            entries.append((("pout", shape[2], shape[3]) if p == shape[1] else
-                            ("pin", shape[1], shape[3]), [ref.get(m, m) for m in members]))
-            continue
-        refs = [ref.get(m, m) for m in dict.fromkeys(members)]
-        shapes = [entries[r][0] if r.__class__ is int else r.shape for r in refs]
-        how = _merge(g, p, shapes)
-        if how == "union":
-            # the label sets are disjoint, so the sort never compares refs
-            labels, kids = zip(*sorted(pair for r, s in zip(refs, shapes) for pair in (
-                zip(s[-1], entries[r][1]) if r.__class__ is int else r.branches)))
-            ref[g] = len(entries)
-            entries.append((("pin", shapes[0][1], labels), kids))
-            continue
-        ref[g] = refs[0]
-        if how == "equal":
-            checks.extend((g, refs[0], r) for r in refs[1:])
-
-    made = []
-    for shape, refs in entries:
-        made.append(store._cons_node(shape, refs, made))
-    _verify(p, checks, made)
-    for g in order:
-        r = ref[g]
-        cache[(g.nid, p)] = made[r] if r.__class__ is int else r
-    return cache[(root.nid, p)]
-
-
-def _project_run(store, root, p):
-    cache = store.memo("project")
-    b = store.builder()
-    checks = []  # (node, ref, ref): projections assumed equal, checked at the end
-    merges = set()
-
-    def expand(g):
-        hit = cache.get((g.nid, p))
-        if isinstance(hit, ProjectionError):
-            raise _Reject(hit)
-        if hit is not None:
-            return hit
-        if p not in participants(g):
-            cache[(g.nid, p)] = store.end_process
-            return store.end_process
-        (_, sender, receiver, labels), kids = _split(g)
-        if sender == p:
-            return ("pout", receiver, labels), kids
-        if receiver == p:
-            return ("pin", sender, labels), kids
-        merges.add(g)
-        return None, kids
-
-    def decide(cell):
-        """Fill the cell's draft, or return False while members are holes."""
-        g, d, ms, had_self = cell
-        shapes = [b.shape_of(m) for m in ms]
-        if None in shapes:
-            return False
-        how = _merge(g, p, shapes, had_self)
-        if how == "union":
-            b.fill_in(d, shapes[0][1], [t for m in ms for t in b.branch_targets(m)])
-            return True
-        b.fill_copy(d, ms[0])
-        if how == "equal":
-            checks.extend((g, ms[0], m) for m in ms[1:])
-        return True
-
-    def settle(cells):
-        """Decide every cell that list-order sweeps would decide before
-        stalling, in the order they would, and return the rest in list
-        order.  One sweep settles the common case; after it, a cell's sweep
-        is the first one in which each cell it waits on is decided, in an
-        earlier sweep or earlier in this one, and a cell waiting on a cycle
-        stays pending."""
-        rest = [cell for cell in cells if not decide(cell)]
-        if not rest or len(rest) == len(cells):
-            return rest
-        index = {cell[1]: i for i, cell in enumerate(rest)}
-        waits = [[index[m] for m in cell[2] if m in index] for cell in rest]
-        sweep = {}   # cell position -> sweep number, for the cells decided
-        for scc in _sccs(range(len(rest)), waits.__getitem__):
-            i = scc[0]
-            if len(scc) == 1 and all(j in sweep for j in waits[i]):
-                sweep[i] = max((sweep[j] + (j > i) for j in waits[i]), default=0)
-        for i in sorted(sweep, key=lambda i: (sweep[i], i)):
-            decide(rest[i])
-        return [cell for i, cell in enumerate(rest) if i not in sweep]
-
-    value = b.unfold([root], expand)
-    drafts = [(g, d) for g, d in value.items() if d.__class__ is int]
-    pending = []   # the merges, children first: (node, draft, members, had_self)
-    for g, d in drafts:
-        if g in merges:
-            members = []
-            for _, c in g.branches:
-                m = value[c]
-                if m not in members:
-                    members.append(m)
-            had_self = d in members
-            if had_self:
-                members.remove(d)
-            pending.append((g, d, members, had_self))
+    checks = []    # (node, ref, ref): projections assumed equal
+    # of a finite root only: merge index -> the member it is
+    alias = {} if root._finite else None
+    # the first sweep of the merges in list order, then the merges it leaves
+    pending = [cell for cell in merges
+               if not _decide(p, entries, alias, checks, *cell)]
     while pending:
-        rest = settle(pending)
-        if rest:
-            # The remaining merges wait on a cycle of merges.  A cyclic
-            # union has no consistent label set, so the only reading left is
-            # that each such merge equals its members; pick the first member
-            # whose shape is known and leave the equalities to the checks.
-            # Merges whose members are all still holes unblock on a later
-            # sweep once a neighbour is filled.
-            for g, d, members, _ in rest:
-                known = [m for m in members if b.shape_of(m) is not None]
-                if known:
-                    b.fill_copy(d, known[0])
-                    checks.extend((g, known[0], m) for m in members if m != known[0])
-            still = [cell for cell in rest if b.shape_of(cell[1]) is None]
-            if len(still) == len(rest):
-                raise AssertionError("merge cycle with no resolved member")
-            rest = still
-        pending = rest
+        # a merge goes in the sweep that decides the last merge it waits
+        # on, the next one if that merge comes after it in the list
+        at = {cell[0]: k for k, cell in enumerate(pending)}
+        waiters = [[] for _ in pending]
+        left = []
+        for k, (_, _, ms, _) in enumerate(pending):
+            waits = [at[m] for m in ms if m in at]
+            for j in waits:
+                waiters[j].append(k)
+            left.append(len(waits))
+        sweep = [0] * len(pending)
+        ready = [(0, k) for k, n in enumerate(left) if not n]
+        while ready:
+            s, k = heappop(ready)
+            _decide(p, entries, alias, checks, *pending[k])
+            for w in waiters[k]:
+                sweep[w] = max(sweep[w], s + (k > w))
+                left[w] -= 1
+                if not left[w]:
+                    heappush(ready, (sweep[w], w))
+        rest = [cell for cell in pending if entries[cell[0]] is None]
+        # The rest wait on a cycle of merges.  A cyclic union has no
+        # consistent label set, so each such merge can only equal its
+        # members: it is its first known one, and the checks test the rest.
+        for i, g, ms, _ in rest:
+            known = [m for m in ms if m.__class__ is not int or entries[m]]
+            if known:
+                m = known[0]
+                entries[i] = entries[m] if m.__class__ is int else _split(m)
+                checks.extend((g, known[0], m) for m in ms if m != known[0])
+        pending = [cell for cell in rest if entries[cell[0]] is None]
+        if pending and len(pending) == len(rest):
+            raise AssertionError("merge cycle with no resolved member")
 
-    nodes = b.intern([d for _, d in drafts])
-    _verify(p, checks, {d: node for (_, d), node in zip(drafts, nodes)})
-    for (g, _), node in zip(drafts, nodes):
-        cache[(g.nid, p)] = node
+    roots = [seen[g] for g in order]
+    if root._finite:
+        made = [None] * len(entries)
+        cons = store._cons_node
+        for i in roots:
+            m = alias.get(i)
+            if m is None:
+                shape, refs = entries[i]
+                made[i] = cons(shape, refs, made)
+            else:
+                made[i] = made[m] if m.__class__ is int else m
+    else:
+        made = dict(zip(roots, store._intern(entries, roots)))
+    _verify(p, checks, made)
+    for g, i in zip(order, roots):
+        cache[(g.nid, p)] = made[i]
     return cache[(root.nid, p)]
 
 

@@ -78,14 +78,18 @@ def _ref_project_run(store, root, p):
         cache[(g.nid, p)] = err
         raise _Reject(err)
 
+    def desc(target):
+        """(shape, refs) of a draft or node; None while the draft is a hole."""
+        return b._drafts[target] if isinstance(target, int) else _split(target)
+
     def decide(cell):
         """Fill the cell's draft, or return False while members are holes."""
         shapes = []
         for m in cell.members:
-            s = b.shape_of(m)
-            if s is None:
+            d = desc(m)
+            if d is None:
                 return False
-            shapes.append(s)
+            shapes.append(d[0])
         g, d, ms = cell.node, cell.draft, cell.members
         if not ms:
             raise AssertionError("empty merge despite the participant occurring")
@@ -127,7 +131,8 @@ def _ref_project_run(store, root, p):
                        f"itself, which cannot be disjoint from the union")
             combined = []
             for m in ms:
-                combined.extend(b.branch_targets(m))
+                shape, refs = desc(m)
+                combined.extend(zip(shape[-1], refs))
             b.fill_in(d, senders.pop(), combined)
             return True
         reject(ProjectionErrorKind.OverlappingInputLabels, g,
@@ -187,7 +192,7 @@ def _ref_project_run(store, root, p):
             # sweep once a neighbour is filled.
             progressed = False
             for cell in rest:
-                known = [m for m in cell.members if b.shape_of(m) is not None]
+                known = [m for m in cell.members if desc(m) is not None]
                 if not known:
                     continue
                 b.fill_copy(cell.draft, known[0])

@@ -186,11 +186,15 @@ def _intern_checked(b, drafts):
             assert node is target if target.store is b.store else _naive_bisimilar(target, node)
         elif (target, node) not in seen:
             seen.add((target, node))
-            assert b.shape_of(target) == b.shape_of(node)
-            if not isinstance(node, (PEnd, GEnd)):
-                work.extend((t, c) for (_, t), (_, c)
-                            in zip(b.branch_targets(target), node.branches))
+            (shape, refs), (node_shape, kids) = _desc(b, target), _desc(b, node)
+            assert shape == node_shape
+            work.extend(zip(refs, kids))
     return nodes
+
+
+def _desc(b, target):
+    """(shape, refs) of a filled draft or of a node, children in label order."""
+    return b._drafts[target] if isinstance(target, int) else mpst.core._split(target)
 
 
 def _fill_like(b, d, n, branches):
@@ -809,7 +813,7 @@ def test_unfold_ties_cycles_and_returns_children_first(store):
     assert ring is parse_process("rec X . q!l0 . q!l1 . q!l2 . X", store=store)
 
 
-def test_unfold_passes_nodes_through_and_leaves_none_shapes_open(store):
+def test_unfold_passes_nodes_through_and_expands_each_key_once(store):
     end = store.end_process
     expanded = []
 
@@ -817,22 +821,16 @@ def test_unfold_passes_nodes_through_and_leaves_none_shapes_open(store):
         expanded.append(key)
         if key == "end":
             return end
-        if key == "open":
-            return None, ("end", "leaf")
-        return ("pin", "p", ("a", "b")), ("end", "end")
+        return ("pin", "p", ("a", "b")), ("end", "leaf" if key == "top" else "end")
 
     b = store.builder()
-    value = b.unfold(["open", "leaf"], expand)
-    assert expanded == ["open", "end", "leaf"]   # each key expanded once
+    value = b.unfold(["top", "leaf"], expand)
+    assert expanded == ["top", "end", "leaf"]
     assert value["end"] is end
-    assert b.shape_of(value["open"]) is None
-    assert b.shape_of(value["leaf"]) == ("pin", "p", ("a", "b"))
     with pytest.raises(TermError, match="cannot copy an unfilled draft"):
-        b.fill_copy(value["leaf"], value["open"])
-    with pytest.raises(TermError, match="target has no branches"):
-        b.branch_targets(value["end"])
-    b.fill_copy(value["open"], value["leaf"])
-    assert b.intern([value["open"]])[0] is parse_process("p?{a . 0, b . 0}", store=store)
+        b.fill_copy(value["leaf"], b.reserve())
+    assert b.intern([value["top"]])[0] is parse_process(
+        "p?{a . 0, b . p?{a . 0, b . 0}}", store=store)
 
 
 def test_unfold_has_no_depth_limit(store):

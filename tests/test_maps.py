@@ -1,10 +1,10 @@
 """The graph-to-graph maps built on `GraphBuilder.unfold`, and projection.
 
-Projection takes `unfold`'s draft path only for a type that is not finite;
-a finite type takes its one-pass path, so random types of both kinds are
-projected.  Each map is compared with its recursive reference in `oracles`
-on random inputs, and then run on inputs far deeper than any recursion
-allows.
+Projection aliases a merge at a finite node and copies any other, and makes
+a finite type's nodes with no interning search, so random types of both
+kinds are projected.  Each map is compared with its recursive reference in
+`oracles` on random inputs, and then run on inputs far deeper than any
+recursion allows.
 """
 
 import random
