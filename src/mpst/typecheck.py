@@ -337,11 +337,13 @@ def _project(store, root, p):
         # consistent label set, so each such merge can only equal its
         # members: it is its first known one, and the checks test the rest.
         for i, g, ms, _ in rest:
-            known = [m for m in ms if m.__class__ is not int or entries[m]]
+            known = [m for m in ms
+                     if m.__class__ is not int or entries[m] is not None]
             if known:
-                m = known[0]
-                entries[i] = entries[m] if m.__class__ is int else _split(m)
-                checks.extend((g, known[0], m) for m in ms if m != known[0])
+                first = known[0]
+                entries[i] = (entries[first] if first.__class__ is int
+                              else _split(first))
+                checks.extend((g, first, m) for m in ms if m != first)
         pending = [cell for cell in rest if entries[cell[0]] is None]
         if pending and len(pending) == len(rest):
             raise AssertionError("merge cycle with no resolved member")
