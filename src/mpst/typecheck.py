@@ -185,19 +185,18 @@ def project(G, p):
         return r.err
 
 
-def _merge(g, p, members, had_self=False):
-    """How the merge at g joins its members, given as (shape, refs) in member
+def _merge(g, p, shapes, had_self=False):
+    """How the merge at g joins its members, given by their shapes in member
     order: None while one is undecided (None), "first" when it is its
     first member, "equal" when it is too and every other member must turn
     out identical to that one, "union" when their inputs combine into one.
     Any other merge is rejected."""
-    if None in members:
+    if None in shapes:
         return None
-    if not members:
+    if not shapes:
         raise AssertionError("empty merge despite the participant occurring")
-    if len(members) == 1:
+    if len(shapes) == 1:
         return "first"
-    shapes = [m[0] for m in members]
     kinds = {s[0] for s in shapes}
     if len(kinds) > 1:
         words = {"pend": "end", "pin": "in", "pout": "out"}
@@ -247,21 +246,23 @@ def _verify(p, checks, made):
 def _decide(p, entries, alias, checks, i, g, ms, had_self):
     """Fill the entry of the merge at g, or return False while one of its
     members is undecided.  Each member is an entry index or a process."""
-    ds = [entries[m] if m.__class__ is int else _split(m) for m in ms]
-    how = _merge(g, p, ds, had_self)
+    # a process's own shape, or its entry's (None while undecided)
+    shapes = [m.shape if m.__class__ is not int
+              else entries[m] and entries[m][0] for m in ms]
+    how = _merge(g, p, shapes, had_self)
     if how is None:
         return False
     if how == "union":
         # the label sets are disjoint, so the sort never compares refs
+        ds = [entries[m] if m.__class__ is int else _split(m) for m in ms]
         labels, kids = zip(*sorted(pair for shape, refs in ds
                                    for pair in zip(shape[-1], refs)))
         entries[i] = (("pin", ds[0][0][1], labels), kids)
     else:
-        entries[i] = ds[0]
-        if alias is not None:
-            alias[i] = ms[0]
+        m = alias[i] = ms[0]
+        entries[i] = entries[m] if m.__class__ is int else _split(m)
         if how == "equal":
-            checks.extend((g, ms[0], m) for m in ms[1:])
+            checks.extend((g, m, k) for k in ms[1:])
     return True
 
 
@@ -306,8 +307,7 @@ def _project(store, root, p):
                                    i in kids))
 
     checks = []    # (node, ref, ref): projections assumed equal
-    # of a finite root only: merge index -> the member it is
-    alias = {} if root._finite else None
+    alias = {}     # merge index -> the member whose entry it copies
     # the first sweep of the merges in list order, then the merges it leaves
     pending = [cell for cell in merges
                if not _decide(p, entries, alias, checks, *cell)]
