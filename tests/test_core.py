@@ -4,6 +4,7 @@ import random
 import pytest
 
 import mpst.core
+from mpst.compose import connect_globals, gateway
 from mpst.core import (GComm, GEnd, NodeStore, PEnd, PIn, POut, Session,
                        TermError, bisimilar,
                        node_branch, node_labels, normalize_session,
@@ -11,7 +12,7 @@ from mpst.core import (GComm, GEnd, NodeStore, PEnd, PIn, POut, Session,
                        sessions_bisimilar)
 from mpst.parser import (parse_global, parse_process, parse_session,
                          print_global, print_process, print_session)
-from mpst.semantics import session_enabled
+from mpst.semantics import global_enabled, session_enabled, standard_witness
 from mpst.typecheck import ProjectionError, project
 
 import randgen
@@ -396,6 +397,48 @@ def test_projection_node_ids_are_stable():
     assert (store._count, len(store._cycles), len(results)) == (5590, 1051, 10220)
     assert _fingerprint(store, results) == (
         "8d24b7dee5e60261b2205b91fecdbb027bea50e64fde006f71e7957caf9e354f")
+
+
+def test_map_node_ids_are_stable():
+    # the graph-to-graph maps make nodes as well: gateways, global steps,
+    # copies from another store, connected global types and standard
+    # witnesses must keep every node's id, and every error its kind and
+    # message
+    store, other = NodeStore(), NodeStore()
+    rng = random.Random(22)
+    results = []
+
+    def record(tag, f, *args):
+        try:
+            res = f(*args)
+        except Exception as e:
+            results.append((tag, type(e).__name__, str(e)))
+        else:
+            results.append((tag, [(str(a), n.nid) for a, n in res]
+                            if isinstance(res, list) else res.nid))
+
+    for _ in range(400):
+        P = randgen.random_process(rng, store, max_nodes=rng.randint(1, 10))
+        record("gateway", gateway, P, rng.choice(("h", "h", "q")))
+        G = randgen.random_global(rng, store, max_nodes=rng.randint(1, 10),
+                                  branchiness=rng.random())
+        record("step", global_enabled, G)
+        make = randgen.random_process if rng.random() < 0.5 else randgen.random_global
+        X = make(rng, other, max_nodes=rng.randint(1, 10))
+        record("adopt", store.adopt, X)
+        record("adopt back", other.adopt, rng.choice((P, G)))
+    for _ in range(200):
+        pair = randgen.compatible_global_pair(rng, store)
+        if pair is not None:
+            record("connect", connect_globals, *pair)
+    for _ in range(200):
+        G = randgen.random_wf_global(rng, store)
+        if G is not None:
+            record("witness", standard_witness, randgen.self_projection(store, G), G)
+    results.append(_fingerprint(other))
+    assert (store._count, len(store._cycles), len(results)) == (4151, 1147, 2001)
+    assert _fingerprint(store, results) == (
+        "bd5ad20e7f3752b5893bfcece3281ae0253638a765a187fa586f8d9c944d6fa5")
 
 
 def _naive_finite(nodes):
