@@ -95,9 +95,7 @@ def gateway(P, h):
         return (n.shape if isinstance(n, PIn) else ("pin", h, labels),
                 tuple((n, l) for l in labels))
 
-    b = store.builder()
-    root = b.unfold([(P, None)], expand)[(P, None)]
-    cache[(P.nid, h)] = result = b.intern([root])[0]
+    cache[(P.nid, h)] = result = store.map([(P, None)], expand)[0]
     return result
 
 
@@ -238,9 +236,7 @@ def connect_globals(G, h, G_prime, k):
                          for _, cont in T.branches])
         raise NoClauseApplies((h, k, marker, L.nid, R.nid, swapped))
 
-    root = (h, k, None, G, G_prime, False, False)
-    b = store.builder()
-    return b.intern([b.unfold([root], expand)[root]])[0]
+    return store.map([(h, k, None, G, G_prime, False, False)], expand)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,16 @@ hash-conses every node it hands out, so two nodes obtained from the same store
 are bisimilar exactly when they are the same object, and all the structural
 algorithms in the package lean on that identity.
 
-Interning rests on one fact: the nodes already in a store are canonical.  A
-batch of draft nodes is resolved children first, one strongly connected
-component at a time, by one depth-first search from its roots that keeps
-Tarjan's lowlinks (Tarjan, 1972).  A draft that is its own component and has
-no edge to itself then has canonical children, so it is bisimilar to an
-existing node exactly when that node has the same shape and the same child
-nids; one store-wide table maps (shape, child nids) to its node (hash-consing
-after Filliatre and Conchon, 2006), in O(1) per draft.  Any other component
+Interning rests on one fact: the nodes already in a store are canonical.
+`NodeStore.map` turns a graph into nodes: the drafts of a `GraphBuilder`,
+or the keys of a map from graph to graph, such as a gateway or a global
+step.  Keys are resolved children first, one strongly connected component
+at a time, by one depth-first search from the roots that keeps Tarjan's
+lowlinks (Tarjan, 1972).  A key that is its own component and has no edge to
+itself then has canonical children, so it is bisimilar to an existing node
+exactly when that node has the same shape and the same child nids; one
+store-wide table maps (shape, child nids) to its node (hash-consing after
+Filliatre and Conchon, 2006), in O(1) per key.  Any other component
 is cyclic: it is minimised by partition refinement together with the
 existing nodes it reaches, which merges each class bisimilar to one of
 those.  Each refinement round numbers its blocks by the rank of their
@@ -30,11 +32,11 @@ Every node keeps its shape, the half of its hash-cons key that is not child
 nids: ("pend", ()), ("gend", ()), ("pin" | "pout", peer, labels) or ("gcomm",
 sender, receiver, labels).  Its `peer`, `sender` and `receiver` read the
 shape, its labels are always the shape's last item, and a map from graph to
-graph may hand a node's own shape to `GraphBuilder.unfold`.  Every node also
+graph may hand a node's own shape to `NodeStore.map`.  Every node also
 gets its participant set when it is made: its own names and its children's
 sets, or for the new classes of a cyclic component one set shared by all of
 them, so `participants` reads a field.  Likewise `_finite` records whether
-its tree is finite: a node made from an acyclic draft is finite exactly when
+its tree is finite: a node made from an acyclic key is finite exactly when
 its children are, and the new nodes of a cyclic component are not (such a
 component is never bisimilar to a finite node, so none of its classes merges
 into one).  Projection is its one reader: a merge at a finite node is an
@@ -162,14 +164,6 @@ def _split(n):
     return n.shape, tuple([c for _, c in n.branches])
 
 
-def _filled(drafts, d):
-    """The (shape, refs) of draft d, which must have been filled."""
-    draft = drafts[d]
-    if draft is None:
-        raise RuntimeError("interning a reserved but unfilled draft node")
-    return draft
-
-
 _NO_NAMES = frozenset()
 
 
@@ -266,8 +260,8 @@ class NodeStore:
         self._cycles = {}         # key of a cyclic component -> its nodes
         self._count = 0
         self._memos = {}
-        self.end_process = self._intern([(("pend", ()), ())], [0])[0]
-        self.end_global = self._intern([(("gend", ()), ())], [0])[0]
+        self.end_process = self._cons_node(("pend", ()), ())
+        self.end_global = self._cons_node(("gend", ()), ())
 
     def memo(self, name):
         """A named per-store memo table: every cache of the store, keyed by
@@ -288,69 +282,73 @@ class NodeStore:
         """Re-intern a node from another store into this one."""
         if node.store is self:
             return node
-        b = self.builder()
-        return b.intern([node])[0]
+        return self.map([node], _split)[0]
 
     # -- interning pipeline -------------------------------------------------
 
-    def _intern(self, drafts, roots):
-        """Intern a draft graph; returns the canonical node for each root.
+    def map(self, roots, expand):
+        """The node of each of `roots`, keys of a graph that `expand` gives.
 
-        drafts: list of (shape, refs) pairs, the refs in label order and each
-        a draft index (an int) or a node of this store; roots: list of such
-        references.
+        `expand(key)` gives the key's node, a node of this store, or (shape,
+        child keys): the key's node then has that shape, laid out as a
+        node's (it may be a node's own `shape`; its names must come from
+        canonical nodes, as nothing checks them), and the nodes of the
+        child keys, in label order, as its children.  It runs once per key
+        reached, on the key's first visit.
 
-        Nodes of the store are canonical already, so drafts are resolved
+        Nodes of the store are canonical already, so keys are resolved
         children first, one strongly connected component at a time, by one
         depth-first search from the roots that keeps Tarjan's lowlinks.  A
-        draft that is not the first of its component waits on a stack with
-        its discovery index (Pearce, 2016), so an acyclic draft costs what a
+        key that is not the first of its component waits on a stack with
+        its discovery index (Pearce, 2016), so an acyclic key costs what a
         post-order search costs: alone in its component and with no edge to
         itself, it is bisimilar to an existing node exactly when that node
         has the same shape and child nids, one lookup in the hash-cons
         table.  Any other component goes through `_intern_cycle`, listed as
         `_sccs` lists it: by discovery index, last first.
         """
-        done = {}        # draft -> its lowlink while unresolved, then its node
-        waiting = []     # (index, draft) of finished drafts in an open component
-        cyclic = set()   # drafts with an edge to an unresolved draft
-        frames = [(None, 0, iter(roots))]
+        done = {}        # key -> its lowlink while unresolved, then its node
+        waiting = []     # (index, key, shape, child keys), finished in an open component
+        cyclic = set()   # keys with an edge to an unresolved key
+        frames = [(None, 0, None, None, iter(roots))]
         while frames:
-            d, i, it = frames[-1]
+            k, i, shape, kids, it = frames[-1]
             for t in it:
-                if t.__class__ is int:
-                    if t not in done:
-                        done[t] = i = len(done)
-                        frames.append((t, i, iter(_filled(drafts, t)[1])))
-                        break
+                if t in done:
                     low = done[t]
                     if low.__class__ is int:      # t is unresolved: a cycle
-                        done[d] = min(done[d], low)
-                        cyclic.add(d)
+                        done[k] = min(done[k], low)
+                        cyclic.add(k)
+                    continue
+                got = expand(t)
+                if got.__class__ is tuple:
+                    done[t] = j = len(done)
+                    frames.append((t, j, *got, iter(got[1])))
+                    break
+                done[t] = got
             else:
                 frames.pop()
                 if not frames:
                     break
-                low = done[d]
+                low = done[k]
                 if low < i:
-                    waiting.append((i, d))
+                    waiting.append((i, k, shape, kids))
                     parent = frames[-1][0]
                     done[parent] = min(done[parent], low)
-                elif (waiting and waiting[-1][0] > i) or d in cyclic:
+                elif (waiting and waiting[-1][0] > i) or k in cyclic:
                     j = len(waiting)
                     while j and waiting[j - 1][0] > i:
                         j -= 1
-                    scc = [w for _, w in sorted(waiting[j:], reverse=True)] + [d]
+                    scc = [w[1:] for w in sorted(waiting[j:], reverse=True)]
                     del waiting[j:]
-                    self._intern_cycle(drafts, scc, done)
+                    self._intern_cycle(scc + [(k, shape, kids)], done)
                 else:
-                    done[d] = self._cons_node(*drafts[d], done)
-        return [done[t] if t.__class__ is int else t for t in roots]
+                    done[k] = self._cons_node(shape, [done[c] for c in kids])
+        return [done[t] for t in roots]
 
-    def _cons_node(self, shape, refs, done):
-        """The node of an acyclic draft whose draft children are in `done`:
-        found by its shape and child nids, or made."""
-        kids = tuple([done[t] if t.__class__ is int else t for t in refs])
+    def _cons_node(self, shape, kids):
+        """The node of this shape with these children, all nodes of the
+        store: found by its shape and child nids, or made."""
         key = (shape, tuple([c.nid for c in kids]))
         node = self._cons.get(key)
         if node is None:
@@ -372,8 +370,9 @@ class NodeStore:
         self._count += 1
         return node
 
-    def _intern_cycle(self, drafts, scc, done):
-        """Resolve one cyclic component of drafts into `done`.
+    def _intern_cycle(self, scc, done):
+        """Resolve one cyclic component, (key, shape, child keys) triples,
+        into `done`.
 
         Partition refinement over the component and the existing nodes it
         reaches merges every class bisimilar to one of those nodes; the
@@ -387,11 +386,11 @@ class NodeStore:
         classes in block order, each as its shape and then its children's
         blocks, an existing child as ~nid; the key maps to the component's
         nodes in the same order.  A miss makes the nodes in the order of
-        their first draft.
+        their first key.
         """
         k = len(scc)
-        unit = {d: u for u, d in enumerate(scc)}
-        shapes = [drafts[d][0] for d in scc]
+        unit = {t: u for u, (t, _, _) in enumerate(scc)}
+        shapes = [shape for _, shape, _ in scc]
         existing = [None] * k      # unit -> node, for the existing units
         node_unit = {}
 
@@ -402,9 +401,8 @@ class NodeStore:
                 existing.append(n)
             return u
 
-        children = [[unit[t] if t in unit
-                     else unit_of(done[t] if t.__class__ is int else t)
-                     for t in drafts[d][1]] for d in scc]
+        children = [[unit[t] if t in unit else unit_of(done[t]) for t in kids]
+                    for _, _, kids in scc]
         u = k
         while u < len(existing):
             shape, kids = _split(existing[u])
@@ -437,15 +435,16 @@ class NodeStore:
                     self._cons[(node.shape, tuple([c.nid for c in kids]))] = node
                 nodes = self._cycles[key] = tuple([image[b] for b in order])
             image.update(zip(order, nodes))
-        for u, d in enumerate(scc):
-            done[d] = image[block[u]]
+        for u, (t, _, _) in enumerate(scc):
+            done[t] = image[block[u]]
 
 
 class GraphBuilder:
     """Accumulates a draft node graph, then interns it in one batch.
 
     Branch targets may be draft indices (for cycles), nodes of the target
-    store, or nodes of a foreign store (copied in by `unfold`).
+    store, or nodes of a foreign store (adopted as they are given).  `intern`
+    hands the drafts to `NodeStore.map`, a draft index as its key.
     """
 
     def __init__(self, store):
@@ -457,8 +456,8 @@ class GraphBuilder:
         return len(self._drafts) - 1
 
     def _ref(self, target):
-        """The draft index or node of this store that stands for `target`;
-        a bool is no draft index."""
+        """The draft index or node of this store that stands for `target`:
+        a foreign node is adopted, and a bool is no draft index."""
         if target.__class__ is int:
             if not 0 <= target < len(self._drafts):
                 raise TermError(f"draft reference {target} out of range")
@@ -466,7 +465,7 @@ class GraphBuilder:
         if isinstance(target, Node):
             if target.store is self.store:
                 return target
-            return self.unfold([target], _split)[target]
+            return self.store.map([target], _split)[0]
         raise TypeError(f"branch target must be a draft index or node, got {target!r}")
 
     def fill_in(self, i, peer, branches):
@@ -523,40 +522,16 @@ class GraphBuilder:
         return self.fill_comm(self.reserve(), sender, receiver, branches)
 
     def intern(self, roots):
-        return self.store._intern(self._drafts, [self._ref(r) for r in roots])
+        drafts = self._drafts
 
-    def unfold(self, roots, expand):
-        """Map every key reached from `roots` to a draft or a node, by one
-        explicit depth-first worklist in place of a recursion.
+        def expand(t):
+            if t.__class__ is not int:
+                return t
+            if drafts[t] is None:
+                raise RuntimeError("interning a reserved but unfilled draft node")
+            return drafts[t]
 
-        `expand(key)` gives the key's value as a node, or (shape, child
-        keys): the key then gets a draft, filled from the shape (laid out
-        as a node's, and it may be a node's own `shape`; children in label
-        order) once its children have values.
-        Shape names must come from canonical nodes, as the fill checks
-        nothing.  Returns {key: draft or node}, children before parents.
-        """
-        seen = {}      # key -> draft or node, from its first visit on
-        done = {}
-        frames = [(None, None, None, iter(roots))]   # key, shape, child keys, iterator
-        while frames:
-            key, shape, kids, it = frames[-1]
-            for k in it:
-                if k not in seen:
-                    got = expand(k)
-                    if isinstance(got, Node):
-                        seen[k] = done[k] = got
-                    else:
-                        seen[k] = self.reserve()
-                        frames.append((k, *got, iter(got[1])))
-                        break
-            else:
-                frames.pop()
-                if kids is not None:
-                    done[key] = seen[key]
-                    self._drafts[seen[key]] = (shape, tuple(
-                        self._ref(seen[k]) for k in kids))
-        return done
+        return self.store.map([self._ref(r) for r in roots], expand)
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,7 @@ class _Reader:
     prefix at the head of the body fills the target itself, and a `rec` at
     the head binds its name to the same draft; a branch continuation has no
     target (None), so its prefix reserves a draft of its own.  Values are
-    the refs `NodeStore._intern` takes: a draft index, or the end node.
+    the refs `GraphBuilder.intern` takes: a draft index, or the end node.
 
     A `let` name gets its slot at its `let` or at its first use, whichever
     comes first.  A body that is a bare name not yet defined, `let A = B`,

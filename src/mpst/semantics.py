@@ -176,10 +176,7 @@ def _do_step(G, action):
             return node_branch(g, action.label)
         return _split(g)
 
-    if G.sender == action.sender and G.receiver == action.receiver:
-        return expand(G)
-    b = G.store.builder()
-    return b.intern([b.unfold([G], expand)[G]])[0]
+    return G.store.map([G], expand)[0]
 
 
 def global_enabled(G):
@@ -535,6 +532,4 @@ def standard_witness(M, G):
                                if not isinstance(P, PEnd)), node_branch(g, l)))
         return ("gcomm", g.sender, g.receiver, node_labels(sender)), kids
 
-    root = (normalize_session(M).items(), G)
-    b = store.builder()
-    return b.intern([b.unfold([root], expand)[root]])[0]
+    return store.map([(normalize_session(M).items(), G)], expand)[0]

@@ -356,11 +356,13 @@ def _project(store, root, p):
             m = alias.get(i)
             if m is None:
                 shape, refs = entries[i]
-                made[i] = cons(shape, refs, made)
+                made[i] = cons(shape, [made[r] if r.__class__ is int else r
+                                       for r in refs])
             else:
                 made[i] = made[m] if m.__class__ is int else m
     else:
-        made = dict(zip(roots, store._intern(entries, roots)))
+        made = dict(zip(roots, store.map(
+            roots, lambda t: entries[t] if t.__class__ is int else t)))
     _verify(p, checks, made)
     for g, i in zip(order, roots):
         cache[(g.nid, p)] = made[i]

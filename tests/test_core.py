@@ -513,6 +513,8 @@ def test_unfilled_draft_is_an_error(store, cyclic):
         top = b.add_out("p", [("a", store.end_process), ("b", hole)])
     with pytest.raises(RuntimeError, match="unfilled draft"):
         b.intern([top])
+    with pytest.raises(TermError, match="cannot copy an unfilled draft"):
+        b.fill_copy(b.reserve(), hole)
 
 
 def test_bool_is_no_draft_reference(store):
@@ -842,21 +844,20 @@ def test_branches_sorted_by_label(store):
 
 
 # ---------------------------------------------------------------------------
-# GraphBuilder.unfold.
+# NodeStore.map.
 
-def test_unfold_ties_cycles_and_returns_children_first(store):
+def test_map_ties_cycles(store):
     # keys are positions on a ring of three outputs; key 3 closes the ring
     def expand(i):
         return ("pout", "q", (f"l{i}",)), ((i + 1) % 3,)
 
-    b = store.builder()
-    value = b.unfold([0], expand)
-    assert list(value) == [2, 1, 0]
-    ring = b.intern([value[0]])[0]
-    assert ring is parse_process("rec X . q!l0 . q!l1 . q!l2 . X", store=store)
+    ring = store.map([0, 1, 2], expand)
+    assert ring[0] is parse_process("rec X . q!l0 . q!l1 . q!l2 . X", store=store)
+    assert ring[1:] == [node_branch(ring[0], "l0"), node_branch(ring[1], "l1")]
+    assert node_branch(ring[2], "l2") is ring[0]
 
 
-def test_unfold_passes_nodes_through_and_expands_each_key_once(store):
+def test_map_passes_nodes_through_and_expands_each_key_once(store):
     end = store.end_process
     expanded = []
 
@@ -866,24 +867,20 @@ def test_unfold_passes_nodes_through_and_expands_each_key_once(store):
             return end
         return ("pin", "p", ("a", "b")), ("end", "leaf" if key == "top" else "end")
 
-    b = store.builder()
-    value = b.unfold(["top", "leaf"], expand)
+    top, leaf, got_end = store.map(["top", "leaf", "end"], expand)
     assert expanded == ["top", "end", "leaf"]
-    assert value["end"] is end
-    with pytest.raises(TermError, match="cannot copy an unfilled draft"):
-        b.fill_copy(value["leaf"], b.reserve())
-    assert b.intern([value["top"]])[0] is parse_process(
-        "p?{a . 0, b . p?{a . 0, b . 0}}", store=store)
+    assert got_end is end
+    assert leaf is parse_process("p?{a . 0, b . 0}", store=store)
+    assert top is parse_process("p?{a . 0, b . p?{a . 0, b . 0}}", store=store)
 
 
-def test_unfold_has_no_depth_limit(store):
+def test_map_has_no_depth_limit(store):
     n = 10 ** 4
 
     def expand(i):
         return store.end_global if i == n else (("gcomm", "p", "q", ("l",)), (i + 1,))
 
-    b = store.builder()
-    G = b.intern([b.unfold([0], expand)[0]])[0]
+    G = store.map([0], expand)[0]
     for _ in range(n):
         G = node_branch(G, "l")
     assert isinstance(G, GEnd)

@@ -410,13 +410,13 @@ def test_non_ascii_identifier_is_an_unexpected_character():
 def test_session_interns_all_bindings_in_one_batch(monkeypatch):
     store = NodeStore()
     batches = []
-    intern = NodeStore._intern
+    search = NodeStore.map
 
-    def counted(self, drafts, roots):
+    def counted(self, roots, expand):
         batches.append(len(roots))
-        return intern(self, drafts, roots)
+        return search(self, roots, expand)
 
-    monkeypatch.setattr(NodeStore, "_intern", counted)
+    monkeypatch.setattr(NodeStore, "map", counted)
     M = parse_session("""
     let A = b!x . B
     let B = c?y . A

@@ -660,8 +660,7 @@ def _narrow_outputs(rng, store, P):
         keep = [br for br in n.branches if rng.random() < 0.6] or [n.branches[0]]
         return ("pout", n.peer, tuple(l for l, _ in keep)), [c for _, c in keep]
 
-    b = store.builder()
-    return b.intern([b.unfold([P], expand)[P]])[0]
+    return store.map([P], expand)[0]
 
 
 @pytest.mark.parametrize("sess_name,gt_name", [
