@@ -176,6 +176,8 @@ def _do_step(G, action):
             return node_branch(g, action.label)
         return _split(g)
 
+    if G.sender == action.sender and G.receiver == action.receiver:
+        return expand(G)
     return G.store.map([G], expand)[0]
 
 

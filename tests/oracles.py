@@ -2,7 +2,8 @@
 
 These are the recursive versions of `project`, `gateway`, `connect_globals`,
 `standard_witness`, the global-type step functions and the printer that
-preceded `GraphBuilder.unfold` and the explicit-stack printer, and the
+preceded the worklist maps (now one `NodeStore.map` search each) and the
+explicit-stack printer, and the
 three-pass parser and recursive `intern_term` that preceded the one-pass
 reader, kept verbatim apart from their names and their memo tables
 (`ref_project`, `ref_gateway`), so that they share no cache with the

@@ -4,7 +4,8 @@ import random
 import pytest
 
 import mpst.core
-from mpst.compose import connect_globals, gateway
+from mpst.compose import (NoClauseApplies, ParticipantCollision,
+                          connect_globals, gateway)
 from mpst.core import (GComm, GEnd, NodeStore, PEnd, PIn, POut, Session,
                        TermError, bisimilar,
                        node_branch, node_labels, normalize_session,
@@ -411,7 +412,7 @@ def test_map_node_ids_are_stable():
     def record(tag, f, *args):
         try:
             res = f(*args)
-        except Exception as e:
+        except (ParticipantCollision, NoClauseApplies, ValueError) as e:
             results.append((tag, type(e).__name__, str(e)))
         else:
             results.append((tag, [(str(a), n.nid) for a, n in res]

@@ -1,4 +1,4 @@
-"""The graph-to-graph maps built on `GraphBuilder.unfold`, and projection.
+"""The graph-to-graph maps built on `NodeStore.map`, and projection.
 
 Projection aliases a merge at a finite node and copies any other, and makes
 a finite type's nodes with no interning search, so random types of both
