@@ -308,7 +308,7 @@ class NodeStore:
         `_sccs` lists it: by discovery index, last first.
         """
         done = {}        # key -> its lowlink while unresolved, then its node
-        waiting = []     # (index, key, shape, child keys), finished in an open component
+        waiting = []     # (index, (key, shape, child keys)) finished, in an open component
         cyclic = set()   # keys with an edge to an unresolved key
         frames = [(None, 0, None, None, iter(roots))]
         while frames:
@@ -332,14 +332,14 @@ class NodeStore:
                     break
                 low = done[k]
                 if low < i:
-                    waiting.append((i, k, shape, kids))
+                    waiting.append((i, (k, shape, kids)))
                     parent = frames[-1][0]
                     done[parent] = min(done[parent], low)
                 elif (waiting and waiting[-1][0] > i) or k in cyclic:
                     j = len(waiting)
                     while j and waiting[j - 1][0] > i:
                         j -= 1
-                    scc = [w[1:] for w in sorted(waiting[j:], reverse=True)]
+                    scc = [w for _, w in sorted(waiting[j:], reverse=True)]
                     del waiting[j:]
                     self._intern_cycle(scc + [(k, shape, kids)], done)
                 else:
