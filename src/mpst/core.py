@@ -234,8 +234,12 @@ def _refine(shapes, children):
     partition by shape until the signatures (own block, children's blocks)
     stop splitting it.  Each round numbers its blocks by the rank of their
     signature, so a block id depends only on the unit's bisimulation class
-    and on which classes occur among the units, not on the units' order."""
+    and on which classes occur among the units, not on the units' order.
+    When every shape is distinct the first round could only confirm them,
+    so the shapes' ranks are returned at once."""
     block, count = _ranks(shapes)
+    if count == len(shapes):
+        return block
     while True:
         new, n = _ranks([(block[u], tuple([block[c] for c in kids]))
                          for u, kids in enumerate(children)])

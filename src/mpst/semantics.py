@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     GEnd,
@@ -268,9 +268,24 @@ def simulate(M, steps, seed=0):
 
 @dataclass
 class StateGraph:
+    """The reachable states of a session and the rule-comm edges between them.
+
+    `explore` keys the states by an integer code while it finds them and
+    keeps only their breadth-first numbering.  Besides the states and
+    edges, it records per state the lists that `lock_free` reads: its
+    successors' indices in edge order, the mask of the participants its
+    edges involve, and the mask of the participants it binds, where bit k
+    stands for the k-th participant of the initial state.  These lists are
+    derived from the states and edges and take no part in equality or in
+    the printed forms.
+    """
+
     states: list  # canonical (normalized) sessions, index 0 = initial
     edges: list   # (source index, CommAction, target index)
     initial: int = 0
+    successors: list = field(default=None, compare=False, repr=False)
+    involved: list = field(default=None, compare=False, repr=False)
+    binds: list = field(default=None, compare=False, repr=False)
 
     def to_json(self):
         return {
@@ -298,63 +313,90 @@ def explore(M):
     """Reachability closure of rule comm over canonical states.
 
     The participants of the normalized initial session fix one order, and a
-    state is keyed by the vector of its nodes in that order, compared by
-    identity; an ended participant holds its end node.  A participant's
-    nodes all come from the store of its initial process, so this numbers
-    states exactly as keying them by their (participant, nid) pairs would.
-    States are numbered breadth first, each distinct state is built once,
-    and the moves of each (position, process, peer's process) are derived
-    once.  Raises StateSpaceBoundExceeded as soon as more than
-    MPST_STATE_BOUND states are found.
+    state is keyed by one integer code whose k-th digit, w bits wide, is the
+    nid of the node at position k (an ended participant holds its end
+    node); w is the bit length of the largest node count among the stores
+    of the initial processes.  A participant's nodes all come from the
+    store of its initial process, so this numbers states exactly as keying
+    them by their (participant, nid) pairs would.  The moves of each
+    (position, process, peer's process) are derived once, each with the
+    change it makes to the code, so a successor's code is one addition and
+    one lookup away.  States are numbered breadth first, and each distinct
+    state's node vector and `Session` are built once.  Raises
+    StateSpaceBoundExceeded as soon as more than MPST_STATE_BOUND states
+    are found.
     """
     bound = _env_state_bound()
     init = normalize_session(M)
     names = init.participants
     at = {p: k for k, p in enumerate(names)}
     start = tuple(init._bindings.values())
+    width = max([P.store._count for P in start], default=0).bit_length()
+    code = sum([P.nid << k * width for k, P in enumerate(start)])
     states = [init]
     vecs = [start]
-    index = {start: 0}
+    codes = [code]
+    index = {code: 0}
     edges = []
+    successors = []
+    involved = []
+    binds = [(1 << len(names)) - 1]
     # memo[k]: output node P at position k -> (peer's position or None,
-    # {peer's node Q: the moves of P against Q})
+    # mask of both positions, {peer's node Q: the moves of P against Q,
+    # each with the change it makes to the code})
     memo = [{} for _ in names]
     for i, vec in enumerate(vecs):
+        code = codes[i]
         bindings = states[i]._bindings
+        targets = []
+        acts = 0
         for k, P in enumerate(vec):
             if not isinstance(P, POut):
                 continue
             hit = memo[k].get(P)
             if hit is None:
-                hit = memo[k][P] = (at.get(P.shape[1]), {})
-            j, by_peer = hit
+                j = at.get(P.shape[1])
+                hit = memo[k][P] = (j, 0 if j is None else 1 << k | 1 << j, {})
+            j, pair, by_peer = hit
             if j is None:
                 continue
             Q = vec[j]
             moves = by_peer.get(Q)
             if moves is None:
-                moves = by_peer[Q] = _pair_moves(names[k], P, Q)
-            for action, P2, Q2 in moves:
-                succ = list(vec)
-                succ[k] = P2
-                succ[j] = Q2
-                succ = tuple(succ)
-                t = index.get(succ)
+                moves = by_peer[Q] = [
+                    (action, P2, Q2,
+                     (P2.nid - P.nid << k * width) + (Q2.nid - Q.nid << j * width))
+                    for action, P2, Q2 in _pair_moves(names[k], P, Q)]
+            if moves:
+                acts |= pair
+            for action, P2, Q2, delta in moves:
+                c = code + delta
+                t = index.get(c)
                 if t is None:
                     t = len(vecs)
                     if t == bound:
                         raise StateSpaceBoundExceeded(t + 1, bound)
-                    index[succ] = t
-                    vecs.append(succ)
+                    index[c] = t
+                    codes.append(c)
+                    succ = list(vec)
+                    succ[k] = P2
+                    succ[j] = Q2
+                    vecs.append(tuple(succ))
                     succ_bindings = dict(bindings)
                     succ_bindings[action.sender] = P2
                     succ_bindings[action.receiver] = Q2
+                    live = binds[i]
                     if isinstance(P2, PEnd) or isinstance(Q2, PEnd):
                         succ_bindings = {r: R for r, R in succ_bindings.items()
                                          if not isinstance(R, PEnd)}
+                        live &= ~(isinstance(P2, PEnd) << k | isinstance(Q2, PEnd) << j)
                     states.append(Session._trusted(succ_bindings))
+                    binds.append(live)
                 edges.append((i, action, t))
-    return StateGraph(states, edges)
+                targets.append(t)
+        successors.append(targets)
+        involved.append(acts)
+    return StateGraph(states, edges, 0, successors, involved, binds)
 
 
 # ---------------------------------------------------------------------------
@@ -386,34 +428,30 @@ def lock_free(M):
     (a) every reachable state is all-terminated or can step; (b) whenever a
     participant still has work, some reachable transition involves it.
 
-    Participants are bits of a mask; every state binds a subset of the
-    initial state's.  One pass over the edges gives each state its targets,
-    the mask of its own edges, and the edge that first reaches it.
-    `explore` numbers the states breadth first and lists the edges in that
-    order, so that edge is the BFS parent and witness paths are shortest.
-    Then one fold over the strongly connected components, sinks first, gives
-    each state the mask of every edge reachable from it, and one pass ORs
-    each state's bound participants that no such edge involves into one
-    `starving` mask.  Only a participant in that mask is looked for state by
-    state, least first, so the witness is the least starving participant at
-    the first state where it starves.
+    Participants are bits of a mask, in the initial state's order; every
+    state binds a subset of the initial state's.  The check reads the
+    per-state lists that `explore` records: each state's successors, the
+    mask of its own edges and the mask of its bound participants.  One
+    fold over the strongly connected components, sinks first, gives each
+    state the mask of every edge reachable from it, and one pass ORs each
+    state's bound participants that no such edge involves into one
+    `starving` mask.  Only the least participant in that mask is looked
+    for, state by state, so the witness is the least starving participant
+    at the first state where it starves.  A witness path
+    follows the edge that first reaches each state: `explore` numbers the
+    states breadth first and lists the edges in that order, so that edge
+    is the BFS parent and witness paths are shortest.
     """
     graph = explore(M)
-    states = graph.states
-    n = len(states)
+    succ, own, binds = graph.successors, graph.involved, graph.binds
+    n = len(succ)
     size = {"states": n, "edges": len(graph.edges)}
-    participants = states[0].participants
-    bit = {p: 1 << k for k, p in enumerate(participants)}
-    succ = [[] for _ in states]
-    own = [0] * n
-    parent = [None] * n   # state 0, the initial one, has none
-    for s, a, t in graph.edges:
-        succ[s].append(t)
-        own[s] |= bit[a.sender] | bit[a.receiver]
-        if parent[t] is None and t:
-            parent[t] = (s, a)
 
     def path(i):
+        parent = [None] * n   # state 0, the initial one, has none
+        for s, a, t in graph.edges:
+            if parent[t] is None and t:
+                parent[t] = (s, a)
         acc = []
         while i:
             i, a = parent[i]
@@ -421,8 +459,8 @@ def lock_free(M):
         acc.reverse()
         return acc
 
-    for i, state in enumerate(states):
-        if not succ[i] and len(state) > 0:
+    for i in range(n):
+        if not succ[i] and binds[i]:
             return LockReport(False, deadlock_witness=path(i), **size)
     reach = [0] * n
     for scc in _sccs(range(n), succ.__getitem__):
@@ -433,19 +471,15 @@ def lock_free(M):
                 m |= reach[y]
         for x in scc:
             reach[x] = m
-    live = {}   # bound participants of a state -> their mask
     starving = 0
-    for i, state in enumerate(states):
-        names = state.participants
-        m = live.get(names)
-        if m is None:
-            m = live[names] = sum(bit[p] for p in names)
-        starving |= m & ~reach[i]
-    for p in participants:
-        if starving & bit[p]:
-            for i, state in enumerate(states):
-                if p in state and not reach[i] & bit[p]:
-                    return LockReport(False, starvation_witness=(path(i), p), **size)
+    for i in range(n):
+        starving |= binds[i] & ~reach[i]
+    if starving:
+        bit = starving & -starving
+        p = graph.states[0].participants[bit.bit_length() - 1]
+        for i in range(n):
+            if binds[i] & bit and not reach[i] & bit:
+                return LockReport(False, starvation_witness=(path(i), p), **size)
     return LockReport(True, **size)
 
 

@@ -718,6 +718,38 @@ def test_component_with_no_unique_signature_gets_one_key(store):
         assert _copy_in_a_second_batch(rng, store, ring) == ring
 
 
+def _refine_by_rounds(shapes, children):
+    """Partition refinement with no shortcut: rank by shape, then by (own
+    block, children's blocks) until a round splits no block."""
+    def ranks(sigs):
+        rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
+        return [rank[s] for s in sigs], len(rank)
+
+    block, count = ranks(shapes)
+    while True:
+        new, n = ranks([(block[u], tuple(block[c] for c in kids))
+                        for u, kids in enumerate(children)])
+        if n == count:
+            return block
+        block, count = new, n
+
+
+def test_refine_matches_the_full_loop():
+    # random units over a small pool of shapes, so some draws have every
+    # shape distinct (the shortcut) and others repeat shapes (the rounds)
+    rng = random.Random(23)
+    pool = [(kind, peer, labels) for kind in ("pin", "pout") for peer in "qr"
+            for labels in (("a",), ("a", "b"))]
+    distinct = 0
+    for _ in range(2000):
+        k = rng.randint(1, 8)
+        shapes = [rng.choice(pool) for _ in range(k)]
+        children = [[rng.randrange(k) for _ in shape[-1]] for shape in shapes]
+        distinct += len(set(shapes)) == k
+        assert mpst.core._refine(shapes, children) == _refine_by_rounds(shapes, children)
+    assert 200 <= distinct <= 1800
+
+
 # ---------------------------------------------------------------------------
 # Sessions.
 

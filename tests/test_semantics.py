@@ -370,6 +370,16 @@ def _assert_engines_agree(M):
         [print_session(s) for s in states]
     assert graph.states == states
     assert graph.edges == edges
+    # the per-state lists that lock_free reads, bit k for the k-th
+    # participant of the initial state
+    bit = {p: 1 << k for k, p in enumerate(states[0].participants)}
+    assert graph.successors == [[t for s, _, t in edges if s == i]
+                                for i in range(len(states))]
+    involved = [0] * len(states)
+    for s, a, _ in edges:
+        involved[s] |= bit[a.sender] | bit[a.receiver]
+    assert graph.involved == involved
+    assert graph.binds == [sum(bit[p] for p in state) for state in states]
     for state in [M] + states:
         assert session_enabled(state) == _ref_session_enabled(state)
     report = lock_free(M)
@@ -449,6 +459,58 @@ def test_engine_matches_reference_when_bindings_come_from_two_stores():
                      for p, (side, text) in bindings.items()})
         assert M["p"].store is not M["q"].store and M["p"].nid == M["q"].nid
         assert _verdict(_assert_engines_agree(M)) == verdict
+    # p and s come from store 0, whose 4 nodes fit 3-bit digits, and q and r
+    # from store 1, whose nids need more bits: digits sized by p's store
+    # alone would give two of these states one code.
+    stores = NodeStore(), NodeStore()
+    M = Session({"p": parse_process("s!a . 0", store=stores[0]),
+                 "s": parse_process("p?a . 0", store=stores[0]),
+                 "q": parse_process("r!a . r!b . " * 4 + "0", store=stores[1]),
+                 "r": parse_process("rec Y . q?a . q?b . Y", store=stores[1])})
+    assert M["q"].nid.bit_length() > stores[0]._count.bit_length()
+    assert _verdict(_assert_engines_agree(M)) == "deadlock"
+
+
+def _token_ring(n):
+    """A ring of n participants t0 .. t(n-1) passing one token forever: n
+    states, one per holder of the token."""
+    names = [f"t{i}" for i in range(n)]
+    procs = [f"{names[0]} |> rec X . {names[1]}!tok . {names[-1]}?tok . X"]
+    procs += [f"{names[i]} |> rec X . {names[i - 1]}?tok . {names[(i + 1) % n]}!tok . X"
+              for i in range(1, n)]
+    return " || ".join(procs)
+
+
+def test_engine_matches_reference_on_a_ring_whose_codes_exceed_64_bits(store):
+    M = parse_session(_token_ring(40), store=store)
+    assert store._count.bit_length() * len(M) > 64
+    report = _assert_engines_agree(M)
+    assert report.ok and (report.states, report.edges) == (40, 40)
+    # c waits on t0 once d has served it: it starves from BFS state 1 on,
+    # after d's one action, while the ring runs forever
+    M = parse_session(_token_ring(40) + " || c |> d?a . t0?never . 0 || d |> c!a . 0",
+                      store=store)
+    report = _assert_engines_agree(M)
+    actions, starving = report.starvation_witness
+    assert starving == "c" and [str(a) for a in actions] == ["d -a-> c"]
+
+
+def test_lock_free_explores_once_through_the_module_name(cx, monkeypatch):
+    # a wrapper on mpst.semantics.explore sees lock_free's one exploration,
+    # and the report counts that graph's states and edges
+    graphs = []
+
+    def counted(M):
+        graphs.append(explore(M))
+        return graphs[-1]
+
+    monkeypatch.setattr(mpst.semantics, "explore", counted)
+    for name in cx.names(".sess"):
+        graphs.clear()
+        report = lock_free(cx.sess(name))
+        assert len(graphs) == 1, name
+        assert (report.states, report.edges) == \
+            (len(graphs[0].states), len(graphs[0].edges)), name
 
 
 def _swap_one(rng, store, M):
