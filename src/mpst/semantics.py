@@ -330,7 +330,7 @@ def explore(M):
     init = normalize_session(M)
     names = init.participants
     at = {p: k for k, p in enumerate(names)}
-    start = tuple(init._bindings.values())
+    start = list(init._bindings.values())
     width = max([P.store._count for P in start], default=0).bit_length()
     code = sum([P.nid << k * width for k, P in enumerate(start)])
     states = [init]
@@ -378,10 +378,10 @@ def explore(M):
                         raise StateSpaceBoundExceeded(t + 1, bound)
                     index[c] = t
                     codes.append(c)
-                    succ = list(vec)
+                    succ = vec.copy()
                     succ[k] = P2
                     succ[j] = Q2
-                    vecs.append(tuple(succ))
+                    vecs.append(succ)
                     succ_bindings = dict(bindings)
                     succ_bindings[action.sender] = P2
                     succ_bindings[action.receiver] = Q2
@@ -396,7 +396,7 @@ def explore(M):
                 targets.append(t)
         successors.append(targets)
         involved.append(acts)
-    return StateGraph(states, edges, 0, successors, involved, binds)
+    return StateGraph(states, edges, successors=successors, involved=involved, binds=binds)
 
 
 # ---------------------------------------------------------------------------
