@@ -373,12 +373,12 @@ def _assert_engines_agree(M):
     # the per-state lists that lock_free reads, bit k for the k-th
     # participant of the initial state
     bit = {p: 1 << k for k, p in enumerate(states[0].participants)}
-    assert graph.successors == [[t for s, _, t in edges if s == i]
-                                for i in range(len(states))]
+    successors = [[] for _ in states]
     involved = [0] * len(states)
-    for s, a, _ in edges:
+    for s, a, t in edges:
+        successors[s].append(t)
         involved[s] |= bit[a.sender] | bit[a.receiver]
-    assert graph.involved == involved
+    assert (graph.successors, graph.involved) == (successors, involved)
     assert graph.binds == [sum(bit[p] for p in state) for state in states]
     for state in [M] + states:
         assert session_enabled(state) == _ref_session_enabled(state)
