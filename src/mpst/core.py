@@ -558,7 +558,10 @@ def coinductive_closure(rel, a, b, step, reflexive):
     consistency of the requirement closure.  When both nodes live in one
     store the verdicts are cached in its memo table `rel`, which maps
     (nid, nid) to a bool; the child pairs stay in the stores of a and b.
+    A reflexive relation holds at once when `a is b`.
     """
+    if reflexive and a is b:
+        return True
     known = a.store.memo(rel) if a.store is b.store else {}
     seen = {(a, b)}
     work = [(a, b)]

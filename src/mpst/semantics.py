@@ -17,6 +17,7 @@ import os
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import (
     GEnd,
@@ -32,13 +33,19 @@ from .core import (
     participants,
 )
 from .parser import print_global, print_session
-from .typecheck import Mode, typecheck
+from .typecheck import Mode, _typing_faults, typecheck
 
 DEFAULT_STATE_BOUND = 10 ** 6
 
 
-@dataclass(frozen=True, order=True)
-class CommAction:
+class CommAction(NamedTuple):
+    """One rule-comm step: `sender` sends `label` to `receiver`.
+
+    A named tuple, so hashing, equality and order are the plain tuple's and
+    run in C: actions sort by sender, then label, then receiver, and an
+    action also equals the tuple (sender, label, receiver).
+    """
+
     sender: str
     label: str
     receiver: str
@@ -94,9 +101,9 @@ def _pair_moves(p, P, Q):
     if not (isinstance(Q, PIn) and Q.shape[1] == p):
         return ()
     accept = dict(Q.branches)
-    if not all(l in accept for l, _ in P.branches):
+    if not accept.keys() >= set(P.shape[-1]):
         return ()
-    return tuple((CommAction(p, l, q), cont, accept[l]) for l, cont in P.branches)
+    return tuple([(CommAction(p, l, q), cont, accept[l]) for l, cont in P.branches])
 
 
 def session_enabled(M):
@@ -500,46 +507,68 @@ def fidelity_harness(M, G, mode=Mode.Standard):
     """Co-explore a typed session and its global type.
 
     At every reachable pair the enabled session actions and global actions
-    must coincide, and each matched pair of successors must typecheck again.
-    Reports the first divergence.  Like `explore`, raises
-    StateSpaceBoundExceeded once more pairs are found than MPST_STATE_BOUND
-    allows.
+    must coincide, and each matched pair of successors must pass the
+    relaxed check of `typecheck(..., require_wf=False)`, `_typing_faults`,
+    which stops at its first fault.  Reports the first divergence.  A state
+    is its normalized bindings, a dict sorted by participant: its moves come
+    from `_pair_moves`, memoised per (sender, process, peer's process), and
+    a successor drops the participants that end, as in `explore`.  A pair
+    is keyed by the state's (participant, node) pairs and the type node, by
+    identity; a `Session` is made only to print a divergence.  Like
+    `explore`, raises StateSpaceBoundExceeded once more pairs are found
+    than MPST_STATE_BOUND allows.
     """
     bound = _env_state_bound()
     if not typecheck(M, G, mode).ok:
         raise ValueError("fidelity harness requires a session typed by the given global type")
 
-    def spot(state, g):
-        return {"session": print_session(state) or "0", "global": print_global(g)}
+    moves = {}   # (sender, process, peer's process or None) -> its moves
+    visited = set()
+    queue = deque()
 
-    # a pair is keyed by the normalized session, which compares its
-    # (participant, node) pairs by node identity, and by the type node
-    queue = deque([(normalize_session(M), G)])
-    visited = {queue[0]}
+    def diverge(kind, action, bindings, g):
+        return FidelityVerdict(False, {
+            "kind": kind, "action": str(action),
+            "session": print_session(Session._trusted(bindings)) or "0",
+            "global": print_global(g)}, len(visited))
+
+    def visit(bindings, g):
+        key = (tuple(bindings.items()), g)
+        if key not in visited:
+            if len(visited) == bound:
+                raise StateSpaceBoundExceeded(bound + 1, bound)
+            visited.add(key)
+            queue.append((bindings, g))
+
+    visit(normalize_session(M)._bindings, G)
     while queue:
-        state, g = queue.popleft()
-        sa = dict(session_enabled(state))
+        bindings, g = queue.popleft()
+        sa = {}
+        for p, P in bindings.items():
+            if isinstance(P, POut):
+                key = (p, P, bindings.get(P.shape[1]))
+                hit = moves.get(key)
+                if hit is None:
+                    hit = moves[key] = _pair_moves(*key)
+                for action, P2, Q2 in hit:
+                    sa[action] = P2, Q2
         ga = dict(global_enabled(g))
-        for action in sorted(set(sa) | set(ga)):
+        for action in sorted(sa.keys() | ga.keys()):
             if action not in sa:
-                return FidelityVerdict(False, dict(
-                    kind="global action unmatched by the session",
-                    action=str(action), **spot(state, g)), len(visited))
+                return diverge("global action unmatched by the session", action, bindings, g)
             if action not in ga:
-                return FidelityVerdict(False, dict(
-                    kind="session action unmatched by the global type",
-                    action=str(action), **spot(state, g)), len(visited))
-            succ, gsucc = normalize_session(sa[action]), ga[action]
-            if not typecheck(succ, gsucc, mode, require_wf=False).ok:
-                return FidelityVerdict(False, dict(
-                    kind="successors no longer typecheck",
-                    action=str(action), **spot(succ, gsucc)), len(visited))
-            key = (succ, gsucc)
-            if key not in visited:
-                if len(visited) == bound:
-                    raise StateSpaceBoundExceeded(bound + 1, bound)
-                visited.add(key)
-                queue.append(key)
+                return diverge("session action unmatched by the global type",
+                               action, bindings, g)
+            P2, Q2 = sa[action]
+            succ = dict(bindings)
+            succ[action.sender] = P2
+            succ[action.receiver] = Q2
+            if isinstance(P2, PEnd) or isinstance(Q2, PEnd):
+                succ = {r: R for r, R in succ.items() if not isinstance(R, PEnd)}
+            gsucc = ga[action]
+            if next(_typing_faults(succ, gsucc, mode), None):
+                return diverge("successors no longer typecheck", action, succ, gsucc)
+            visit(succ, gsucc)
     return FidelityVerdict(True, None, len(visited))
 
 

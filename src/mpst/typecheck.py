@@ -488,7 +488,9 @@ def typecheck(M, G, mode=Mode.Standard, require_wf=True):
     step while keeping every projection defined, so checks that follow
     reductions pass require_wf=False to relax the depth half only.  That
     check reads only the projections; it computes depths, through
-    `well_formed`, only for the report of an undefined projection.
+    `well_formed`, only for the report of an undefined projection.  Both
+    checks list their faults with `_typing_faults`, which the fidelity
+    harness calls on each successor without building a report.
     """
     if not isinstance(M, Session):
         raise TypeError(f"expected a Session, got {M!r}")
@@ -496,17 +498,32 @@ def typecheck(M, G, mode=Mode.Standard, require_wf=True):
         wf = well_formed(G)
         if not wf.ok:
             raise IllFormedGlobalType(G, wf)
-        projections = wf.projections
-    else:
-        projections = {p: project(G, p) for p in sorted(participants(G))}
-        if any(isinstance(v, ProjectionError) for v in projections.values()):
+    faults = list(_typing_faults(M, G, mode))
+    failures = [f for f in faults if f[2] is not None]
+    missing = [p for p, _, P in faults if P is None]
+    return TypingReport(not faults, failures, missing, mode)
+
+
+def _typing_faults(bindings, G, mode):
+    """The relaxed typing check of `bindings` (a mapping from participants
+    to processes) against G, one fault at a time, so a caller that needs
+    only the verdict stops at the first: each bound process that is not
+    below its projection, as (participant, projection, process), where a
+    participant absent from G projects to 0, then each participant of G
+    left unbound, as (participant, projection, None).  Every projection
+    comes from `project`, in participant order, and IllFormedGlobalType is
+    raised, before any fault, at the first that is undefined."""
+    projections = {}
+    for p in sorted(participants(G)):
+        projections[p] = expected = project(G, p)
+        if expected.__class__ is ProjectionError:
             raise IllFormedGlobalType(G, well_formed(G))
     rel = leq if mode is Mode.Standard else leq_plus
     end = G.store.end_process
-    failures = []
-    for p, P in M.items():
+    for p, P in bindings.items():
         expected = projections.get(p, end)
-        if not rel(P, expected):
-            failures.append((p, expected, P))
-    missing = [p for p in projections if p not in M]
-    return TypingReport(not failures and not missing, failures, missing, mode)
+        if P is not expected and not rel(P, expected):
+            yield p, expected, P
+    for p, expected in projections.items():
+        if p not in bindings:
+            yield p, expected, None

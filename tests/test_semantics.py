@@ -66,6 +66,22 @@ def test_session_step_returns_none_when_disabled(cx):
     assert session_step(M, CommAction("q", "text", "p")) is None
 
 
+def test_comm_action_sorts_hashes_and_prints_as_before():
+    mixed = [CommAction("q", "a", "r"), CommAction("p", "b", "q"), CommAction("q", "b", "p"),
+             CommAction("p", "a", "r"), CommAction("p", "a", "q")]
+    assert [str(a) for a in sorted(mixed)] == \
+        ["p -a-> q", "p -a-> r", "p -b-> q", "q -a-> r", "q -b-> p"]
+    a, b = CommAction("q", "b", "p"), CommAction("q", "b", "p")
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != CommAction("p", "b", "q")
+    # a named tuple: it also equals the plain (sender, label, receiver) tuple
+    assert a == ("q", "b", "p") and hash(a) == hash(("q", "b", "p"))
+    assert str(a) == "q -b-> p"
+    assert repr(a) == "CommAction(sender='q', label='b', receiver='p')"
+    assert a.to_json() == {"sender": "q", "label": "b", "receiver": "p", "text": "q -b-> p"}
+    assert a.involves("q") and a.involves("p") and not a.involves("b")
+
+
 # ---------------------------------------------------------------------------
 # Global transitions.
 
@@ -620,14 +636,18 @@ def test_fidelity_harness_stops_at_the_state_bound(store, monkeypatch):
     assert len(calls) <= 51
 
 
-def test_fidelity_harness_computes_depths_only_for_its_entry_check(monkeypatch):
-    # a 64-step relay; each step is checked by the relaxed typecheck, which
-    # reads only projections
-    store = NodeStore()
-    roles = ("p", "q", "r")
+def _relay(store, n, roles=("p", "q", "r")):
+    """An n-step relay p -> q -> r -> p ... and its self-projection."""
     G = parse_global(" . ".join(f"{roles[i % 3]} -> {roles[(i + 1) % 3]} : l"
-                                for i in range(64)) + " . end", store=store)
-    M = randgen.self_projection(store, G)
+                                for i in range(n)) + " . end", store=store)
+    return randgen.self_projection(store, G), G
+
+
+def test_fidelity_harness_computes_depths_only_for_its_entry_check(monkeypatch):
+    # a 64-step relay; each step is checked by the relaxed typing check,
+    # which reads only projections
+    roles = ("p", "q", "r")
+    M, G = _relay(NodeStore(), 64, roles)
     tc = importlib.import_module("mpst.typecheck")  # the package exports a function by that name
     depth_raw = tc._depth_raw
     calls = []
@@ -640,6 +660,41 @@ def test_fidelity_harness_computes_depths_only_for_its_entry_check(monkeypatch):
     verdict = fidelity_harness(M, G)
     assert verdict.ok and verdict.visited == 65
     assert sorted(calls, key=lambda c: c[1]) == [(G, p) for p in roles]
+
+
+def test_fidelity_harness_steps_on_bindings_without_reports_or_sessions(monkeypatch):
+    # the same 64-step relay: `typecheck` runs once, for the entry check;
+    # each step reads memoised moves, not `session_enabled`; and the only
+    # Session made is the normalized initial state
+    M, G = _relay(NodeStore(), 64)
+    calls = {"typecheck": 0, "session_enabled": 0, "Session": 0}
+
+    def counted(name, f):
+        def run(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return run
+
+    for name in ("typecheck", "session_enabled"):
+        monkeypatch.setattr(mpst.semantics, name,
+                            counted(name, getattr(mpst.semantics, name)))
+    trusted = Session._trusted.__func__
+    monkeypatch.setattr(Session, "__init__", counted("Session", Session.__init__))
+    monkeypatch.setattr(Session, "_trusted", classmethod(counted("Session", trusted)))
+    verdict = fidelity_harness(M, G)
+    assert verdict.ok and verdict.divergence is None and verdict.visited == 65
+    assert calls["typecheck"] == 1 and calls["session_enabled"] == 0
+    assert calls["Session"] <= 1
+
+
+def test_fidelity_harness_tells_apart_senders_bound_to_one_output_node(store):
+    # a and b are both bound to one `r!a . 0` node; a move memo keyed by the
+    # two processes alone would give b the empty move list of a
+    G = parse_global("b -> r : a . a -> r : a . end", store=store)
+    M = randgen.self_projection(store, G)
+    assert M["a"] is M["b"]
+    assert _assert_harnesses_agree(M, G, Mode.Standard,
+                                   mpst.semantics.DEFAULT_STATE_BOUND) == (True, None, 3)
 
 
 # ---------------------------------------------------------------------------
