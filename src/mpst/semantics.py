@@ -39,12 +39,9 @@ DEFAULT_STATE_BOUND = 10 ** 6
 
 
 class CommAction(NamedTuple):
-    """One rule-comm step: `sender` sends `label` to `receiver`.
-
-    A named tuple, so hashing, equality and order are the plain tuple's and
-    run in C: actions sort by sender, then label, then receiver, and an
-    action also equals the tuple (sender, label, receiver).
-    """
+    """One rule-comm step, printed `sender -label-> receiver`.  A named
+    tuple: actions hash, compare and sort in C as the plain tuple
+    (sender, label, receiver), which they also equal."""
 
     sender: str
     label: str

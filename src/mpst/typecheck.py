@@ -522,7 +522,7 @@ def _typing_faults(bindings, G, mode):
     end = G.store.end_process
     for p, P in bindings.items():
         expected = projections.get(p, end)
-        if P is not expected and not rel(P, expected):
+        if not rel(P, expected):
             yield p, expected, P
     for p, expected in projections.items():
         if p not in bindings:
