@@ -636,9 +636,9 @@ def test_fidelity_harness_stops_at_the_state_bound(store, monkeypatch):
     assert len(calls) <= 51
 
 
-def _relay(store, n, roles=("p", "q", "r")):
+def _relay(store, n):
     """An n-step relay p -> q -> r -> p ... and its self-projection."""
-    G = parse_global(" . ".join(f"{roles[i % 3]} -> {roles[(i + 1) % 3]} : l"
+    G = parse_global(" . ".join(f"{'pqr'[i % 3]} -> {'pqr'[(i + 1) % 3]} : l"
                                 for i in range(n)) + " . end", store=store)
     return randgen.self_projection(store, G), G
 
@@ -647,7 +647,7 @@ def test_fidelity_harness_computes_depths_only_for_its_entry_check(monkeypatch):
     # a 64-step relay; each step is checked by the relaxed typing check,
     # which reads only projections
     roles = ("p", "q", "r")
-    M, G = _relay(NodeStore(), 64, roles)
+    M, G = _relay(NodeStore(), 64)
     tc = importlib.import_module("mpst.typecheck")  # the package exports a function by that name
     depth_raw = tc._depth_raw
     calls = []
