@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 
 from .core import NodeStore, TermError
-from .parser import ParseError, parse_global, parse_process, parse_session, print_global, print_process, print_session
+from .parser import ParseError, parse_global, parse_process, parse_session, print_process, print_session
 from .typecheck import IllFormedGlobalType, Mode, ProjectionError, project, typecheck, well_formed
 from .semantics import InvalidStateBound, StateSpaceBoundExceeded, explore, lock_free, simulate
 from .compose import IncompatibleSessions, NoClauseApplies, compatible, connect_sessions, verify_connection
@@ -151,8 +151,8 @@ def cmd_compose(args, store):
         raise InputProblem(f"{path}: {exc}" if path else str(exc)) from exc
     except (ValueError, NoClauseApplies) as exc:
         raise InputProblem(str(exc)) from exc
-    session, global_type = print_session(report.composed_session), print_global(report.composed_global)
     data = report.to_json()
+    session, global_type = data["composed_session"], data["composed_global"]
     _write(out + ".sess", session + "\n")
     _write(out + ".gt", global_type + "\n")
     _write(out + ".report.json", json.dumps(data, indent=2) + "\n")

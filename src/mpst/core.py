@@ -18,15 +18,19 @@ store-wide table maps (shape, child nids) to its node (hash-consing after
 Filliatre and Conchon, 2006), in O(1) per key.  Any other component
 is cyclic: it is minimised by partition refinement together with the
 existing nodes it reaches, which merges each class bisimilar to one of
-those.  Each refinement round numbers its blocks by the rank of their
-signature among the sorted distinct signatures, so a block id depends only
-on which bisimulation classes occur among the units.  A component that does
-not merge is looked up by one key: its new classes in block order, each with
-its shape and its children's blocks, a child outside the component by its
-nid.  An isomorphic copy already in the store has the same children outside
-it, so its refinement met the same classes and gave them the same blocks:
-the same key.  Nothing recurses on the size of a term, and only a cyclic
-component walks the nodes below it.
+those.  Shapes are ranked by their per-store code: the store numbers each
+distinct shape once, when a cyclic component first meets it, and refinement
+starts from these integers.  Each round numbers its blocks by the rank of
+their signature, a flat tuple of ints, among the sorted distinct
+signatures, so a block id depends only on which bisimulation classes occur
+among the units.  A component that does not merge is looked up by one key,
+a flat tuple of ints: its new classes in block order, each as its shape's
+code and its children's blocks, a child outside the component by its nid.
+An isomorphic copy already in the store has the same children outside it,
+so its refinement met the same classes, with the same codes, and gave them
+the same blocks: the same key.  The codes are canonical within a store,
+which is all a key needs.  Nothing recurses on the size of a term, and only
+a cyclic component walks the nodes below it.
 
 Every node keeps its shape, the half of its hash-cons key that is not child
 nids: ("pend", ()), ("gend", ()), ("pin" | "pout", peer, labels) or ("gcomm",
@@ -232,20 +236,22 @@ def _ranks(sigs):
 def _refine(shapes, children):
     """Block of each unit in the coarsest bisimulation partition: refine the
     partition by shape until the signatures (own block, children's blocks)
-    stop splitting it.  Each round numbers its blocks by the rank of their
-    signature, so a block id depends only on the unit's bisimulation class
-    and on which classes occur among the units, not on the units' order.
-    When every shape is distinct the first round could only confirm them,
-    so the shapes' ranks are returned at once."""
+    stop splitting it.  Shapes may be any sortable values; `_intern_cycle`
+    passes each shape's per-store code.  Each round numbers its blocks by
+    the rank of their signature, a flat tuple of ints (units of one block
+    share a shape, so the same number of children), so a block id depends
+    only on the unit's bisimulation class and on which classes occur among
+    the units, not on the units' order.  Once every block is one unit no
+    round can split it, and the next would only rank the blocks as they
+    are, so that round is not run."""
     block, count = _ranks(shapes)
-    if count == len(shapes):
-        return block
-    while True:
-        new, n = _ranks([(block[u], tuple([block[c] for c in kids]))
+    while count < len(shapes):
+        new, n = _ranks([(block[u], *[block[c] for c in kids])
                          for u, kids in enumerate(children)])
         if n == count:
-            return block
+            break
         block, count = new, n
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +260,18 @@ def _refine(shapes, children):
 class NodeStore:
     """Interning arena for process and global-type nodes.
 
-    Built by a single owner; safe to read from many threads afterwards.  The
-    store also hosts memo tables for the coinductive relations and for
-    analyses keyed by node identity.
+    Built by a single owner; safe to read from many threads afterwards.
+    Besides the hash-cons table it keeps the nodes of each cyclic component
+    under the component's key, and the code of each shape that a cyclic
+    component has met: shapes are ranked by these per-store codes in
+    refinement and in the keys.  The store also hosts memo tables for the
+    coinductive relations and for analyses keyed by node identity.
     """
 
     def __init__(self):
         self._cons = {}           # (shape, child nids) -> node, for every node
         self._cycles = {}         # key of a cyclic component -> its nodes
+        self._codes = {}          # shape met in a cyclic component -> its code
         self._count = 0
         self._memos = {}
         self.end_process = self._cons_node(("pend", ()), ())
@@ -356,22 +366,14 @@ class NodeStore:
         key = (shape, tuple([c.nid for c in kids]))
         node = self._cons.get(key)
         if node is None:
-            node = self._cons[key] = self._make(
-                shape, kids, _participants_of(shape[1:-1], kids),
-                all([c._finite for c in kids]))
-        return node
-
-    def _make(self, shape, kids, names, finite):
-        """A new node of the kind its shape names, its branches pairing the
-        shape's labels with `kids`."""
-        node = object.__new__(_KINDS[shape[0]])
-        node.store = self
-        node.nid = self._count
-        node._participants = names
-        node._finite = finite
-        node.shape = shape
-        node.branches = tuple(zip(shape[-1], kids))
-        self._count += 1
+            node = self._cons[key] = object.__new__(_KINDS[shape[0]])
+            node.store = self
+            node.nid = self._count
+            self._count += 1
+            node._participants = _participants_of(shape[1:-1], kids)
+            node._finite = all([c._finite for c in kids])
+            node.shape = shape
+            node.branches = tuple(zip(shape[-1], kids))
         return node
 
     def _intern_cycle(self, scc, done):
@@ -381,66 +383,102 @@ class NodeStore:
         Partition refinement over the component and the existing nodes it
         reaches merges every class bisimilar to one of those nodes; the
         component is strongly connected, so either every class merges or
-        none does.  Any other existing node bisimilar to a class lies on a
-        cycle that the class does not reach; its component is then a copy
-        of the remaining classes, with the same children outside it.  Those
+        none does.  A unit's shape enters refinement as its code in the
+        store's table, numbered once when the store first meets the shape.
+        Any other existing node bisimilar to a class lies on a cycle that
+        the class does not reach; its component is then a copy of the
+        remaining classes, with the same children outside it.  Those
         children reach the same existing nodes, so the copy's refinement met
-        the same bisimulation classes and numbered them with the same
-        blocks.  The component is therefore looked up by one key, its new
-        classes in block order, each as its shape and then its children's
-        blocks, an existing child as ~nid; the key maps to the component's
-        nodes in the same order.  A miss makes the nodes in the order of
-        their first key.
+        the same bisimulation classes and, with the same codes, numbered
+        them with the same blocks.  The component is therefore looked up by
+        one key, a flat tuple of ints: its new classes in block order, each
+        as its shape's code and then its children's blocks, an existing
+        child as ~nid (a code fixes its shape, so how many children follow
+        it); the key maps to the component's nodes in the same order.  A
+        miss makes the nodes in the order of their first unit.
         """
+        codes = self._codes
         k = len(scc)
-        unit = {t: u for u, (t, _, _) in enumerate(scc)}
-        shapes = [shape for _, shape, _ in scc]
-        existing = [None] * k      # unit -> node, for the existing units
-        node_unit = {}
+        unit = {}
+        for u, entry in enumerate(scc):
+            unit[entry[0]] = u
+        sigs = []                  # unit -> its shape's code
+        children = []              # unit -> its children's units
+        existing = []              # unit k + i -> node, for the existing units
+        node_unit = {}             # existing node -> its unit
+        for _, shape, kids in scc:
+            sigs.append(codes.setdefault(shape, len(codes)))
+            row = []
+            for t in kids:
+                u = unit.get(t)
+                if u is None:
+                    n = done[t]
+                    u = node_unit.get(n)
+                    if u is None:
+                        u = node_unit[n] = k + len(existing)
+                        existing.append(n)
+                row.append(u)
+            children.append(row)
+        for n in existing:         # grows while it is read
+            sigs.append(codes.setdefault(n.shape, len(codes)))
+            row = []
+            for _, c in n.branches:
+                u = node_unit.get(c)
+                if u is None:
+                    u = node_unit[c] = k + len(existing)
+                    existing.append(c)
+                row.append(u)
+            children.append(row)
+        block = _refine(sigs, children)
 
-        def unit_of(n):
-            u = node_unit.get(n.nid)
-            if u is None:
-                u = node_unit[n.nid] = len(existing)
-                existing.append(n)
-            return u
-
-        children = [[unit[t] if t in unit else unit_of(done[t]) for t in kids]
-                    for _, _, kids in scc]
-        u = k
-        while u < len(existing):
-            shape, kids = _split(existing[u])
-            shapes.append(shape)
-            children.append([unit_of(c) for c in kids])
-            u += 1
-        block = _refine(shapes, children)
-
-        image = {block[u]: existing[u] for u in range(k, len(existing))}
+        image = {}                 # block -> its node
+        for u in range(k, len(block)):
+            image[block[u]] = existing[u - k]
         rep = {}                   # block of no existing node -> its first unit
         for u in range(k):
-            if block[u] not in image:
-                rep.setdefault(block[u], u)
+            b = block[u]
+            if b not in image and b not in rep:
+                rep[b] = u
         if rep:
-            kids_of = {b: [block[c] for c in children[u]] for b, u in rep.items()}
             order = sorted(rep)
-            key = tuple([(shapes[rep[b]], *[c if c in rep else ~image[c].nid
-                                            for c in kids_of[b]]) for b in order])
+            key = []
+            for b in order:
+                u = rep[b]
+                key.append(sigs[u])
+                for c in children[u]:
+                    c = block[c]
+                    key.append(c if c in rep else ~image[c].nid)
+            key = tuple(key)
             nodes = self._cycles.get(key)
             if nodes is None:
-                names = _participants_of(
-                    [n for b in rep for n in shapes[rep[b]][1:-1]],
-                    [image[c] for b in rep for c in kids_of[b] if c not in rep])
-                for b in rep:       # made first, linked once every class has a node
-                    image[b] = self._make(shapes[rep[b]], (), names, False)
-                for b in rep:
+                own = []               # the classes' own names
+                below = []             # their children outside the component
+                for u in rep.values():
+                    own += scc[u][1][1:-1]
+                    for c in children[u]:
+                        if block[c] not in rep:
+                            below.append(image[block[c]])
+                names = _participants_of(own, below)
+                for b, u in rep.items():   # made first, linked once every class has a node
+                    shape = scc[u][1]
+                    node = image[b] = object.__new__(_KINDS[shape[0]])
+                    node.store = self
+                    node.nid = self._count
+                    self._count += 1
+                    node._participants = names
+                    node._finite = False
+                    node.shape = shape
+                cons = self._cons
+                for b, u in rep.items():
                     node = image[b]
-                    kids = [image[c] for c in kids_of[b]]
+                    kids = [image[block[c]] for c in children[u]]
                     node.branches = tuple(zip(node.shape[-1], kids))
-                    self._cons[(node.shape, tuple([c.nid for c in kids]))] = node
+                    cons[(node.shape, tuple([c.nid for c in kids]))] = node
                 nodes = self._cycles[key] = tuple([image[b] for b in order])
-            image.update(zip(order, nodes))
-        for u, (t, _, _) in enumerate(scc):
-            done[t] = image[block[u]]
+            else:
+                image.update(zip(order, nodes))
+        for u, entry in enumerate(scc):
+            done[entry[0]] = image[block[u]]
 
 
 class GraphBuilder:

@@ -16,7 +16,9 @@ over `core._sccs`, and `ref_participants` the fold over `core._sccs` that
 computed participant sets on demand before each node got its own at
 creation.  `ref_leq`, `ref_leq_plus` and `ref_compatible` decide the three
 coinductive relations as greatest fixpoints by deletion, with no closure
-search and no memo.  `ref_connect_globals` and `ref_standard_witness`
+search and no memo.  `ref_intern_cycle` is the interning kernel that ranked
+the shapes themselves, as tuples, and keyed a component by nested tuples;
+patched onto `NodeStore` as `_intern_cycle`, it must make the same nodes.  `ref_connect_globals` and `ref_standard_witness`
 build their own markers, memo keys and state keys, so that the reference
 imports no private helper of the code it checks.
 """
@@ -24,10 +26,10 @@ imports no private helper of the code it checks.
 import re
 
 from mpst.compose import NoClauseApplies, ParticipantCollision
-from mpst.core import (GComm, GEnd, NodeStore, PEnd, PIn, POut, Session, TermError,
-                       UnboundVariable, UnguardedRecursion, _sccs, _split,
-                       check_ident, node_branch, node_labels, normalize_session,
-                       participants)
+from mpst.core import (_KINDS, GComm, GEnd, NodeStore, PEnd, PIn, POut, Session,
+                       TermError, UnboundVariable, UnguardedRecursion,
+                       _participants_of, _sccs, _split, check_ident, node_branch,
+                       node_labels, normalize_session, participants)
 from mpst.parser import (DiagKind, ParseDiagnostic, ParseError, SourceSpan,
                          print_process)
 from mpst.typecheck import (DepthValue, Mode, ProjectionError, ProjectionErrorKind,
@@ -885,6 +887,98 @@ def ref_participants(node):
         for nid in inside:
             pt[nid] = acc
     return pt[node.nid]
+
+
+# ---------------------------------------------------------------------------
+# Interning kernel.
+
+def _ref_ranks(sigs):
+    """Each signature's rank among the sorted distinct signatures, and how
+    many distinct signatures there are."""
+    rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
+    return [rank[s] for s in sigs], len(rank)
+
+
+def _ref_refine(shapes, children):
+    """Block of each unit in the coarsest bisimulation partition, each
+    round's blocks numbered by the rank of their signature."""
+    block, count = _ref_ranks(shapes)
+    if count == len(shapes):
+        return block
+    while True:
+        new, n = _ref_ranks([(block[u], tuple([block[c] for c in kids]))
+                             for u, kids in enumerate(children)])
+        if n == count:
+            return block
+        block, count = new, n
+
+
+def _ref_make(store, shape, kids, names, finite):
+    node = object.__new__(_KINDS[shape[0]])
+    node.store = store
+    node.nid = store._count
+    node._participants = names
+    node._finite = finite
+    node.shape = shape
+    node.branches = tuple(zip(shape[-1], kids))
+    store._count += 1
+    return node
+
+
+def ref_intern_cycle(self, scc, done):
+    """Resolve one cyclic component, (key, shape, child keys) triples, into
+    `done`: refine it together with the existing nodes it reaches, shapes
+    ranked as they are, and look the classes that merge into none of those
+    nodes up by one key of (shape, child blocks or ~nid) tuples."""
+    k = len(scc)
+    unit = {t: u for u, (t, _, _) in enumerate(scc)}
+    shapes = [shape for _, shape, _ in scc]
+    existing = [None] * k      # unit -> node, for the existing units
+    node_unit = {}
+
+    def unit_of(n):
+        u = node_unit.get(n.nid)
+        if u is None:
+            u = node_unit[n.nid] = len(existing)
+            existing.append(n)
+        return u
+
+    children = [[unit[t] if t in unit else unit_of(done[t]) for t in kids]
+                for _, _, kids in scc]
+    u = k
+    while u < len(existing):
+        shape, kids = _split(existing[u])
+        shapes.append(shape)
+        children.append([unit_of(c) for c in kids])
+        u += 1
+    block = _ref_refine(shapes, children)
+
+    image = {block[u]: existing[u] for u in range(k, len(existing))}
+    rep = {}                   # block of no existing node -> its first unit
+    for u in range(k):
+        if block[u] not in image:
+            rep.setdefault(block[u], u)
+    if rep:
+        kids_of = {b: [block[c] for c in children[u]] for b, u in rep.items()}
+        order = sorted(rep)
+        key = tuple([(shapes[rep[b]], *[c if c in rep else ~image[c].nid
+                                        for c in kids_of[b]]) for b in order])
+        nodes = self._cycles.get(key)
+        if nodes is None:
+            names = _participants_of(
+                [n for b in rep for n in shapes[rep[b]][1:-1]],
+                [image[c] for b in rep for c in kids_of[b] if c not in rep])
+            for b in rep:       # made first, linked once every class has a node
+                image[b] = _ref_make(self, shapes[rep[b]], (), names, False)
+            for b in rep:
+                node = image[b]
+                kids = [image[c] for c in kids_of[b]]
+                node.branches = tuple(zip(node.shape[-1], kids))
+                self._cons[(node.shape, tuple([c.nid for c in kids]))] = node
+            nodes = self._cycles[key] = tuple([image[b] for b in order])
+        image.update(zip(order, nodes))
+    for u, (t, _, _) in enumerate(scc):
+        done[t] = image[block[u]]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from mpst.semantics import global_enabled, session_enabled, standard_witness
 from mpst.typecheck import ProjectionError, project
 
 import randgen
-from oracles import ref_participants
+from oracles import ref_intern_cycle, ref_participants
 
 
 # ---------------------------------------------------------------------------
@@ -736,18 +736,73 @@ def _refine_by_rounds(shapes, children):
 
 def test_refine_matches_the_full_loop():
     # random units over a small pool of shapes, so some draws have every
-    # shape distinct (the shortcut) and others repeat shapes (the rounds)
+    # shape distinct (the shortcut) and others repeat shapes (the rounds);
+    # each draw is refined as shape tuples and as the integer codes that
+    # `_intern_cycle` passes, numbered in an order unrelated to the tuples'
     rng = random.Random(23)
     pool = [(kind, peer, labels) for kind in ("pin", "pout") for peer in "qr"
             for labels in (("a",), ("a", "b"))]
+    codes = dict(zip(pool, rng.sample(range(100), len(pool))))
     distinct = 0
     for _ in range(2000):
         k = rng.randint(1, 8)
         shapes = [rng.choice(pool) for _ in range(k)]
         children = [[rng.randrange(k) for _ in shape[-1]] for shape in shapes]
         distinct += len(set(shapes)) == k
-        assert mpst.core._refine(shapes, children) == _refine_by_rounds(shapes, children)
+        for units in (shapes, [codes[shape] for shape in shapes]):
+            assert mpst.core._refine(units, children) == _refine_by_rounds(units, children)
     assert 200 <= distinct <= 1800
+
+
+def _kernel_workout(store, seed):
+    """Random batches for the interning kernel, as the ids of every node they
+    give: drafts of both sorts, rings with exits (some with no unique
+    signature), unrolled copies and copies interned again in a shuffled
+    order, so components miss, hit an isomorphic copy and merge into
+    existing nodes."""
+    rng = random.Random(seed)
+    nids = []
+    for proc in (True, False):
+        pool = [store.end_process if proc else store.end_global]
+        for _ in range(120):
+            roll = rng.random()
+            if roll < 0.4:
+                got = _random_drafts(rng, store, pool, proc)
+            elif roll < 0.7:
+                got = _unrolled_copy(rng, store, pool, rng.choice(pool))
+            elif proc:
+                k = rng.randint(1, 9)
+                word = [(rng.choice("!?"), rng.choice("qr")) for _ in range(k)]
+                exits = [rng.choice(pool) if rng.random() < 0.3 else None
+                         for _ in range(k)]
+                b, drafts = _ring(store, word, exits)
+                got = _intern_checked(b, drafts)
+                got += _copy_in_a_second_batch(rng, store, list(dict.fromkeys(got)))
+            else:
+                cyclic = [n for n in pool if not n._finite]
+                if not cyclic:
+                    continue
+                top = rng.choice(cyclic)
+                ring = [n for n in _reachable([top]) if top in _reachable([n])]
+                got = _copy_in_a_second_batch(rng, store, ring)
+            pool.extend(got)
+            nids.extend(n.nid for n in got)
+    return nids
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_kernel_matches_the_reference(monkeypatch, seed):
+    # the same batches into a store with today's kernel and into one with
+    # the reference kernel, which ranks the shapes themselves: the same
+    # nodes with the same ids, and the same number of component keys
+    store = NodeStore()
+    got = _kernel_workout(store, seed)
+    monkeypatch.setattr(NodeStore, "_intern_cycle", ref_intern_cycle)
+    ref = NodeStore()
+    assert got == _kernel_workout(ref, seed)
+    assert store._count == ref._count > 500
+    assert len(store._cycles) == len(ref._cycles) > 50
+    assert _fingerprint(store) == _fingerprint(ref)
 
 
 # ---------------------------------------------------------------------------
