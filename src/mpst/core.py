@@ -39,13 +39,7 @@ shape, its labels are always the shape's last item, and a map from graph to
 graph may hand a node's own shape to `NodeStore.map`.  Every node also
 gets its participant set when it is made: its own names and its children's
 sets, or for the new classes of a cyclic component one set shared by all of
-them, so `participants` reads a field.  Likewise `_finite` records whether
-its tree is finite: a node made from an acyclic key is finite exactly when
-its children are, and the new nodes of a cyclic component are not (such a
-component is never bisimilar to a finite node, so none of its classes merges
-into one).  Projection is its one reader: a merge at a finite node is an
-alias of its member, and a finite type's projection is made in list order
-with no interning search.
+them, so `participants` reads a field.
 """
 
 from __future__ import annotations
@@ -87,7 +81,7 @@ def check_ident(name, what="identifier"):
 # read the node's shape; its branches pair the shape's labels with children.
 
 class Node:
-    __slots__ = ("store", "nid", "_participants", "_finite", "shape", "branches")
+    __slots__ = ("store", "nid", "_participants", "shape", "branches")
 
 
 class Process(Node):
@@ -371,7 +365,6 @@ class NodeStore:
             node.nid = self._count
             self._count += 1
             node._participants = _participants_of(shape[1:-1], kids)
-            node._finite = all([c._finite for c in kids])
             node.shape = shape
             node.branches = tuple(zip(shape[-1], kids))
         return node
@@ -466,7 +459,6 @@ class NodeStore:
                     node.nid = self._count
                     self._count += 1
                     node._participants = names
-                    node._finite = False
                     node.shape = shape
                 cons = self._cons
                 for b, u in rep.items():

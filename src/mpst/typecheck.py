@@ -22,13 +22,11 @@ back to their first member whose projection is known.  Only then are the
 nodes made, so a rejected type makes none, and the equalities a merge
 assumed between two projections are verified, where equal means identical.
 
-A finite type's entries (see `core`'s `_finite`) are made in list order,
-one hash-cons lookup each, as its children come first, and a merge that is
-its first member takes that member's node with no lookup.  Any other type's
-entries go to one interning batch, where such a merge keeps its own entry,
-a copy of its member's: an alias inside a cyclic type would change which
-entries `NodeStore._intern_cycle` meets first, and so the order, and the
-ids, of the nodes it makes.
+A merge that is one of its members is an alias of that member, which is
+never an alias itself, and takes its node.  The other entries are made in
+list order, one hash-cons lookup each, as children come first, until one
+names an entry not made yet: that entry closes a cycle, and from it on the
+entries go to one interning batch, each ref through the aliases.
 """
 
 from __future__ import annotations
@@ -259,7 +257,8 @@ def _decide(p, entries, alias, checks, i, g, ms, had_self):
                                    for pair in zip(shape[-1], refs)))
         entries[i] = (("pin", ds[0][0][1], labels), kids)
     else:
-        m = alias[i] = ms[0]
+        m = ms[0]
+        alias[i] = alias.get(m, m)
         entries[i] = entries[m] if m.__class__ is int else _split(m)
         if how == "equal":
             checks.extend((g, m, k) for k in ms[1:])
@@ -307,7 +306,7 @@ def _project(store, root, p):
                                    i in kids))
 
     checks = []    # (node, ref, ref): projections assumed equal
-    alias = {}     # merge index -> the member whose entry it copies
+    alias = {}     # merge index -> the member it is, never an alias itself
     # the first sweep of the merges in list order, then the merges it leaves
     pending = [cell for cell in merges
                if not _decide(p, entries, alias, checks, *cell)]
@@ -341,6 +340,7 @@ def _project(store, root, p):
                      if m.__class__ is not int or entries[m] is not None]
             if known:
                 first = known[0]
+                alias[i] = alias.get(first, first)
                 entries[i] = (entries[first] if first.__class__ is int
                               else _split(first))
                 checks.extend((g, first, m) for m in ms if m != first)
@@ -349,20 +349,33 @@ def _project(store, root, p):
             raise AssertionError("merge cycle with no resolved member")
 
     roots = [seen[g] for g in order]
-    if root._finite:
-        made = [None] * len(entries)
-        cons = store._cons_node
-        for i in roots:
-            m = alias.get(i)
-            if m is None:
-                shape, refs = entries[i]
-                made[i] = cons(shape, [made[r] if r.__class__ is int else r
-                                       for r in refs])
-            else:
-                made[i] = made[m] if m.__class__ is int else m
-    else:
-        made = dict(zip(roots, store.map(
-            roots, lambda t: entries[t] if t.__class__ is int else t)))
+    made = [None] * len(entries)
+    cons = store._cons_node
+    cut = None     # the first entry whose ref is not made yet: it closes a cycle
+    for i in roots:
+        m = alias.get(i)
+        if m is not None:
+            node = made[m] if m.__class__ is int else m
+        else:
+            shape, refs = entries[i]
+            kids = [made[r] if r.__class__ is int else r for r in refs]
+            node = None if None in kids else cons(shape, kids)
+        if node is None:
+            cut = i
+            break
+        made[i] = node
+    if cut is not None:
+        rest = roots[roots.index(cut):]
+
+        def expand(t):
+            node = made[t] if t.__class__ is int else t
+            if node is not None:
+                return node
+            shape, refs = entries[t]
+            return shape, [alias.get(r, r) for r in refs]
+
+        for i, node in zip(rest, store.map([alias.get(i, i) for i in rest], expand)):
+            made[i] = node
     _verify(p, checks, made)
     for g, i in zip(order, roots):
         cache[(g.nid, p)] = made[i]

@@ -913,12 +913,11 @@ def _ref_refine(shapes, children):
         block, count = new, n
 
 
-def _ref_make(store, shape, kids, names, finite):
+def _ref_make(store, shape, kids, names):
     node = object.__new__(_KINDS[shape[0]])
     node.store = store
     node.nid = store._count
     node._participants = names
-    node._finite = finite
     node.shape = shape
     node.branches = tuple(zip(shape[-1], kids))
     store._count += 1
@@ -969,7 +968,7 @@ def ref_intern_cycle(self, scc, done):
                 [n for b in rep for n in shapes[rep[b]][1:-1]],
                 [image[c] for b in rep for c in kids_of[b] if c not in rep])
             for b in rep:       # made first, linked once every class has a node
-                image[b] = _ref_make(self, shapes[rep[b]], (), names, False)
+                image[b] = _ref_make(self, shapes[rep[b]], (), names)
             for b in rep:
                 node = image[b]
                 kids = [image[c] for c in kids_of[b]]

@@ -1,8 +1,8 @@
 """The graph-to-graph maps built on `NodeStore.map`, and projection.
 
-Projection aliases a merge at a finite node and copies any other, and makes
-a finite type's nodes with no interning search, so random types of both
-kinds are projected.  Each map is compared with its recursive reference in
+Projection makes its nodes in list order until one closes a cycle, and
+the rest in one `NodeStore.map` call, so random types with and without
+cycles are projected.  Each map is compared with its recursive reference in
 `oracles` on random inputs, and then run on inputs far deeper than any
 recursion allows.
 """
@@ -58,15 +58,23 @@ def _reachable(G):
 # ---------------------------------------------------------------------------
 # Differential tests against the recursive references.
 
-@pytest.mark.parametrize("types, seed, finite_types", [
-    (_random_globals, 1, 663), (_random_globals, 2, 688), (_finite_globals, 3, 1500)],
+@pytest.mark.parametrize("types, seed, cyclic", [
+    (_random_globals, 1, True), (_random_globals, 2, True), (_finite_globals, 3, False)],
     ids=["1", "2", "finite-3"])
-def test_projection_matches_the_reference(types, seed, finite_types):
-    failing = moved = finite = 0
+def test_projection_matches_the_reference(monkeypatch, types, seed, cyclic):
+    maps = []
+    real_map = NodeStore.map
+    monkeypatch.setattr(NodeStore, "map", lambda *args: maps.append(1) or real_map(*args))
+    failing = moved = looped = mapped = 0
     for G in types(seed, 1500):
-        finite += G._finite
         for p in sorted(participants(G)) + ["zz"]:
-            got, ref = project(G, p), ref_project(G, p)
+            count, calls = G.store._count, len(maps)
+            got = project(G, p)
+            # the make stage that ran: `map` for the entries from the first
+            # one that closes a cycle, else list order alone if it made a node
+            mapped += len(maps) > calls
+            looped += len(maps) == calls and G.store._count > count
+            ref = ref_project(G, p)
             if not isinstance(ref, ProjectionError):
                 assert got is ref
                 continue
@@ -83,8 +91,8 @@ def test_projection_matches_the_reference(types, seed, finite_types):
             assert isinstance(ref_project(alone, p), ProjectionError)
     assert failing > 100
     assert moved < failing / 20
-    # a finite type takes projection's one-pass path, any other its draft path
-    assert finite == finite_types
+    # a type with no cycle never reaches `map`
+    assert looped > 1000 and (mapped > 1000 if cyclic else mapped == 0)
 
 
 def _stacked_globals(seed, count):
