@@ -16,7 +16,8 @@ from __future__ import annotations
 import os
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
@@ -270,26 +271,91 @@ def simulate(M, steps, seed=0):
 # ---------------------------------------------------------------------------
 # Exhaustive exploration.
 
-@dataclass
+class _States(Sequence):
+    """The states of a `StateGraph` as a read-only sequence, in BFS order.
+
+    Its length is known at once.  Item i is state i's normalized `Session`,
+    the participants of the initial order whose node is not an end node,
+    built on its first read and kept; item 0 is the initial session itself.
+    Filling an item is idempotent, so concurrent readers get equal sessions.
+    The view equals another view or a list of the same sessions.
+    """
+
+    __slots__ = ("_names", "_vecs", "_sessions")
+
+    def __init__(self, init, vecs):
+        self._names = init.participants
+        self._vecs = vecs
+        self._sessions = [init] + [None] * (len(vecs) - 1)
+
+    def __len__(self):
+        return len(self._vecs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        sessions = self._sessions
+        M = sessions[i]
+        if M is None:
+            M = sessions[i] = Session._trusted({
+                p: P for p, P in zip(self._names, self._vecs[i])
+                if not isinstance(P, PEnd)})
+        return M
+
+    def __eq__(self, other):
+        if not isinstance(other, (_States, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self):
+        return repr(list(self))
+
+
 class StateGraph:
     """The reachable states of a session and the rule-comm edges between them.
 
     `explore` keys the states by an integer code while it finds them and
-    keeps only their breadth-first numbering.  Besides the states and
-    edges, it records per state the lists that `lock_free` reads: its
-    successors' indices in edge order, the mask of the participants its
-    edges involve, and the mask of the participants it binds, where bit k
-    stands for the k-th participant of the initial state.  These lists are
-    derived from the states and edges and take no part in equality or in
-    the printed forms.
+    keeps, per state in breadth-first order, only what it computes anyway:
+    the node vector (position k holds the node of the k-th participant of
+    the initial state, an end node once it has ended), the successors'
+    indices in edge order (`successors`), the actions of those edges in the
+    same order (`actions`), the mask of the participants its edges involve
+    (`involved`) and the mask of the participants it binds (`binds`), bit k
+    for the k-th participant of the initial state.  `lock_free` reads these
+    lists and nothing else.
+
+    `states` is a read-only view over the vectors whose length is the state
+    count; it builds each state's normalized `Session` on its first read
+    (see `_States`).  `edges` is the list of (source index, CommAction,
+    target index) triples in BFS order, built from the per-state lists on
+    its first read and kept.  Both views are filled idempotently, so
+    concurrent readers get equal values.  Equality compares `states`,
+    `edges` and `initial` only.
     """
 
-    states: list  # canonical (normalized) sessions, index 0 = initial
-    edges: list   # (source index, CommAction, target index)
-    initial: int = 0
-    successors: list = field(default=None, compare=False, repr=False)
-    involved: list = field(default=None, compare=False, repr=False)
-    binds: list = field(default=None, compare=False, repr=False)
+    initial = 0
+
+    def __init__(self, init, vecs, successors, actions, involved, binds):
+        self.states = _States(init, vecs)
+        self.successors = successors
+        self.actions = actions
+        self.involved = involved
+        self.binds = binds
+        self._edges = None
+
+    @property
+    def edges(self):
+        if self._edges is None:
+            self._edges = [(i, a, t) for i, (acts, targets)
+                           in enumerate(zip(self.actions, self.successors))
+                           for a, t in zip(acts, targets)]
+        return self._edges
+
+    def __eq__(self, other):
+        if not isinstance(other, StateGraph):
+            return NotImplemented
+        return (self.initial == other.initial and self.states == other.states
+                and self.edges == other.edges)
 
     def to_json(self):
         return {
@@ -326,9 +392,10 @@ def explore(M):
     (position, process, peer's process) are derived once, each with the
     change it makes to the code, so a successor's code is one addition and
     one lookup away.  States are numbered breadth first, and each distinct
-    state's node vector and `Session` are built once.  Raises
-    StateSpaceBoundExceeded as soon as more than MPST_STATE_BOUND states
-    are found.
+    state's node vector is built once, when it is first found; its
+    `Session` is built only if `states` is read, and the edge triples only
+    if `edges` is read (see `StateGraph`).  Raises StateSpaceBoundExceeded
+    as soon as more than MPST_STATE_BOUND states are found.
     """
     bound = _env_state_bound()
     init = normalize_session(M)
@@ -337,12 +404,11 @@ def explore(M):
     start = list(init._bindings.values())
     width = max([P.store._count for P in start], default=0).bit_length()
     code = sum([P.nid << k * width for k, P in enumerate(start)])
-    states = [init]
     vecs = [start]
     codes = [code]
     index = {code: 0}
-    edges = []
     successors = []
+    actions = []
     involved = []
     binds = [(1 << len(names)) - 1]
     # memo[k]: output node P at position k -> (peer's position or None,
@@ -351,8 +417,8 @@ def explore(M):
     memo = [{} for _ in names]
     for i, vec in enumerate(vecs):
         code = codes[i]
-        bindings = states[i]._bindings
         targets = []
+        labels = []
         acts = 0
         for k, P in enumerate(vec):
             if not isinstance(P, POut):
@@ -386,21 +452,16 @@ def explore(M):
                     succ[k] = P2
                     succ[j] = Q2
                     vecs.append(succ)
-                    succ_bindings = dict(bindings)
-                    succ_bindings[action.sender] = P2
-                    succ_bindings[action.receiver] = Q2
                     live = binds[i]
                     if isinstance(P2, PEnd) or isinstance(Q2, PEnd):
-                        succ_bindings = {r: R for r, R in succ_bindings.items()
-                                         if not isinstance(R, PEnd)}
                         live &= ~(isinstance(P2, PEnd) << k | isinstance(Q2, PEnd) << j)
-                    states.append(Session._trusted(succ_bindings))
                     binds.append(live)
-                edges.append((i, action, t))
                 targets.append(t)
+                labels.append(action)
         successors.append(targets)
+        actions.append(labels)
         involved.append(acts)
-    return StateGraph(states, edges, successors=successors, involved=involved, binds=binds)
+    return StateGraph(init, vecs, successors, actions, involved, binds)
 
 
 # ---------------------------------------------------------------------------
@@ -433,29 +494,33 @@ def lock_free(M):
     participant still has work, some reachable transition involves it.
 
     Participants are bits of a mask, in the initial state's order; every
-    state binds a subset of the initial state's.  The check reads the
-    per-state lists that `explore` records: each state's successors, the
-    mask of its own edges and the mask of its bound participants.  One
-    fold over the strongly connected components, sinks first, gives each
-    state the mask of every edge reachable from it, and one pass ORs each
-    state's bound participants that no such edge involves into one
-    `starving` mask.  Only the least participant in that mask is looked
-    for, state by state, so the witness is the least starving participant
-    at the first state where it starves.  A witness path
-    follows the edge that first reaches each state: `explore` numbers the
-    states breadth first and lists the edges in that order, so that edge
-    is the BFS parent and witness paths are shortest.
+    state binds a subset of the initial state's.  The check makes one
+    `explore` call and reads the per-state lists it records: each state's
+    successors, the mask of its own edges and the mask of its bound
+    participants, and the actions of its edges only for a witness.  It
+    reads no state but the initial one and no edge triple, so it builds no
+    `Session` beyond the initial state's; the edge count is the sum of the
+    successor lists' lengths.  One fold over the strongly connected
+    components, sinks first, gives each state the mask of every edge
+    reachable from it, and one pass ORs each state's bound participants
+    that no such edge involves into one `starving` mask.  Only the least
+    participant in that mask is looked for, state by state, so the witness
+    is the least starving participant at the first state where it starves.
+    A witness path follows the edge that first reaches each state: `explore`
+    numbers the states breadth first and lists each state's edges in order,
+    so that edge is the BFS parent and witness paths are shortest.
     """
     graph = explore(M)
     succ, own, binds = graph.successors, graph.involved, graph.binds
     n = len(succ)
-    size = {"states": n, "edges": len(graph.edges)}
+    size = {"states": n, "edges": sum(map(len, succ))}
 
     def path(i):
         parent = [None] * n   # state 0, the initial one, has none
-        for s, a, t in graph.edges:
-            if parent[t] is None and t:
-                parent[t] = (s, a)
+        for s, (acts, targets) in enumerate(zip(graph.actions, succ)):
+            for a, t in zip(acts, targets):
+                if parent[t] is None and t:
+                    parent[t] = (s, a)
         acc = []
         while i:
             i, a = parent[i]

@@ -1,4 +1,5 @@
 import importlib
+import json
 import os
 import random
 from collections import deque
@@ -379,22 +380,57 @@ def _verdict(report):
     return "deadlock" if report.deadlock_witness is not None else "starvation"
 
 
+def _ref_json(states, edges):
+    return {"initial": 0,
+            "states": [print_session(s) or "0" for s in states],
+            "edges": [{"src": s, "action": a.to_json(), "dst": t} for s, a, t in edges]}
+
+
+def _ref_dot(states, edges):
+    def esc(text):
+        return text.replace("\\", "\\\\").replace('"', '\\"')
+
+    lines = ["digraph session {", "  rankdir=LR;"]
+    for i, s in enumerate(states):
+        shape = ', peripheries=2' if i == 0 else ""
+        lines.append(f'  n{i} [label="{esc(print_session(s) or "0")}"{shape}];')
+    for s, a, t in edges:
+        lines.append(f'  n{s} -> n{t} [label="{a.sender}:{a.label}->{a.receiver}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def _assert_engines_agree(M):
     states, edges = _ref_explore(M)
+    n = len(states)
+    # a state's Session is built on its first read, in whatever order the
+    # states are read, and then kept
     graph = explore(M)
+    assert [graph.states[i] for i in reversed(range(n))] == states[::-1]
+    assert all(graph.states[i] is graph.states[i - n] for i in range(n))
+    assert [explore(M).states[i - n] for i in range(n)] == states
+    assert list(reversed(explore(M).states)) == states[::-1]
+    graph = explore(M)
+    assert len(graph.states) == n
     assert [print_session(s) for s in graph.states] == \
         [print_session(s) for s in states]
-    assert graph.states == states
+    assert graph.states == states and states == graph.states
     assert graph.edges == edges
+    assert explore(M) == explore(M)
+    assert json.dumps(explore(M).to_json()) == json.dumps(_ref_json(states, edges))
+    assert explore(M).to_dot() == _ref_dot(states, edges)
     # the per-state lists that lock_free reads, bit k for the k-th
     # participant of the initial state
     bit = {p: 1 << k for k, p in enumerate(states[0].participants)}
     successors = [[] for _ in states]
-    involved = [0] * len(states)
+    actions = [[] for _ in states]
+    involved = [0] * n
     for s, a, t in edges:
         successors[s].append(t)
+        actions[s].append(a)
         involved[s] |= bit[a.sender] | bit[a.receiver]
-    assert (graph.successors, graph.involved) == (successors, involved)
+    assert (graph.successors, graph.actions, graph.involved) == \
+        (successors, actions, involved)
     assert graph.binds == [sum(bit[p] for p in state) for state in states]
     for state in [M] + states:
         assert session_enabled(state) == _ref_session_enabled(state)
@@ -527,6 +563,28 @@ def test_lock_free_explores_once_through_the_module_name(cx, monkeypatch):
         assert len(graphs) == 1, name
         assert (report.states, report.edges) == \
             (len(graphs[0].states), len(graphs[0].edges)), name
+
+
+def test_lock_free_builds_no_session_but_the_initial_one(store, monkeypatch):
+    # 10 ping-pong pairs: 1024 states, of which lock_free reads only the
+    # initial one; the graph's state count needs no Session either
+    M = parse_session(" || ".join(
+        f"a{i} |> rec X . b{i}!ping . b{i}?pong . X || b{i} |> rec Y . a{i}?ping . a{i}!pong . Y"
+        for i in range(10)), store=store)
+    made = []
+    trusted = Session._trusted.__func__
+
+    def counted(cls, bindings):
+        made.append(dict(bindings))
+        return trusted(cls, bindings)
+
+    monkeypatch.setattr(Session, "_trusted", classmethod(counted))
+    report = lock_free(M)
+    assert report.ok and (report.states, report.edges) == (1024, 10240)
+    assert made == [dict(M.items())]
+    made.clear()
+    assert len(explore(M).states) == 1024
+    assert made == [dict(M.items())]
 
 
 def _swap_one(rng, store, M):
