@@ -199,19 +199,19 @@ def connect_globals(G, h, G_prime, k):
             if isinstance(L, GComm) and L.receiver == h:
                 return (L.shape,
                         [(h, k, ("fwd", l), cont, R, swapped, False)
-                         for l, cont in L.branches])
+                         for l, cont in zip(L.shape[-1], L.kids)])
             if isinstance(L, GComm) and h not in (L.sender, L.receiver):
                 return (L.shape,
                         [(k, h, None, R, cont, not swapped, False)
-                         for _, cont in L.branches])
+                         for cont in L.kids])
             if isinstance(R, GComm) and R.receiver == k:
                 return (R.shape,
                         [(h, k, ("bwd", l), L, cont, swapped, False)
-                         for l, cont in R.branches])
+                         for l, cont in zip(R.shape[-1], R.kids)])
             if isinstance(R, GComm) and k not in (R.sender, R.receiver):
                 return (R.shape,
                         [(k, h, None, cont, L, not swapped, False)
-                         for _, cont in R.branches])
+                         for cont in R.kids])
         else:
             # "fwd": h holds a message for k and the second type must route
             # it onward; "bwd" is the mirror image
@@ -223,7 +223,7 @@ def connect_globals(G, h, G_prime, k):
                 return (L, cont) if fwd else (cont, R)
 
             if isinstance(T, GComm) and T.sender == other:
-                cont = dict(T.branches).get(label)
+                cont = dict(zip(T.shape[-1], T.kids)).get(label)
                 if cont is not None and not relay:
                     return (("gcomm", me, other, (label,)),
                             [(h, k, marker, L, R, swapped, True)])
@@ -233,7 +233,7 @@ def connect_globals(G, h, G_prime, k):
             elif isinstance(T, GComm) and T.receiver != other:
                 return (T.shape,
                         [(h, k, marker, *moved(cont), swapped, False)
-                         for _, cont in T.branches])
+                         for cont in T.kids])
         raise NoClauseApplies((h, k, marker, L.nid, R.nid, swapped))
 
     return store.map([(h, k, None, G, G_prime, False, False)], expand)[0]

@@ -32,14 +32,14 @@ the same blocks: the same key.  The codes are canonical within a store,
 which is all a key needs.  Nothing recurses on the size of a term, and only
 a cyclic component walks the nodes below it.
 
-Every node keeps its shape, the half of its hash-cons key that is not child
-nids: ("pend", ()), ("gend", ()), ("pin" | "pout", peer, labels) or ("gcomm",
-sender, receiver, labels).  Its `peer`, `sender` and `receiver` read the
-shape, its labels are always the shape's last item, and a map from graph to
-graph may hand a node's own shape to `NodeStore.map`.  Every node also
-gets its participant set when it is made: its own names and its children's
-sets, or for the new classes of a cyclic component one set shared by all of
-them, so `participants` reads a field.
+A node keeps its hash-cons key and nothing more: its shape, ("pend", ()),
+("gend", ()), ("pin" | "pout", peer, labels) or ("gcomm", sender, receiver,
+labels), and `kids`, its children in label order.  The labels live only in
+the shape, as its last item; `peer`, `sender`, `receiver` and `branches` are
+views of the two fields, and a map from graph to graph may hand a node's own
+shape to `NodeStore.map`.  Every node also gets its participant set when it
+is made: its own names and its children's sets, or for the new classes of a
+cyclic component one set they all share, so `participants` reads a field.
 """
 
 from __future__ import annotations
@@ -77,11 +77,13 @@ def check_ident(name, what="identifier"):
 
 # ---------------------------------------------------------------------------
 # Nodes.  Plain classes with identity semantics; instances are created by the
-# store only and are immutable afterwards by convention.  The named fields
-# read the node's shape; its branches pair the shape's labels with children.
+# store only and are immutable afterwards by convention.  A node's fields are
+# its hash-cons key: `shape`, labels last, and `kids`, in label order.  The
+# named fields and `branches` ((label, child) pairs, built per read) are views.
 
 class Node:
-    __slots__ = ("store", "nid", "_participants", "shape", "branches")
+    __slots__ = ("store", "nid", "_participants", "shape", "kids")
+    branches = property(lambda n: tuple(zip(n.shape[-1], n.kids)))
 
 
 class Process(Node):
@@ -140,26 +142,26 @@ def node_labels(n):
 
 
 def node_branch(n, label):
-    for l, child in n.branches:
-        if l == label:
-            return child
+    labels = n.shape[-1]
+    if label in labels:
+        return n.kids[labels.index(label)]
     raise KeyError(label)
 
 
 def branch_pairs(x, y, labels):
     """[(x's child, y's child)] for each of `labels`, in their order; None
     when x or y has no branch for one of them."""
-    xs, ys = dict(x.branches), dict(y.branches)
+    xl, yl = x.shape[-1], y.shape[-1]
     try:
-        return [(xs[l], ys[l]) for l in labels]
-    except KeyError:
+        return [(x.kids[xl.index(l)], y.kids[yl.index(l)]) for l in labels]
+    except ValueError:
         return None
 
 
 def _split(n):
-    """(shape, children) of a node: the shape it keeps and its children in
-    label order.  Its hash-cons key is the shape with the children's nids."""
-    return n.shape, tuple([c for _, c in n.branches])
+    """(shape, children) of a node, its two fields.  Its hash-cons key is the
+    shape with the children's nids."""
+    return n.shape, n.kids
 
 
 _NO_NAMES = frozenset()
@@ -366,7 +368,7 @@ class NodeStore:
             self._count += 1
             node._participants = _participants_of(shape[1:-1], kids)
             node.shape = shape
-            node.branches = tuple(zip(shape[-1], kids))
+            node.kids = tuple(kids)
         return node
 
     def _intern_cycle(self, scc, done):
@@ -415,7 +417,7 @@ class NodeStore:
         for n in existing:         # grows while it is read
             sigs.append(codes.setdefault(n.shape, len(codes)))
             row = []
-            for _, c in n.branches:
+            for c in n.kids:
                 u = node_unit.get(c)
                 if u is None:
                     u = node_unit[c] = k + len(existing)
@@ -463,8 +465,7 @@ class NodeStore:
                 cons = self._cons
                 for b, u in rep.items():
                     node = image[b]
-                    kids = [image[block[c]] for c in children[u]]
-                    node.branches = tuple(zip(node.shape[-1], kids))
+                    node.kids = kids = tuple([image[block[c]] for c in children[u]])
                     cons[(node.shape, tuple([c.nid for c in kids]))] = node
                 nodes = self._cycles[key] = tuple([image[b] for b in order])
             else:
@@ -497,9 +498,7 @@ class GraphBuilder:
                 raise TermError(f"draft reference {target} out of range")
             return target
         if isinstance(target, Node):
-            if target.store is self.store:
-                return target
-            return self.store.map([target], _split)[0]
+            return self.store.adopt(target)
         raise TypeError(f"branch target must be a draft index or node, got {target!r}")
 
     def fill_in(self, i, peer, branches):

@@ -497,14 +497,14 @@ def _print_node(root, glob):
             names[item] = None
             out.append("")
             work.append((item, len(out) - 1))
-            many = len(item.branches) > 1
+            labels, kids = item.shape[-1], item.kids
+            many = len(kids) > 1
             head = (f"{item.sender} -> {item.receiver} : " if glob
                     else f"{item.peer}{'?' if isinstance(item, PIn) else '!'}")
             out.append(head + "{" * many)
             work.append("}" * many)
-            for i in reversed(range(len(item.branches))):
-                label, child = item.branches[i]
-                work += (child, f"{', ' if i else ''}{label} . ")
+            for i in reversed(range(len(kids))):
+                work += (kids[i], f"{', ' if i else ''}{labels[i]} . ")
     return "".join(out)
 
 

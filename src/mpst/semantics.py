@@ -98,10 +98,11 @@ def _pair_moves(p, P, Q):
     q = P.shape[1]
     if not (isinstance(Q, PIn) and Q.shape[1] == p):
         return ()
-    accept = dict(Q.branches)
+    accept = dict(zip(Q.shape[-1], Q.kids))
     if not accept.keys() >= set(P.shape[-1]):
         return ()
-    return tuple([(CommAction(p, l, q), cont, accept[l]) for l, cont in P.branches])
+    return tuple([(CommAction(p, l, q), cont, accept[l])
+                  for l, cont in zip(P.shape[-1], P.kids)])
 
 
 def session_enabled(M):
@@ -157,7 +158,7 @@ def _can_step(G, action, memo):
         return res
 
     def succ(g):
-        return [c for _, c in g.branches] if (g.nid, action) not in memo and passes(g) else ()
+        return g.kids if (g.nid, action) not in memo and passes(g) else ()
 
     for scc in _sccs([G], succ):
         g = scc[0]
@@ -165,7 +166,7 @@ def _can_step(G, action, memo):
             continue
         if passes(g):
             res = len(scc) == 1 and all(c is not g and memo[(c.nid, action)]
-                                        for _, c in g.branches)
+                                        for c in g.kids)
         else:
             res = _fires(g, action)
         for g in scc:
@@ -208,12 +209,12 @@ def global_enabled(G):
         m = met[n]
         here = bit[n.sender] | bit[n.receiver]
         if not m & here:
-            for l, _ in n.branches:
+            for l in n.shape[-1]:
                 candidates.add((n.sender, l, n.receiver))
         m |= here
         if m == everyone:
             continue
-        for _, c in n.branches:
+        for c in n.kids:
             if c not in met and not isinstance(c, GEnd):
                 met[c] = m
                 stack.append(c)
@@ -653,7 +654,7 @@ def standard_witness(M, G):
         procs = dict(state)
         sender, receiver = procs[g.sender], procs[g.receiver]
         kids = []
-        for l, cont in sender.branches:
+        for l, cont in zip(sender.shape[-1], sender.kids):
             procs[g.sender], procs[g.receiver] = cont, node_branch(receiver, l)
             kids.append((tuple((p, P) for p, P in procs.items()
                                if not isinstance(P, PEnd)), node_branch(g, l)))

@@ -114,12 +114,12 @@ def _depth_raw(G, p):
         return isinstance(c, GComm) and p in (c.sender, c.receiver)
 
     def before(n):
-        return [c for _, c in n.branches if isinstance(c, GComm) and not meets(c)]
+        return [c for c in n.kids if isinstance(c, GComm) and not meets(c)]
 
     best = {}   # node -> longest prefix before p, None where p cannot be met
     for scc in _sccs([G], before):
         lengths = [1 if meets(c) else 1 + best[c]
-                   for n in scc for _, c in n.branches
+                   for n in scc for c in n.kids
                    if meets(c) or best.get(c) is not None]
         if lengths and (len(scc) > 1 or scc[0] in before(scc[0])):
             return DepthValue.infinite()
@@ -274,10 +274,10 @@ def _project(store, root, p):
     entries = []   # each visited node's (shape, refs), a ref an index or a process
     order = []     # the visited nodes, children first
     merges = []    # (index, node, distinct members but itself, had itself)
-    frames = [(None, iter([(None, root)]))]
+    frames = [(None, iter([root]))]
     while frames:
         g, it = frames[-1]
-        for _, c in it:
+        for c in it:
             if c not in seen:
                 hit = cache.get((c.nid, p))
                 if hit is None and p not in c._participants:
@@ -287,7 +287,7 @@ def _project(store, root, p):
                 if hit is None:
                     seen[c] = len(entries)
                     entries.append(None)
-                    frames.append((c, iter(c.branches)))
+                    frames.append((c, iter(c.kids)))
                     break
                 seen[c] = hit
         else:
@@ -296,7 +296,7 @@ def _project(store, root, p):
                 order.append(g)
                 i = seen[g]
                 _, sender, receiver, labels = g.shape
-                kids = [seen[k] for _, k in g.branches]
+                kids = [seen[k] for k in g.kids]
                 if p == sender:
                     entries[i] = (("pout", receiver, labels), kids)
                 elif p == receiver:

@@ -919,7 +919,7 @@ def _ref_make(store, shape, kids, names):
     node.nid = store._count
     node._participants = names
     node.shape = shape
-    node.branches = tuple(zip(shape[-1], kids))
+    node.kids = tuple(kids)
     store._count += 1
     return node
 
@@ -972,7 +972,7 @@ def ref_intern_cycle(self, scc, done):
             for b in rep:
                 node = image[b]
                 kids = [image[c] for c in kids_of[b]]
-                node.branches = tuple(zip(node.shape[-1], kids))
+                node.kids = tuple(kids)
                 self._cons[(node.shape, tuple([c.nid for c in kids]))] = node
             nodes = self._cycles[key] = tuple([image[b] for b in order])
         image.update(zip(order, nodes))

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 
@@ -147,10 +148,56 @@ def test_a_chain_shares_its_participant_sets(store):
     assert len({id(participants(n)) for n in chain}) <= 3
 
 
+def test_a_node_keeps_few_tracked_objects():
+    # every node is one tracked object, and its children one tracked tuple;
+    # a second copy of the labels, paired with the children, would add more
+    n = 2000
+    text = "".join(f"let G{i} = p -> q : a{i % 3} . G{i + 1}\n"
+                   for i in range(n)) + f"let G{n} = end\nG0\n"
+    store = NodeStore()
+    gc.collect()
+    objects, count = len(gc.get_objects()), store._count
+    G = parse_global(text, store=store)
+    gc.collect()
+    made = store._count - count
+    assert made == n and isinstance(G, GComm)
+    assert (len(gc.get_objects()) - objects) / made < 2.5
+
+
 def test_participants_of_a_global_type(cx):
     assert participants(cx.gt("relay.gt")) == frozenset("pqh")
     assert participants(cx.gt("right.gt")) == frozenset("krs")
     assert participants(cx.store.end_global) == frozenset()
+
+
+def test_sccs_match_mutual_reachability():
+    # random digraphs with self-loops, searched from repeated starts: the
+    # components partition the reachable vertices by mutual reachability,
+    # and each is listed after every component it reaches
+    rng = random.Random(28)
+    for _ in range(400):
+        n = rng.randint(1, 25)
+        succ = {v: [rng.randrange(n) for _ in range(rng.choice((0, 1, 2, 3)))]
+                for v in range(n)}
+        starts = [rng.randrange(n) for _ in range(rng.randint(1, 4))]
+
+        def reach(vs):
+            seen, stack = set(vs), list(vs)
+            while stack:
+                for w in succ[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            return seen
+
+        below = {v: reach(succ[v]) | {v} for v in reach(starts)}
+        sccs = mpst.core._sccs(starts, lambda v: succ[v])
+        assert sorted(v for scc in sccs for v in scc) == sorted(below)
+        assert ({frozenset(scc) for scc in sccs}
+                == {frozenset(w for w in below if v in below[w] and w in below[v])
+                    for v in below})
+        at = {v: i for i, scc in enumerate(sccs) for v in scc}
+        assert all(at[w] <= at[v] for v in below for w in below[v])
 
 
 def _naive_bisimilar(a, b):
@@ -349,7 +396,10 @@ def test_every_node_keeps_its_hash_cons_shape(cx):
         nodes = list(s._cons.values())
         assert len(nodes) == s._count
         for n in nodes:
-            assert s._cons[(n.shape, tuple(c.nid for _, c in n.branches))] is n
+            # a node keeps its key, shape and kids; its branches are a view
+            assert type(n.kids) is tuple and len(n.kids) == len(n.shape[-1])
+            assert s._cons[(n.shape, tuple(c.nid for c in n.kids))] is n
+            assert n.branches == tuple(zip(n.shape[-1], n.kids))
             assert node_labels(n) == n.shape[-1] == tuple(l for l, _ in n.branches)
             assert type(n) is mpst.core._KINDS[n.shape[0]]
             if isinstance(n, GComm):
