@@ -8,11 +8,15 @@ communications independent of the root choice, inside every branch at once
 
 State spaces are finite because a stepped process is always a node of the
 original process graph, so exploration is exact rather than bounded, with a
-configurable safety valve on the number of states discovered.
+configurable safety valve on the number of states of the whole session.
+Participants that never name each other, directly or through a third,
+step independently: a session of such parts is explored part by part, and
+its states are the product of the parts' states.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from collections import deque
@@ -272,34 +276,56 @@ def simulate(M, steps, seed=0):
 # ---------------------------------------------------------------------------
 # Exhaustive exploration.
 
+class _Space(NamedTuple):
+    """What one breadth-first exploration records, per state in BFS order:
+    the node vector (position k holds the node of `names[k]`, an end node
+    once it has ended), the successors' indices and the actions of those
+    edges in edge order, and the masks of the participants its edges
+    involve and of those it binds, bit k for `names[k]`."""
+
+    names: tuple
+    vecs: list
+    successors: list
+    actions: list
+    involved: list
+    binds: list
+
+
 class _States(Sequence):
     """The states of a `StateGraph` as a read-only sequence, in BFS order.
 
     Its length is known at once.  Item i is state i's normalized `Session`,
     the participants of the initial order whose node is not an end node,
-    built on its first read and kept; item 0 is the initial session itself.
-    Filling an item is idempotent, so concurrent readers get equal sessions.
-    The view equals another view or a list of the same sessions.
+    built on its first read and kept; item 0 is the initial session itself,
+    and any other item needs the whole exploration (`space()`).  Filling an
+    item is idempotent, so concurrent readers get equal sessions.  The view
+    equals another view or a list of the same sessions.
     """
 
-    __slots__ = ("_names", "_vecs", "_sessions")
+    __slots__ = ("_init", "_size", "_space", "_sessions")
 
-    def __init__(self, init, vecs):
-        self._names = init.participants
-        self._vecs = vecs
-        self._sessions = [init] + [None] * (len(vecs) - 1)
+    def __init__(self, init, size, space):
+        self._init = init
+        self._size = size
+        self._space = space
+        self._sessions = None
 
     def __len__(self):
-        return len(self._vecs)
+        return self._size
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        sessions = self._sessions
-        M = sessions[i]
+            return [self[k] for k in range(self._size)[i]]
+        i = range(self._size)[i]
+        if i == 0:
+            return self._init
+        if self._sessions is None:
+            self._sessions = [None] * self._size
+        M = self._sessions[i]
         if M is None:
-            M = sessions[i] = Session._trusted({
-                p: P for p, P in zip(self._names, self._vecs[i])
+            space = self._space()
+            M = self._sessions[i] = Session._trusted({
+                p: P for p, P in zip(space.names, space.vecs[i])
                 if not isinstance(P, PEnd)})
         return M
 
@@ -315,34 +341,43 @@ class _States(Sequence):
 class StateGraph:
     """The reachable states of a session and the rule-comm edges between them.
 
-    `explore` keys the states by an integer code while it finds them and
-    keeps, per state in breadth-first order, only what it computes anyway:
-    the node vector (position k holds the node of the k-th participant of
-    the initial state, an end node once it has ended), the successors'
-    indices in edge order (`successors`), the actions of those edges in the
-    same order (`actions`), the mask of the participants its edges involve
-    (`involved`) and the mask of the participants it binds (`binds`), bit k
-    for the k-th participant of the initial state.  `lock_free` reads these
-    lists and nothing else.
+    `parts` holds one exploration per independent part of the session (see
+    `explore`), each a record of per-state lists in breadth-first order.
+    The whole session's lists, bit k for the k-th participant of the
+    initial state, are `successors` (the successors' indices in edge
+    order), `actions` (the actions of those edges in the same order),
+    `involved` (the mask of the participants its edges involve) and
+    `binds` (the mask of the participants it binds).  With exactly one
+    part they are that part's; otherwise the first read of any of them
+    runs the whole session's exploration, once, which numbers the states
+    as a session of one part would be numbered.
 
-    `states` is a read-only view over the vectors whose length is the state
-    count; it builds each state's normalized `Session` on its first read
-    (see `_States`).  `edges` is the list of (source index, CommAction,
-    target index) triples in BFS order, built from the per-state lists on
-    its first read and kept.  Both views are filled idempotently, so
-    concurrent readers get equal values.  Equality compares `states`,
-    `edges` and `initial` only.
+    The counts need no such run: `len(states)` is the product of the
+    parts' state counts and `edge_count` is Σᵢ eᵢ·Π_{j≠i} sⱼ, since every
+    state of the session is one state of each part and steps by one part's
+    edge.  `states` is a read-only view whose item i is built on its first
+    read (see `_States`).  `edges` is the list of (source index,
+    CommAction, target index) triples in BFS order, built from the
+    per-state lists on its first read and kept.  Both views are filled
+    idempotently, so concurrent readers get equal values.  Equality
+    compares `states`, `edges` and `initial` only.
     """
 
     initial = 0
 
-    def __init__(self, init, vecs, successors, actions, involved, binds):
-        self.states = _States(init, vecs)
-        self.successors = successors
-        self.actions = actions
-        self.involved = involved
-        self.binds = binds
+    def __init__(self, init, parts, space):
+        size = math.prod(len(part.vecs) for part in parts)
+        self.states = _States(init, size, space)
+        self.parts = parts
+        self.edge_count = sum(sum(map(len, part.successors)) * (size // len(part.vecs))
+                              for part in parts)
+        self._space = space
         self._edges = None
+
+    successors = property(lambda self: self._space().successors)
+    actions = property(lambda self: self._space().actions)
+    involved = property(lambda self: self._space().involved)
+    binds = property(lambda self: self._space().binds)
 
     @property
     def edges(self):
@@ -380,29 +415,53 @@ class StateGraph:
         return "\n".join(lines) + "\n"
 
 
-def explore(M):
-    """Reachability closure of rule comm over canonical states.
+def _parts(init):
+    """The participants of `init` split into the connected components of the
+    names graph, in which p is linked to every participant that p's process
+    names, bound or not.  Each part lists its participants in the initial
+    order, and the parts come in the order of their first participants.
+    No rule-comm step involves two parts, so each part steps on its own."""
+    part = {}   # name -> the list of the names found linked to it so far
+    for p, P in init.items():
+        mine = part.get(p)
+        if mine is None:
+            mine = part[p] = [p]
+        for q in participants(P):
+            theirs = part.get(q)
+            if theirs is None:
+                mine.append(q)
+                part[q] = mine
+            elif theirs is not mine:   # merge the shorter list into the longer
+                if len(theirs) > len(mine):
+                    mine, theirs = theirs, mine
+                mine += theirs
+                for x in theirs:
+                    part[x] = mine
+    if part and len(mine) == len(part):   # the last list holds every name
+        return [init.participants]
+    groups = {}
+    for p in init:
+        groups.setdefault(id(part[p]), []).append(p)
+    return [tuple(names) for names in groups.values()]
 
-    The participants of the normalized initial session fix one order, and a
-    state is keyed by one integer code whose k-th digit, w bits wide, is the
-    nid of the node at position k (an ended participant holds its end
+
+def _explore(names, start, limit):
+    """Reachability closure of rule comm from the node vector `start`, whose
+    position k runs participant names[k]; no `Session` is built.
+
+    A state is keyed by one integer code whose k-th digit, w bits wide, is
+    the nid of the node at position k (an ended participant holds its end
     node); w is the bit length of the largest node count among the stores
-    of the initial processes.  A participant's nodes all come from the
-    store of its initial process, so this numbers states exactly as keying
-    them by their (participant, nid) pairs would.  The moves of each
-    (position, process, peer's process) are derived once, each with the
-    change it makes to the code, so a successor's code is one addition and
-    one lookup away.  States are numbered breadth first, and each distinct
-    state's node vector is built once, when it is first found; its
-    `Session` is built only if `states` is read, and the edge triples only
-    if `edges` is read (see `StateGraph`).  Raises StateSpaceBoundExceeded
-    as soon as more than MPST_STATE_BOUND states are found.
+    of the start nodes.  A participant's nodes all come from the store of
+    its start node, so this numbers states exactly as keying them by their
+    (participant, nid) pairs would.  The moves of each (position, process,
+    peer's process) are derived once, each with the change it makes to the
+    code, so a successor's code is one addition and one lookup away.
+    States are numbered breadth first, and each distinct state's node
+    vector is built once, when it is first found.  Returns the `_Space`, or
+    None as soon as more than `limit` states are found.
     """
-    bound = _env_state_bound()
-    init = normalize_session(M)
-    names = init.participants
     at = {p: k for k, p in enumerate(names)}
-    start = list(init._bindings.values())
     width = max([P.store._count for P in start], default=0).bit_length()
     code = sum([P.nid << k * width for k, P in enumerate(start)])
     vecs = [start]
@@ -445,8 +504,8 @@ def explore(M):
                 t = index.get(c)
                 if t is None:
                     t = len(vecs)
-                    if t == bound:
-                        raise StateSpaceBoundExceeded(t + 1, bound)
+                    if t == limit:
+                        return None
                     index[c] = t
                     codes.append(c)
                     succ = vec.copy()
@@ -462,7 +521,48 @@ def explore(M):
         successors.append(targets)
         actions.append(labels)
         involved.append(acts)
-    return StateGraph(init, vecs, successors, actions, involved, binds)
+    return _Space(names, vecs, successors, actions, involved, binds)
+
+
+def explore(M):
+    """Reachability closure of rule comm over canonical states.
+
+    The participants of the normalized initial session fix one order.  They
+    split into independent parts (`_parts`), and each part is explored on
+    its own (`_explore`), so the reachable states are the product of the
+    parts' states; a session of k independent ping-pong pairs costs 2k
+    node vectors, not 2^k.  With one part the graph holds that part's
+    lists.  With several it holds the parts and knows its state and edge
+    counts, and the whole session is explored only when its lists, its
+    edges or a state past the initial one are first read (see
+    `StateGraph`).  Only the normalized initial session is built as a
+    `Session`.
+
+    Raises StateSpaceBoundExceeded(bound + 1, bound) when the session has
+    more than MPST_STATE_BOUND states, counted on the product: a part is
+    explored only until it has more states than the bound divided by the
+    product of the parts before it.
+    """
+    bound = _env_state_bound()
+    init = normalize_session(M)
+    bindings = init._bindings
+    parts = []
+    size = 1
+    for names in _parts(init):
+        part = _explore(names, [bindings[p] for p in names], bound // size)
+        if part is None:
+            raise StateSpaceBoundExceeded(bound + 1, bound)
+        parts.append(part)
+        size *= len(part.vecs)
+    # the whole session's lists: its one part's, or explored on first need
+    whole = parts if len(parts) == 1 else []
+
+    def space():
+        if not whole:
+            whole.append(_explore(init.participants, list(bindings.values()), size))
+        return whole[0]
+
+    return StateGraph(init, parts, space)
 
 
 # ---------------------------------------------------------------------------
@@ -494,31 +594,48 @@ def lock_free(M):
     (a) every reachable state is all-terminated or can step; (b) whenever a
     participant still has work, some reachable transition involves it.
 
-    Participants are bits of a mask, in the initial state's order; every
-    state binds a subset of the initial state's.  The check makes one
-    `explore` call and reads the per-state lists it records: each state's
-    successors, the mask of its own edges and the mask of its bound
-    participants, and the actions of its edges only for a witness.  It
-    reads no state but the initial one and no edge triple, so it builds no
-    `Session` beyond the initial state's; the edge count is the sum of the
-    successor lists' lengths.  One fold over the strongly connected
-    components, sinks first, gives each state the mask of every edge
-    reachable from it, and one pass ORs each state's bound participants
-    that no such edge involves into one `starving` mask.  Only the least
-    participant in that mask is looked for, state by state, so the witness
-    is the least starving participant at the first state where it starves.
-    A witness path follows the edge that first reaches each state: `explore`
-    numbers the states breadth first and lists each state's edges in order,
-    so that edge is the BFS parent and witness paths are shortest.
+    The check makes one `explore` call and folds each part of the graph
+    on its own (`_lock_fold`).  A session is lock-free exactly when every
+    part is: a state of the session is stuck only when each part's state
+    is, and a participant starves in it exactly when it starves in its
+    own part.  So when every part passes, the report is positive with the
+    graph's counts and no state of the session is built; otherwise the
+    fold runs once more on the whole session's lists, so the witness is
+    the one a session of one part would give.  Only the normalized
+    initial state is ever built as a `Session`.
     """
     graph = explore(M)
-    succ, own, binds = graph.successors, graph.involved, graph.binds
+    size = {"states": len(graph.states), "edges": graph.edge_count}
+    parts = graph.parts
+    if len(parts) > 1 and all(_lock_fold(part, size).ok for part in parts):
+        return LockReport(True, **size)
+    return _lock_fold(graph._space(), size)
+
+
+def _lock_fold(space, size):
+    """The lock-freedom verdict on one explored `_Space`, reported with the
+    counts in `size`.
+
+    Participants are bits of a mask, in the space's order; every state
+    binds a subset of the first state's.  The fold reads each state's
+    successors, the mask of its own edges and the mask of its bound
+    participants, and the actions of its edges only for a witness.  One
+    fold over the strongly connected components, sinks first, gives each
+    state the mask of every edge reachable from it, and one pass ORs each
+    state's bound participants that no such edge involves into one
+    `starving` mask.  Only the least participant in that mask is looked
+    for, state by state, so the witness is the least starving participant
+    at the first state where it starves.  A witness path follows the edge
+    that first reaches each state: the states are numbered breadth first
+    and each state's edges are listed in order, so that edge is the BFS
+    parent and witness paths are shortest.
+    """
+    succ, own, binds = space.successors, space.involved, space.binds
     n = len(succ)
-    size = {"states": n, "edges": sum(map(len, succ))}
 
     def path(i):
         parent = [None] * n   # state 0, the initial one, has none
-        for s, (acts, targets) in enumerate(zip(graph.actions, succ)):
+        for s, (acts, targets) in enumerate(zip(space.actions, succ)):
             for a, t in zip(acts, targets):
                 if parent[t] is None and t:
                     parent[t] = (s, a)
@@ -546,7 +663,7 @@ def lock_free(M):
         starving |= binds[i] & ~reach[i]
     if starving:
         bit = starving & -starving
-        p = graph.states[0].participants[bit.bit_length() - 1]
+        p = space.names[bit.bit_length() - 1]
         for i in range(n):
             if binds[i] & bit and not reach[i] & bit:
                 return LockReport(False, starvation_witness=(path(i), p), **size)

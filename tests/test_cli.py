@@ -321,11 +321,22 @@ def test_state_bound_env(cx, capsys, monkeypatch):
     assert code == 2 and "bound" in out.lower()
 
 
-def test_state_bound_counts_reachable_states(cx, capsys, monkeypatch):
+def test_state_bound_counts_reachable_states(cx, capsys, monkeypatch, tmp_path):
     # composed.sess reaches 54 states; its node-count product is over 10^5
     monkeypatch.setenv("MPST_STATE_BOUND", "1000")
     code, out = run(capsys, "lockfree", str(cx.path("composed.sess")))
     assert code == 0 and out.strip() == "lock-free"
+    # 20 independent ping-pong pairs have 2^20 states, two per pair: the
+    # default bound counts the whole session, whether or not it is built
+    monkeypatch.delenv("MPST_STATE_BOUND")
+    pairs = tmp_path / "pairs.sess"
+    pairs.write_text(" || ".join(
+        f"a{i} |> rec X . b{i}!ping . b{i}?pong . X || b{i} |> rec Y . a{i}?ping . a{i}!pong . Y"
+        for i in range(20)) + "\n")
+    code, out = run(capsys, "lockfree", str(pairs))
+    assert code == 2
+    assert out == ("exploration found more than 1000000 states; "
+                   "raise MPST_STATE_BOUND to explore anyway\n")
 
 
 def test_lockfree_json_reports_explored_size(cx, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 import mpst.semantics
 from mpst.core import (GEnd, NodeStore, PEnd, PIn, POut, Session, _split,
-                       node_branch, node_labels, normalize_session)
+                       node_branch, node_labels, normalize_session, participants)
 from mpst.parser import (parse_global, parse_process, parse_session,
                          print_global, print_session)
 from mpst.semantics import (CommAction, FidelityVerdict, LockReport,
@@ -193,9 +193,17 @@ def test_explore_reads_bound_from_environment(cx, monkeypatch):
         explore(cx.sess("right.sess"))
 
 
+def _ping_pong(k):
+    """k independent pairs a_i, b_i looping ping then pong: k parts of two
+    states each, so 2^k states and k * 2^k edges."""
+    return " || ".join(
+        f"a{i} |> rec X . b{i}!ping . b{i}?pong . X || b{i} |> rec Y . a{i}?ping . a{i}!pong . Y"
+        for i in range(k))
+
+
 def test_explore_bound_counts_discovered_states(cx, monkeypatch):
-    for name in cx.names(".sess"):
-        M = cx.sess(name)
+    pairs = parse_session(_ping_pong(10), store=NodeStore())
+    for M in [cx.sess(name) for name in cx.names(".sess")] + [pairs]:
         monkeypatch.delenv("MPST_STATE_BOUND", raising=False)
         n = len(explore(M).states)
         monkeypatch.setenv("MPST_STATE_BOUND", str(n))
@@ -207,6 +215,21 @@ def test_explore_bound_counts_discovered_states(cx, monkeypatch):
             explore(M)
         assert info.value.states == n and info.value.bound == n - 1
         assert f"found more than {n - 1} states" in str(info.value)
+    # the 10 pairs' 1024 states are counted on the product of their parts:
+    # the bound trips with no exploration of more than one pair
+    explore_part = mpst.semantics._explore
+    spans = []
+
+    def counted(names, start, limit):
+        spans.append(names)
+        return explore_part(names, start, limit)
+
+    monkeypatch.setattr(mpst.semantics, "_explore", counted)
+    monkeypatch.setenv("MPST_STATE_BOUND", "1023")
+    with pytest.raises(StateSpaceBoundExceeded) as info:
+        explore(pairs)
+    assert (info.value.states, info.value.bound) == (1024, 1023)
+    assert len(spans) == 10 and all(len(names) == 2 for names in spans)
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +423,29 @@ def _ref_dot(states, edges):
     return "\n".join(lines) + "\n"
 
 
+def _ref_parts(M):
+    """The participants of normalized M grouped into the components of the
+    names graph by repeated merging, as sorted lists in sorted order."""
+    init = normalize_session(M)
+    groups = []
+    for p, P in init.items():
+        linked = {p} | participants(P)
+        for group in [g for g in groups if g & linked]:
+            groups.remove(group)
+            linked |= group
+        groups.append(linked)
+    return sorted(sorted(group & set(init)) for group in groups)
+
+
 def _assert_engines_agree(M):
     states, edges = _ref_explore(M)
     n = len(states)
+    # the parts and the counts known before the whole session is explored
+    graph = explore(M)
+    assert sorted(sorted(part.names) for part in graph.parts) == _ref_parts(M)
+    assert (len(graph.states), graph.edge_count) == (n, len(edges))
     # a state's Session is built on its first read, in whatever order the
     # states are read, and then kept
-    graph = explore(M)
     assert [graph.states[i] for i in reversed(range(n))] == states[::-1]
     assert all(graph.states[i] is graph.states[i - n] for i in range(n))
     assert [explore(M).states[i - n] for i in range(n)] == states
@@ -567,10 +607,10 @@ def test_lock_free_explores_once_through_the_module_name(cx, monkeypatch):
 
 def test_lock_free_builds_no_session_but_the_initial_one(store, monkeypatch):
     # 10 ping-pong pairs: 1024 states, of which lock_free reads only the
-    # initial one; the graph's state count needs no Session either
-    M = parse_session(" || ".join(
-        f"a{i} |> rec X . b{i}!ping . b{i}?pong . X || b{i} |> rec Y . a{i}?ping . a{i}!pong . Y"
-        for i in range(10)), store=store)
+    # initial one; the graph's state count needs no Session either.  The
+    # pairs are 10 parts of 2 states each, and lock_free explores those
+    # 20 node vectors, not the 1024 of the whole session.
+    M = parse_session(_ping_pong(10), store=store)
     made = []
     trusted = Session._trusted.__func__
 
@@ -578,13 +618,29 @@ def test_lock_free_builds_no_session_but_the_initial_one(store, monkeypatch):
         made.append(dict(bindings))
         return trusted(cls, bindings)
 
+    explore_part = mpst.semantics._explore
+    vectors = []
+
+    def explored(names, start, limit):
+        space = explore_part(names, start, limit)
+        vectors.append(len(space.vecs))
+        return space
+
     monkeypatch.setattr(Session, "_trusted", classmethod(counted))
+    monkeypatch.setattr(mpst.semantics, "_explore", explored)
     report = lock_free(M)
     assert report.ok and (report.states, report.edges) == (1024, 10240)
     assert made == [dict(M.items())]
+    assert sum(vectors) == 20
     made.clear()
-    assert len(explore(M).states) == 1024
-    assert made == [dict(M.items())]
+    vectors.clear()
+    graph = explore(M)
+    assert len(graph.states) == 1024 and graph.edge_count == 10240
+    assert made == [dict(M.items())] and sum(vectors) == 20
+    # the whole session's lists are explored once, on their first read
+    assert len(graph.successors) == 1024 and len(graph.edges) == 10240
+    assert graph.binds is graph.binds and vectors[-1] == 1024
+    assert sum(vectors) == 20 + 1024
 
 
 def _swap_one(rng, store, M):
@@ -603,6 +659,9 @@ def test_engine_matches_reference_on_random_sessions(cx):
         store=store)
     verdicts = {"lock-free": 0, "deadlock": 0, "starvation": 0}
     starved_later = 0
+    # cases of two or more parts: lock_free passes each part (True), or
+    # falls back to the whole session to find the witness (False)
+    split = {True: 0, False: 0}
     for _ in range(150):
         G = randgen.random_wf_global(rng, store, max_nodes=12)
         H = randgen.random_wf_global(rng, store, participants=("a", "b", "c"),
@@ -616,6 +675,7 @@ def test_engine_matches_reference_on_random_sessions(cx):
             M,
             _swap_one(rng, store, M).rebind({"z": store.end_process}),
             M.rebind({"z": Z}),  # z starves wherever the others run forever
+            Session(M.items() + N.items()),  # two self-projections side by side
             Session(M.items() + _swap_one(rng, store, N).items()),
             Session(relay.items() + _swap_one(rng, store, N).items()),
             Session(forever.items() + _swap_one(rng, store, N).items()),
@@ -624,8 +684,11 @@ def test_engine_matches_reference_on_random_sessions(cx):
             report = _assert_engines_agree(case)
             verdicts[_verdict(report)] += 1
             starved_later += bool(report.starvation_witness and report.starvation_witness[0])
+            if len(_ref_parts(case)) > 1:
+                split[report.ok] += 1
     assert all(count >= 50 for count in verdicts.values()), verdicts
     assert starved_later >= 10
+    assert split[True] >= 120 and split[False] >= 300, split
 
 
 # ---------------------------------------------------------------------------
