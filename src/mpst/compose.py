@@ -137,8 +137,9 @@ def connect_sessions(M, h, M_prime, k):
 class NoClauseApplies(Exception):
     """No connection clause matched; unreachable for compatible inputs.
 
-    `key` is (h, k, marker, left nid, right nid, swapped), the arguments of
-    the clause that found no match.  `marker` is the routing state: None for
+    `key` is (h, k, marker, left nid, right nid, swapped): the clause that
+    found no match, and whether its two sides have traded places (then h is
+    the second forwarder given).  `marker` is the routing state: None for
     `#` (any interaction may come next), or ("fwd", l) (resp. ("bwd", l))
     when the first (resp. second) forwarder owes the other a delivery of l.
     """
@@ -192,25 +193,25 @@ def connect_globals(G, h, G_prime, k):
         # the arguments of one connection clause, with `marker` as in
         # NoClauseApplies; `relay` marks the second of the two forwarding
         # steps that deliver a directed marker's label
-        h, k, marker, L, R, swapped, relay = key
+        h, k, marker, L, R, relay = key
         if marker is None:
             if isinstance(L, GEnd):
                 return R
             if isinstance(L, GComm) and L.receiver == h:
                 return (L.shape,
-                        [(h, k, ("fwd", l), cont, R, swapped, False)
+                        [(h, k, ("fwd", l), cont, R, False)
                          for l, cont in zip(L.shape[-1], L.kids)])
             if isinstance(L, GComm) and h not in (L.sender, L.receiver):
                 return (L.shape,
-                        [(k, h, None, R, cont, not swapped, False)
+                        [(k, h, None, R, cont, False)
                          for cont in L.kids])
             if isinstance(R, GComm) and R.receiver == k:
                 return (R.shape,
-                        [(h, k, ("bwd", l), L, cont, swapped, False)
+                        [(h, k, ("bwd", l), L, cont, False)
                          for l, cont in zip(R.shape[-1], R.kids)])
             if isinstance(R, GComm) and k not in (R.sender, R.receiver):
                 return (R.shape,
-                        [(k, h, None, cont, L, not swapped, False)
+                        [(k, h, None, cont, L, False)
                          for cont in R.kids])
         else:
             # "fwd": h holds a message for k and the second type must route
@@ -226,17 +227,19 @@ def connect_globals(G, h, G_prime, k):
                 cont = dict(zip(T.shape[-1], T.kids)).get(label)
                 if cont is not None and not relay:
                     return (("gcomm", me, other, (label,)),
-                            [(h, k, marker, L, R, swapped, True)])
+                            [(h, k, marker, L, R, True)])
                 if cont is not None:
                     return (("gcomm", other, T.receiver, (label,)),
-                            [(h, k, None, *moved(cont), swapped, False)])
+                            [(h, k, None, *moved(cont), False)])
             elif isinstance(T, GComm) and T.receiver != other:
                 return (T.shape,
-                        [(h, k, marker, *moved(cont), swapped, False)
+                        [(h, k, marker, *moved(cont), False)
                          for cont in T.kids])
-        raise NoClauseApplies((h, k, marker, L.nid, R.nid, swapped))
+        # every clause that trades the two types also trades h and k
+        raise NoClauseApplies((h, k, marker, L.nid, R.nid, h != start[0]))
 
-    return store.map([(h, k, None, G, G_prime, False, False)], expand)[0]
+    start = (h, k, None, G, G_prime, False)
+    return store.map([start], expand)[0]
 
 
 # ---------------------------------------------------------------------------

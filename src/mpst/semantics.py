@@ -136,46 +136,41 @@ def session_step(M, action):
 
 # ---------------------------------------------------------------------------
 # Global-type transitions.  An action is derivable at a node if it fires the
-# root communication, or if it is independent of the root and derivable in
-# every branch.  Derivations are finite, so a premise that loops back to a
-# judgment already under consideration fails.
+# root communication (rule ecomm), or if it is independent of the root and
+# derivable in every branch (rule icomm).  Derivations are finite, so a
+# premise that loops back to a judgment already under consideration fails,
+# and one walk from the node decides the action.
 
-def _fires(g, action):
-    """Rule ecomm: does `action` fire g's root communication?"""
-    return (not isinstance(g, GEnd) and g.sender == action.sender
-            and g.receiver == action.receiver and action.label in node_labels(g))
-
-
-def _can_step(G, action, memo):
-    """Is `action` derivable at G?  Decided for each node a derivation would
-    pass through, one strongly connected component at a time, children
-    first: such a node on a cycle has no finite derivation.  A root that
-    involves the action's participants is decided by rule ecomm alone.
-    `memo` maps (nid, action) to the verdicts decided so far; the caller
-    owns it."""
-    def passes(g):
-        return not (isinstance(g, GEnd) or action.involves(g.sender)
-                    or action.involves(g.receiver))
-
-    if not passes(G):
-        res = memo[(G.nid, action)] = _fires(G, action)
-        return res
-
-    def succ(g):
-        return g.kids if (g.nid, action) not in memo and passes(g) else ()
-
-    for scc in _sccs([G], succ):
-        g = scc[0]
-        if (g.nid, action) in memo:
+def _can_step(G, action):
+    """Is `action` derivable at G?  One depth-first walk from G through the
+    nodes that involve neither of its participants, entering each once.  It
+    fails at an end node, at a node that involves a participant without
+    firing `action`, and at a node met again while still on the walk's
+    path, which closes a cycle and so has no finite derivation; otherwise
+    `action` holds."""
+    sender, label, receiver = action
+    on_path = {}  # node entered -> whether it is still on the walk's path
+    stack = [(G, False)]
+    while stack:
+        g, leaving = stack.pop()
+        if leaving:
+            on_path[g] = False
             continue
-        if passes(g):
-            res = len(scc) == 1 and all(c is not g and memo[(c.nid, action)]
-                                        for c in g.kids)
-        else:
-            res = _fires(g, action)
-        for g in scc:
-            memo[(g.nid, action)] = res
-    return memo[(G.nid, action)]
+        entered = on_path.get(g)
+        if entered is False:
+            continue
+        if entered or isinstance(g, GEnd):
+            return False
+        _, s, r, labels = g.shape
+        if s == sender or s == receiver or r == sender or r == receiver:
+            if s == sender and r == receiver and label in labels:
+                continue
+            return False
+        on_path[g] = True
+        stack.append((g, True))
+        for c in g.kids:
+            stack.append((c, False))
+    return True
 
 
 def _do_step(G, action):
@@ -222,11 +217,10 @@ def global_enabled(G):
             if c not in met and not isinstance(c, GEnd):
                 met[c] = m
                 stack.append(c)
-    can = {}
     out = []
     for action in sorted(candidates):
         action = CommAction(*action)
-        if _can_step(G, action, can):
+        if _can_step(G, action):
             out.append((action, _do_step(G, action)))
     return out
 
@@ -688,8 +682,8 @@ def fidelity_harness(M, G, mode=Mode.Standard):
 
     At every reachable pair the enabled session actions and global actions
     must coincide, and each matched pair of successors must pass the
-    relaxed check of `typecheck(..., require_wf=False)`, `_typing_faults`,
-    which stops at its first fault.  Reports the first divergence.  A state
+    relaxed typing check `_typing_faults`, which ignores depths and stops
+    at its first fault.  Reports the first divergence.  A state
     is its normalized bindings, a dict sorted by participant: its moves come
     from `_pair_moves`, memoised per (sender, process, peer's process), and
     a successor drops the participants that end, as in `explore`.  A pair

@@ -491,7 +491,7 @@ class TypingReport:
         }
 
 
-def typecheck(M, G, mode=Mode.Standard, require_wf=True):
+def typecheck(M, G, mode=Mode.Standard):
     """Does every bound process follow its projection of G?
 
     A process may be structurally smaller than its projection; participants
@@ -499,18 +499,15 @@ def typecheck(M, G, mode=Mode.Standard, require_wf=True):
     when some projection is undefined or some depth unbounded.  Stepping a
     well-formed type can unbound the depth of a participant involved in the
     step while keeping every projection defined, so checks that follow
-    reductions pass require_wf=False to relax the depth half only.  That
-    check reads only the projections; it computes depths, through
-    `well_formed`, only for the report of an undefined projection.  Both
-    checks list their faults with `_typing_faults`, which the fidelity
-    harness calls on each successor without building a report.
+    reductions relax the depth half only: the fidelity harness calls the
+    relaxed check, `_typing_faults`, which lists the same faults one at a
+    time, on each successor without building a report.
     """
     if not isinstance(M, Session):
         raise TypeError(f"expected a Session, got {M!r}")
-    if require_wf:
-        wf = well_formed(G)
-        if not wf.ok:
-            raise IllFormedGlobalType(G, wf)
+    wf = well_formed(G)
+    if not wf.ok:
+        raise IllFormedGlobalType(G, wf)
     faults = list(_typing_faults(M, G, mode))
     failures = [f for f in faults if f[2] is not None]
     missing = [p for p, _, P in faults if P is None]
@@ -525,7 +522,8 @@ def _typing_faults(bindings, G, mode):
     participant absent from G projects to 0, then each participant of G
     left unbound, as (participant, projection, None).  Every projection
     comes from `project`, in participant order, and IllFormedGlobalType is
-    raised, before any fault, at the first that is undefined."""
+    raised, before any fault, at the first that is undefined; depths are
+    computed, through `well_formed`, only for that error's report."""
     projections = {}
     for p in sorted(participants(G)):
         projections[p] = expected = project(G, p)

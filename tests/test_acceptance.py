@@ -290,7 +290,8 @@ def test_law_uninvolved_depths_decrease_at_root_steps(store):
     assert checks >= CASES
 
 
-@pytest.mark.xfail(strict=True, reason="the composed running example already "
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the composed running example already "
                    "reaches depth 7 for s, over the advertised 2*(w+w') = 6; "
                    "the bound cannot be a sum (see the decisions ledger)")
 def test_law_composed_depth_within_twice_the_weight_sum(cx, store):
@@ -329,7 +330,8 @@ def test_law_connection_succeeds_on_every_compatible_pair(store):
             participants(G) | participants(Gp) | {h, k}
 
 
-@pytest.mark.xfail(strict=True, reason="composing a compatible pair can move a "
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="composing a compatible pair can move a "
                    "choice ahead of traffic that used to precede it, leaving "
                    "the composed type unprojectable onto an original "
                    "participant (see the decisions ledger)")

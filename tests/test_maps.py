@@ -119,10 +119,10 @@ def test_global_steps_match_the_reference():
         nodes = _reachable(G)
         actions = {CommAction(g.sender, l, g.receiver)
                    for g in nodes for l, _ in g.branches}
-        can, ref_can, ref_step = {}, {}, {}
+        ref_can, ref_step = {}, {}
         for g in sorted(nodes, key=lambda n: n.nid):
             for action in sorted(actions):
-                verdict = _can_step(g, action, can)
+                verdict = _can_step(g, action)
                 assert verdict == ref_can_step(g, action, ref_can, set())
                 if verdict:
                     stepped += 1

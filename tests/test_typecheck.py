@@ -7,8 +7,9 @@ from mpst.core import (NodeStore, PEnd, Session, TermError, bisimilar,
                        participants)
 from mpst.parser import parse_global, parse_process
 from mpst.typecheck import (DepthValue, IllFormedGlobalType, Mode,
-                            ProjectionError, ProjectionErrorKind, depth, leq,
-                            leq_plus, project, typecheck, well_formed)
+                            ProjectionError, ProjectionErrorKind, _typing_faults,
+                            depth, leq, leq_plus, project, typecheck,
+                            well_formed)
 
 import randgen
 from oracles import ref_depth_raw, ref_leq, ref_leq_plus
@@ -379,18 +380,18 @@ def test_relaxed_typing_ignores_unbounded_depth(cx):
     with pytest.raises(IllFormedGlobalType):
         typecheck(M, G)
     for mode in Mode:
-        report = typecheck(M, G, mode, require_wf=False)
-        assert report.failures == [("q", wf.projections["q"], M["q"])]
-        assert report.missing == ["r"]
-        assert not report.ok and report.mode is mode
+        assert list(_typing_faults(M, G, mode)) == [
+            ("q", wf.projections["q"], M["q"]), ("r", wf.projections["r"], None)]
 
 
 def test_relaxed_typing_rejects_an_undefined_projection(store):
     G = parse_global("p -> q : {l1 . r -> s : a . end, l2 . end}", store=store)
     M = Session({"p": parse_process("q!{l1 . 0, l2 . 0}", store=store)})
-    for require_wf in (True, False):
-        with pytest.raises(IllFormedGlobalType) as info:
-            typecheck(M, G, require_wf=require_wf)
+    with pytest.raises(IllFormedGlobalType) as strict:
+        typecheck(M, G)
+    with pytest.raises(IllFormedGlobalType) as relaxed:
+        next(_typing_faults(M, G, Mode.Standard))
+    for info in (strict, relaxed):
         assert info.value.report == well_formed(G)
         assert str(info.value) == "global type is not well formed (offending: r, s)"
 
