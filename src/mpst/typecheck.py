@@ -12,21 +12,30 @@ steps.  An explicit-stack walk lists, children first, the nodes below G
 whose projection is neither cached nor 0.  Each gets an entry index on its
 first visit, so that a back edge can name it, and each output or input
 clause its entry (shape, refs) once listed, each ref an index or a cached
-process.  The merges are then decided by one rule, `_merge`, in the order
-that sweeping the undecided ones in list order until none moves would
-decide them, but without the repeated sweeps: a merge the first sweep
-leaves is decided right after the last merge it waits on, in that merge's
-sweep or the next, so a chain of merges that each wait on a later one
-costs no sweep per merge.  Merges that wait on one another in a cycle fall
-back to their first member whose projection is known.  Only then are the
-nodes made, so a rejected type makes none, and the equalities a merge
-assumed between two projections are verified, where equal means identical.
+process.  The members of a merge are the distinct child nodes of its node
+other than the node itself, each read as its ref: two children are two
+members even when the memo already holds one process for both, so a
+verdict never depends on what the store projected before.  A merge of one
+member is an alias of it, decided as it is listed: it takes that member's
+ref as its own and gets no entry, and a back edge that named its index
+before reads the ref through the aliases.  Only the merges of two or more
+members, the real choices, are then decided by one rule, `_merge`, in the
+order that sweeping the undecided ones in list order until none moves
+would decide them, but without the repeated sweeps: a merge the first
+sweep leaves is decided right after the last merge it waits on, in that
+merge's sweep or the next, so a chain of merges that each wait on a later
+one costs no sweep per merge.  Merges that wait on one another in a cycle
+fall back to their first member whose projection is known.  Inputs are
+disjoint when their label sets' union is as large as their sizes' sum, so
+a wide choice merges in linear time.  Only then are the nodes made, so a
+rejected type makes none, and the equalities a merge assumed between two
+projections are verified, where equal means identical.
 
-A merge that is one of its members is an alias of that member, which is
-never an alias itself, and takes its node.  The other entries are made in
-list order, one hash-cons lookup each, as children come first, until one
-names an entry not made yet: that entry closes a cycle, and from it on the
-entries go to one interning batch, each ref through the aliases.
+A merge decided to be one of its members is an alias of that member,
+which is never an alias itself, and takes its node.  The other entries are
+made in list order, one hash-cons lookup each, as children come first,
+until one names an entry not made yet: that entry closes a cycle, and from
+it on the entries go to one interning batch, each ref through the aliases.
 """
 
 from __future__ import annotations
@@ -184,17 +193,13 @@ def project(G, p):
 
 
 def _merge(g, p, shapes, had_self=False):
-    """How the merge at g joins its members, given by their shapes in member
-    order: None while one is undecided (None), "first" when it is its
-    first member, "equal" when it is too and every other member must turn
-    out identical to that one, "union" when their inputs combine into one.
-    Any other merge is rejected."""
+    """How the merge at g joins its two or more members, given by their
+    shapes in member order: None while one is undecided (None), "first"
+    when it is its first member, "equal" when it is too and every other
+    member must turn out identical to that one, "union" when their inputs
+    combine into one.  Any other merge is rejected."""
     if None in shapes:
         return None
-    if not shapes:
-        raise AssertionError("empty merge despite the participant occurring")
-    if len(shapes) == 1:
-        return "first"
     kinds = {s[0] for s in shapes}
     if len(kinds) > 1:
         words = {"pend": "end", "pin": "in", "pout": "out"}
@@ -217,8 +222,8 @@ def _merge(g, p, shapes, had_self=False):
     label_sets = [set(s[2]) for s in shapes]
     if all(ls == label_sets[0] for ls in label_sets):
         return "equal"
-    if all(not (label_sets[i] & label_sets[j])
-           for i in range(len(shapes)) for j in range(i + 1, len(shapes))):
+    # disjoint exactly when no label is counted twice
+    if len(set().union(*label_sets)) == sum(map(len, label_sets)):
         if had_self:
             _reject(ProjectionErrorKind.OverlappingInputLabels, g, p,
                     f"a branch of {g!r} projects onto {p!r} to the merged input "
@@ -269,14 +274,16 @@ def _project(store, root, p):
     """Projection of G onto p: one walk, then every decision, then the nodes."""
     cache = store.memo("project")
     # node met -> its cached projection, or when visited its entry index,
-    # reserved on the first visit so that a back edge can name it
+    # reserved on the first visit so that a back edge can name it, or once
+    # listed, for a merge of one member, that member's ref
     seen = {}
     entries = []   # each visited node's (shape, refs), a ref an index or a process
-    order = []     # the visited nodes, children first
-    merges = []    # (index, node, distinct members but itself, had itself)
-    frames = [(None, iter([root]))]
+    order = []     # (node, entry index) of the visited nodes, children first
+    merges = []    # (index, node, its distinct children but itself as refs, had itself)
+    alias = {}     # merge index -> the ref it is: its one member's, or the one decided
+    frames = [(None, None, iter([root]))]
     while frames:
-        g, it = frames[-1]
+        g, i, it = frames[-1]
         for c in it:
             if c not in seen:
                 hit = cache.get((c.nid, p))
@@ -285,31 +292,39 @@ def _project(store, root, p):
                 if hit.__class__ is ProjectionError:
                     raise _Reject(hit)
                 if hit is None:
-                    seen[c] = len(entries)
+                    seen[c] = j = len(entries)
                     entries.append(None)
-                    frames.append((c, iter(c.kids)))
+                    frames.append((c, j, iter(c.kids)))
                     break
                 seen[c] = hit
         else:
             frames.pop()
             if frames:
-                order.append(g)
-                i = seen[g]
+                order.append((g, i))
                 _, sender, receiver, labels = g.shape
-                kids = [seen[k] for k in g.kids]
+                kids = g.kids
                 if p == sender:
-                    entries[i] = (("pout", receiver, labels), kids)
+                    entries[i] = (("pout", receiver, labels), [seen[k] for k in kids])
                 elif p == receiver:
-                    entries[i] = (("pin", sender, labels), kids)
+                    entries[i] = (("pin", sender, labels), [seen[k] for k in kids])
                 else:
-                    merges.append((i, g, [m for m in dict.fromkeys(kids) if m != i],
-                                   i in kids))
+                    ms = kids if len(kids) == 1 else [c for c in dict.fromkeys(kids)
+                                                      if c is not g]
+                    if len(ms) == 1:
+                        # an alias of its member, through that one's own alias
+                        r = seen[ms[0]]
+                        seen[g] = alias[i] = alias.get(r, r)
+                    else:
+                        merges.append((i, g, [seen[c] for c in ms], g in kids))
 
     checks = []    # (node, ref, ref): projections assumed equal
-    alias = {}     # merge index -> the member it is, never an alias itself
-    # the first sweep of the merges in list order, then the merges it leaves
-    pending = [cell for cell in merges
-               if not _decide(p, entries, alias, checks, *cell)]
+    # the first sweep of the merges in list order, then the merges it
+    # leaves; a member named by a back edge may have been aliased since
+    pending = []
+    for i, g, ms, had_self in merges:
+        cell = (i, g, [alias.get(m, m) for m in ms], had_self)
+        if not _decide(p, entries, alias, checks, *cell):
+            pending.append(cell)
     while pending:
         # a merge goes in the sweep that decides the last merge it waits
         # on, the next one if that merge comes after it in the list
@@ -348,11 +363,9 @@ def _project(store, root, p):
         if pending and len(pending) == len(rest):
             raise AssertionError("merge cycle with no resolved member")
 
-    roots = [seen[g] for g in order]
     made = [None] * len(entries)
     cons = store._cons_node
-    cut = None     # the first entry whose ref is not made yet: it closes a cycle
-    for i in roots:
+    for k, (_, i) in enumerate(order):
         m = alias.get(i)
         if m is not None:
             node = made[m] if m.__class__ is int else m
@@ -361,23 +374,29 @@ def _project(store, root, p):
             kids = [made[r] if r.__class__ is int else r for r in refs]
             node = None if None in kids else cons(shape, kids)
         if node is None:
-            cut = i
+            # this entry names one not made yet: it closes a cycle, and it
+            # and the entries after it go to one interning batch, each ref
+            # through its aliases: an alias made while the node it names was
+            # still on the walk leads on to that node's own alias
+            def resolve(r):
+                while r in alias:
+                    r = alias[r]
+                return r
+
+            def expand(t):
+                node = made[t] if t.__class__ is int else t
+                if node is not None:
+                    return node
+                shape, refs = entries[t]
+                return shape, [resolve(r) for r in refs]
+
+            rest = [i for _, i in order[k:]]
+            for i, node in zip(rest, store.map([resolve(i) for i in rest], expand)):
+                made[i] = node
             break
         made[i] = node
-    if cut is not None:
-        rest = roots[roots.index(cut):]
-
-        def expand(t):
-            node = made[t] if t.__class__ is int else t
-            if node is not None:
-                return node
-            shape, refs = entries[t]
-            return shape, [alias.get(r, r) for r in refs]
-
-        for i, node in zip(rest, store.map([alias.get(i, i) for i in rest], expand)):
-            made[i] = node
     _verify(p, checks, made)
-    for g, i in zip(order, roots):
+    for g, i in order:
         cache[(g.nid, p)] = made[i]
     return cache[(root.nid, p)]
 

@@ -162,13 +162,14 @@ def _ref_project_run(store, root, p):
         elif g.receiver == p:
             b.fill_in(d, g.sender, [(l, go(c)) for l, c in g.branches])
         else:
+            # one member per distinct child node but g itself, so two
+            # children whose projections are cached as one process stay two
             members = []
-            for _, c in g.branches:
-                m = go(c)
-                if m == d:
+            for c in dict.fromkeys(c for _, c in g.branches):
+                if c is g:
                     cell.had_self = True
-                elif m not in members:
-                    members.append(m)
+                else:
+                    members.append(go(c))
             cell.members = members
             if not decide(cell):
                 cell.state = "deferred"

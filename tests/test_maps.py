@@ -95,6 +95,32 @@ def test_projection_matches_the_reference(monkeypatch, types, seed, cyclic):
     assert looped > 1000 and (mapped > 1000 if cyclic else mapped == 0)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_warm_memo_gives_the_cold_projection(seed):
+    # Whatever part of G the memo already holds, G's projection is the one
+    # a fresh store gives, or both are errors (possibly at other merges).
+    # In the stacked types two distinct children of a choice often project
+    # alike; a merge that told its members apart by projection would count
+    # them as one member once the memo held both.
+    rng = random.Random(seed)
+    pairs = warm = failing = 0
+    for G in [*_random_globals(seed, 1500), *_stacked_globals(seed, 500)]:
+        nodes = sorted(_reachable(G), key=lambda n: n.nid)
+        for p in sorted(participants(G)):
+            rng.shuffle(nodes)
+            for g in nodes[:rng.randint(0, len(nodes))]:
+                warm += not isinstance(project(g, p), ProjectionError)
+            got = project(G, p)
+            cold = project(NodeStore().adopt(G), p)
+            pairs += 1
+            if isinstance(cold, ProjectionError):
+                assert isinstance(got, ProjectionError)
+                failing += 1
+            else:
+                assert got is G.store.adopt(cold)
+    assert pairs > 5000 and warm > 5000 and failing > 400
+
+
 def _stacked_globals(seed, count):
     """Random types over p and q below a few communications among r, s and
     t, so that many actions fire below the root."""

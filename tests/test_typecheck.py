@@ -127,6 +127,65 @@ def test_projection_error_kinds(store, text, who, kind):
     assert err.to_json()["error"] == kind.value
 
 
+def test_a_warm_memo_gives_the_cold_verdict(store):
+    # x1's child projects onto r as A does; once it is cached as the same
+    # process, the merge must still count x1 and x2 as two members, as a
+    # fresh store does
+    G = parse_global("let A = s -> r : a . end\n"
+                     "q -> p : {x1 . p -> q : y . A, x2 . A, x3 . s -> r : b . end}",
+                     store=store)
+    assert project(G.kids[0], "r") is parse_process("s?a . 0", store=store)
+    err = project(G, "r")
+    assert isinstance(err, ProjectionError)
+    assert err.kind is ProjectionErrorKind.OverlappingInputLabels and err.node is G
+
+
+def test_only_choices_are_decided(cx, monkeypatch):
+    # a communication that does not involve p and has one distinct child
+    # node is an alias of that child's projection during the walk; only a
+    # real choice is decided as a merge
+    module = sys.modules["mpst.typecheck"]
+    calls = []
+    decide = module._decide
+    monkeypatch.setattr(module, "_decide",
+                        lambda *args: calls.append(1) or decide(*args))
+    names = cx.names(".gt")
+    for name in names:
+        G = parse_global(cx.text(name), store=NodeStore())
+        for p in sorted(participants(G)):
+            project(G, p)
+    assert len(names) == 9 and len(calls) <= 12
+
+
+def test_a_wide_choice_merges_in_linear_work(store):
+    # r's projection merges n one-label inputs from q; a pairwise test of
+    # their label sets for disjointness would enter a generator frame
+    # n^2/2 times, so count the frames of the module entered on the way
+    n = 2000
+    branches = [f"l{i} . q -> r : l{i} . end" for i in range(n)]
+    G = parse_global("p -> q : {" + ", ".join(branches) + "}", store=store)
+    module = sys.modules["mpst.typecheck"]
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == module.__file__:
+            calls.append(1)
+
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        P = project(G, "r")
+    finally:
+        sys.setprofile(outer)
+    assert P is parse_process(
+        "q?{" + ", ".join(f"l{i} . 0" for i in range(n)) + "}", store=store)
+    assert len(calls) <= 5 * n
+    # the last input, a node of its own, repeats the label before it
+    branches[-1] = f"l{n - 1} . q -> r : l{n - 2} . s -> r : x . end"
+    err = project(parse_global("p -> q : {" + ", ".join(branches) + "}", store=store), "r")
+    assert err.kind is ProjectionErrorKind.OverlappingInputLabels
+
+
 @pytest.mark.parametrize("name", ["", "1p", "end", "p q", None, ["p"]])
 def test_projection_checks_the_name_after_a_memo_hit(cx, name):
     G = cx.gt("relay.gt")
