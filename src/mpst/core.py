@@ -278,7 +278,10 @@ class NodeStore:
         node ids, lives in one of these (each coinductive relation's, and the
         analyses' own).  Participant sets need none: each node carries its
         own from creation."""
-        return self._memos.setdefault(name, {})
+        table = self._memos.get(name)
+        if table is None:
+            table = self._memos[name] = {}
+        return table
 
     def builder(self):
         return GraphBuilder(self)
@@ -352,23 +355,45 @@ class NodeStore:
                     scc = [w for _, w in sorted(waiting[j:], reverse=True)]
                     del waiting[j:]
                     self._intern_cycle(scc + [(k, shape, kids)], done)
+                elif len(kids) == 1:
+                    done[k] = self._cons_node(shape, [done[kids[0]]])
                 else:
                     done[k] = self._cons_node(shape, [done[c] for c in kids])
         return [done[t] for t in roots]
 
     def _cons_node(self, shape, kids):
         """The node of this shape with these children, all nodes of the
-        store: found by its shape and child nids, or made."""
-        key = (shape, tuple([c.nid for c in kids]))
-        node = self._cons.get(key)
-        if node is None:
-            node = self._cons[key] = object.__new__(_KINDS[shape[0]])
-            node.store = self
-            node.nid = self._count
-            self._count += 1
-            node._participants = _participants_of(shape[1:-1], kids)
-            node.shape = shape
-            node.kids = tuple(kids)
+        store: found by its shape and child nids, or made.
+
+        Most nodes of a long protocol have one child, so that case builds
+        its key without a loop and takes the child's own participant set
+        when it already holds the shape's names (its second and its next
+        to last item, one name twice for a process).
+        """
+        if len(kids) == 1:
+            kid = kids[0]
+            key = (shape, (kid.nid,))
+            node = self._cons.get(key)
+            if node is not None:
+                return node
+            names = kid._participants
+            if shape[1] not in names or shape[-2] not in names:
+                names = names.union(shape[1:-1])
+            kids = (kid,)
+        else:
+            key = (shape, tuple([c.nid for c in kids]))
+            node = self._cons.get(key)
+            if node is not None:
+                return node
+            names = _participants_of(shape[1:-1], kids)
+            kids = tuple(kids)
+        node = self._cons[key] = object.__new__(_KINDS[shape[0]])
+        node.store = self
+        node.nid = self._count
+        self._count += 1
+        node._participants = names
+        node.shape = shape
+        node.kids = kids
         return node
 
     def _intern_cycle(self, scc, done):

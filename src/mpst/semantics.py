@@ -22,6 +22,7 @@ import random
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 from .core import (
@@ -187,21 +188,31 @@ def _do_step(G, action):
 
 
 def global_enabled(G):
-    """Enabled global communications with successors, rules ecomm and icomm."""
+    """Enabled global communications with successors, sorted by action.
+
+    The root's own actions fire by rule ecomm, each to its branch, with no
+    walk.  Any other derivable action is independent of the root, so it
+    fires by rule icomm at nodes reached from G through nodes that involve
+    neither of its participants: its candidates come from the nodes below
+    the root reached with neither participant met on the way (`met`, as
+    bits), the root's two counted as met.  One visit per node, along the
+    first path found, is enough: of the nodes where a derivable action
+    fires, the first one found is reached through nodes that do not
+    involve it.  Nothing is expanded once every participant of G has been
+    met, so a type of two participants has no candidates.  Each candidate
+    is then decided against the whole type (`_can_step`, `_do_step`).
+    """
     if isinstance(G, GEnd):
         return []
-    # A derivable action fires at nodes reached from G through nodes that
-    # involve neither of its participants, so its candidates come from the
-    # nodes reached with neither participant met on the way (`met`, as bits).
-    # One visit per node, along the first path found, is enough: of the
-    # nodes where a derivable action fires, the first one found is reached
-    # through nodes that do not involve it.  Nothing is expanded once every
-    # participant of G has been met.  Each candidate is then decided against
-    # the whole type.
+    _, sender, receiver, labels = G.shape
+    out = [(CommAction(sender, l, receiver), c) for l, c in zip(labels, G.kids)]
     bit = {p: 1 << i for i, p in enumerate(participants(G))}
     everyone = (1 << len(bit)) - 1
+    root = bit[sender] | bit[receiver]
+    if root == everyone:
+        return out
     candidates = set()
-    met = {G: 0}
+    met = {G: root}
     stack = [G]
     while stack:
         n = stack.pop()
@@ -217,11 +228,13 @@ def global_enabled(G):
             if c not in met and not isinstance(c, GEnd):
                 met[c] = m
                 stack.append(c)
-    out = []
+    if not candidates:
+        return out
     for action in sorted(candidates):
         action = CommAction(*action)
         if _can_step(G, action):
             out.append((action, _do_step(G, action)))
+    out.sort(key=itemgetter(0))
     return out
 
 
@@ -685,8 +698,9 @@ def fidelity_harness(M, G, mode=Mode.Standard):
     relaxed typing check `_typing_faults`, which ignores depths and stops
     at its first fault.  Reports the first divergence.  A state
     is its normalized bindings, a dict sorted by participant: its moves come
-    from `_pair_moves`, memoised per (sender, process, peer's process), and
-    a successor drops the participants that end, as in `explore`.  A pair
+    from `_pair_moves`, derived afresh in each state, since a long protocol
+    rarely meets the same (sender, process, peer's process) twice, and a
+    successor drops the participants that end, as in `explore`.  A pair
     is keyed by the state's (participant, node) pairs and the type node, by
     identity; a `Session` is made only to print a divergence.  Like
     `explore`, raises StateSpaceBoundExceeded once more pairs are found
@@ -696,7 +710,6 @@ def fidelity_harness(M, G, mode=Mode.Standard):
     if not typecheck(M, G, mode).ok:
         raise ValueError("fidelity harness requires a session typed by the given global type")
 
-    moves = {}   # (sender, process, peer's process or None) -> its moves
     visited = set()
     queue = deque()
 
@@ -720,11 +733,7 @@ def fidelity_harness(M, G, mode=Mode.Standard):
         sa = {}
         for p, P in bindings.items():
             if isinstance(P, POut):
-                key = (p, P, bindings.get(P.shape[1]))
-                hit = moves.get(key)
-                if hit is None:
-                    hit = moves[key] = _pair_moves(*key)
-                for action, P2, Q2 in hit:
+                for action, P2, Q2 in _pair_moves(p, P, bindings.get(P.shape[1])):
                     sa[action] = P2, Q2
         ga = dict(global_enabled(g))
         for action in sorted(sa.keys() | ga.keys()):

@@ -303,10 +303,11 @@ def _project(store, root, p):
                 order.append((g, i))
                 _, sender, receiver, labels = g.shape
                 kids = g.kids
-                if p == sender:
-                    entries[i] = (("pout", receiver, labels), [seen[k] for k in kids])
-                elif p == receiver:
-                    entries[i] = (("pin", sender, labels), [seen[k] for k in kids])
+                if p == sender or p == receiver:
+                    shape = (("pout", receiver, labels) if p == sender
+                             else ("pin", sender, labels))
+                    entries[i] = (shape, [seen[kids[0]]] if len(kids) == 1
+                                  else [seen[k] for k in kids])
                 else:
                     ms = kids if len(kids) == 1 else [c for c in dict.fromkeys(kids)
                                                       if c is not g]
@@ -371,8 +372,13 @@ def _project(store, root, p):
             node = made[m] if m.__class__ is int else m
         else:
             shape, refs = entries[i]
-            kids = [made[r] if r.__class__ is int else r for r in refs]
-            node = None if None in kids else cons(shape, kids)
+            if len(refs) == 1:
+                r = refs[0]
+                kid = made[r] if r.__class__ is int else r
+                node = None if kid is None else cons(shape, (kid,))
+            else:
+                kids = [made[r] if r.__class__ is int else r for r in refs]
+                node = None if None in kids else cons(shape, kids)
         if node is None:
             # this entry names one not made yet: it closes a cycle, and it
             # and the entries after it go to one interning batch, each ref
@@ -552,7 +558,8 @@ def _typing_faults(bindings, G, mode):
     end = G.store.end_process
     for p, P in bindings.items():
         expected = projections.get(p, end)
-        if not rel(P, expected):
+        # both preorders are reflexive
+        if P is not expected and not rel(P, expected):
             yield p, expected, P
     for p, expected in projections.items():
         if p not in bindings:

@@ -146,6 +146,36 @@ def test_a_chain_shares_its_participant_sets(store):
     chain = _reachable([G])
     assert len(chain) == 901
     assert len({id(participants(n)) for n in chain}) <= 3
+    # p's projection alternates p!a and p?c: end's set, {r} and {q, r}
+    chain = _reachable([project(G, "p")])
+    assert len(chain) == 601
+    assert len({id(participants(n)) for n in chain}) <= 3
+
+
+def test_participants_of_projected_and_stepped_nodes_match_the_reference():
+    # projection and global steps make their acyclic nodes one at a time,
+    # most of them with one child, whose set is the child's own when it
+    # holds the node's names and a new union when it does not
+    rng = random.Random(31)
+    store = NodeStore()
+    made = []
+    for _ in range(400):
+        G = randgen.random_global(rng, store, participants=("p", "q", "r", "s"),
+                                  max_nodes=10, branchiness=rng.random())
+        for p in sorted(participants(G)):
+            P = project(G, p)
+            if not isinstance(P, ProjectionError):
+                made.append(P)
+        made += [succ for _, succ in global_enabled(G)]
+    shared = union = 0
+    for n in _reachable(made):
+        assert participants(n) == ref_participants(n), n
+        if len(n.kids) == 1:
+            if participants(n) is participants(n.kids[0]):
+                shared += 1
+            else:
+                union += 1
+    assert shared >= 200 and union >= 200, (shared, union)
 
 
 def test_a_node_keeps_few_tracked_objects():

@@ -542,6 +542,8 @@ def test_engine_matches_reference_when_bindings_come_from_two_stores():
                         "r": (1, "p?c . 0")}),
         ("deadlock", {"p": (0, "q!a . r?c . 0"), "q": (1, "p?a . r?x . 0"),
                       "r": (1, "q?d . 0")}),
+        # two bound participants that name only unbound peers: two parts
+        ("deadlock", {"p": (0, "r!a . 0"), "q": (1, "s!b . 0")}),
         ("lock-free", {"p": (0, "r!a . r!b . 0"), "q": (1, "s!a . s!b . 0"),
                        "r": (0, "p?a . p?b . 0"), "s": (1, "q?a . q?b . 0")}),
     ]
@@ -764,6 +766,26 @@ def _relay(store, n):
     return randgen.self_projection(store, G), G
 
 
+def test_root_actions_fire_by_ecomm_without_a_walk(store, monkeypatch):
+    # every step of a relay fires at the root of its type, so the harness
+    # never asks `_can_step`; an action below the root still goes through it
+    M, G = _relay(NodeStore(), 64)
+    can_step = mpst.semantics._can_step
+    calls = []
+
+    def counted(g, action):
+        calls.append(action)
+        return can_step(g, action)
+
+    monkeypatch.setattr(mpst.semantics, "_can_step", counted)
+    verdict = fidelity_harness(M, G)
+    assert verdict.ok and verdict.visited == 65
+    assert calls == []
+    G = parse_global("p -> q : a . r -> s : b . end", store=store)
+    assert [str(a) for a, _ in global_enabled(G)] == ["p -a-> q", "r -b-> s"]
+    assert calls == [("r", "b", "s")]
+
+
 def test_fidelity_harness_computes_depths_only_for_its_entry_check(monkeypatch):
     # a 64-step relay; each step is checked by the relaxed typing check,
     # which reads only projections
@@ -785,7 +807,7 @@ def test_fidelity_harness_computes_depths_only_for_its_entry_check(monkeypatch):
 
 def test_fidelity_harness_steps_on_bindings_without_reports_or_sessions(monkeypatch):
     # the same 64-step relay: `typecheck` runs once, for the entry check;
-    # each step reads memoised moves, not `session_enabled`; and the only
+    # each step derives its moves without `session_enabled`; and the only
     # Session made is the normalized initial state
     M, G = _relay(NodeStore(), 64)
     calls = {"typecheck": 0, "session_enabled": 0, "Session": 0}
