@@ -45,6 +45,7 @@ cyclic component one set they all share, so `participants` reads a field.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 
 Label = str
 Participant = str
@@ -141,21 +142,35 @@ def node_labels(n):
     return n.shape[-1]
 
 
+def label_index(labels, label):
+    """The position of `label` in a node's sorted labels, or None."""
+    i = bisect_left(labels, label)
+    return i if i < len(labels) and labels[i] == label else None
+
+
 def node_branch(n, label):
-    labels = n.shape[-1]
-    if label in labels:
-        return n.kids[labels.index(label)]
-    raise KeyError(label)
+    i = label_index(n.shape[-1], label)
+    if i is None:
+        raise KeyError(label)
+    return n.kids[i]
 
 
 def branch_pairs(x, y, labels):
     """[(x's child, y's child)] for each of `labels`, in their order; None
-    when x or y has no branch for one of them."""
+    when x or y has no branch for one of them.  One walk: all are sorted."""
     xl, yl = x.shape[-1], y.shape[-1]
-    try:
-        return [(x.kids[xl.index(l)], y.kids[yl.index(l)]) for l in labels]
-    except ValueError:
-        return None
+    if xl == yl:
+        return list(zip(x.kids, y.kids))
+    out, i, j = [], 0, 0
+    for l in labels:
+        while i < len(xl) and xl[i] < l:
+            i += 1
+        while j < len(yl) and yl[j] < l:
+            j += 1
+        if i == len(xl) or j == len(yl) or xl[i] != l or yl[j] != l:
+            return None
+        out.append((x.kids[i], y.kids[j]))
+    return out
 
 
 def _split(n):

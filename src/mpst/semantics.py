@@ -33,6 +33,8 @@ from .core import (
     Session,
     _sccs,
     _split,
+    branch_pairs,
+    label_index,
     node_branch,
     node_labels,
     normalize_session,
@@ -96,18 +98,14 @@ class StateSpaceBoundExceeded(Exception):
 # Session transitions.
 
 def _pair_moves(p, P, Q):
-    """Rule comm for sender p running P while its peer runs Q, which is an
-    end node or None once the peer has ended or when it is unbound: one
-    (action, sender's continuation, receiver's continuation) per label of P,
+    """Rule comm for sender p running P while its peer runs Q, or None when
+    the peer is unbound: one (action, P's child, Q's child) per label of P,
     in label order, or none unless Q inputs every one of them from p."""
-    q = P.shape[1]
-    if not (isinstance(Q, PIn) and Q.shape[1] == p):
+    _, q, labels = P.shape
+    pairs = isinstance(Q, PIn) and Q.shape[1] == p and branch_pairs(P, Q, labels)
+    if not pairs:
         return ()
-    accept = dict(zip(Q.shape[-1], Q.kids))
-    if not accept.keys() >= set(P.shape[-1]):
-        return ()
-    return tuple([(CommAction(p, l, q), cont, accept[l])
-                  for l, cont in zip(P.shape[-1], P.kids)])
+    return tuple([(CommAction(p, l, q), P2, Q2) for l, (P2, Q2) in zip(labels, pairs)])
 
 
 def session_enabled(M):
@@ -164,7 +162,7 @@ def _can_step(G, action):
             return False
         _, s, r, labels = g.shape
         if s == sender or s == receiver or r == sender or r == receiver:
-            if s == sender and r == receiver and label in labels:
+            if s == sender and r == receiver and label_index(labels, label) is not None:
                 continue
             return False
         on_path[g] = True
@@ -691,67 +689,53 @@ class FidelityVerdict:
 
 
 def fidelity_harness(M, G, mode=Mode.Standard):
-    """Co-explore a typed session and its global type.
+    """Co-explore a typed session and its global type; report the first
+    divergence.
 
-    At every reachable pair the enabled session actions and global actions
-    must coincide, and each matched pair of successors must pass the
-    relaxed typing check `_typing_faults`, which ignores depths and stops
-    at its first fault.  Reports the first divergence.  A state
-    is its normalized bindings, a dict sorted by participant: its moves come
-    from `_pair_moves`, derived afresh in each state, since a long protocol
-    rarely meets the same (sender, process, peer's process) twice, and a
-    successor drops the participants that end, as in `explore`.  A pair
-    is keyed by the state's (participant, node) pairs and the type node, by
-    identity; a `Session` is made only to print a divergence.  Like
-    `explore`, raises StateSpaceBoundExceeded once more pairs are found
-    than MPST_STATE_BOUND allows.
+    The normalized session is explored once (`_explore`), and pairs of
+    (state index, type node), both compared by identity, are walked breadth
+    first.  At each pair the state's actions must be the type's enabled
+    actions, and each matched pair of successors must pass the relaxed
+    typing check `_typing_faults` on the target state's live bindings.
+    Raises StateSpaceBoundExceeded when the session has more states, or the
+    walk more pairs, than MPST_STATE_BOUND allows.
     """
     bound = _env_state_bound()
     if not typecheck(M, G, mode).ok:
         raise ValueError("fidelity harness requires a session typed by the given global type")
+    init = normalize_session(M)
+    space = _explore(init.participants, list(init._bindings.values()), bound)
+    if space is None:
+        raise StateSpaceBoundExceeded(bound + 1, bound)
 
-    visited = set()
-    queue = deque()
+    def live(t):
+        return {p: P for p, P in zip(space.names, space.vecs[t]) if not isinstance(P, PEnd)}
 
-    def diverge(kind, action, bindings, g):
+    def diverge(kind, action, t, g):
         return FidelityVerdict(False, {
             "kind": kind, "action": str(action),
-            "session": print_session(Session._trusted(bindings)) or "0",
+            "session": print_session(Session._trusted(live(t))) or "0",
             "global": print_global(g)}, len(visited))
 
-    def visit(bindings, g):
-        key = (tuple(bindings.items()), g)
-        if key not in visited:
-            if len(visited) == bound:
-                raise StateSpaceBoundExceeded(bound + 1, bound)
-            visited.add(key)
-            queue.append((bindings, g))
-
-    visit(normalize_session(M)._bindings, G)
+    visited = {(0, G)}
+    queue = deque([(0, G)])
     while queue:
-        bindings, g = queue.popleft()
-        sa = {}
-        for p, P in bindings.items():
-            if isinstance(P, POut):
-                for action, P2, Q2 in _pair_moves(p, P, bindings.get(P.shape[1])):
-                    sa[action] = P2, Q2
+        i, g = queue.popleft()
+        sa = dict(zip(space.actions[i], space.successors[i]))
         ga = dict(global_enabled(g))
         for action in sorted(sa.keys() | ga.keys()):
             if action not in sa:
-                return diverge("global action unmatched by the session", action, bindings, g)
+                return diverge("global action unmatched by the session", action, i, g)
             if action not in ga:
-                return diverge("session action unmatched by the global type",
-                               action, bindings, g)
-            P2, Q2 = sa[action]
-            succ = dict(bindings)
-            succ[action.sender] = P2
-            succ[action.receiver] = Q2
-            if isinstance(P2, PEnd) or isinstance(Q2, PEnd):
-                succ = {r: R for r, R in succ.items() if not isinstance(R, PEnd)}
-            gsucc = ga[action]
-            if next(_typing_faults(succ, gsucc, mode), None):
-                return diverge("successors no longer typecheck", action, succ, gsucc)
-            visit(succ, gsucc)
+                return diverge("session action unmatched by the global type", action, i, g)
+            pair = t, gsucc = sa[action], ga[action]
+            if next(_typing_faults(live(t), gsucc, mode), None):
+                return diverge("successors no longer typecheck", action, t, gsucc)
+            if pair not in visited:
+                if len(visited) == bound:
+                    raise StateSpaceBoundExceeded(bound + 1, bound)
+                visited.add(pair)
+                queue.append(pair)
     return FidelityVerdict(True, None, len(visited))
 
 

@@ -1,11 +1,12 @@
 import gc
 import hashlib
+import math
 import random
 
 import pytest
 
 import mpst.core
-from mpst.compose import (NoClauseApplies, ParticipantCollision,
+from mpst.compose import (NoClauseApplies, ParticipantCollision, compatible,
                           connect_globals, gateway)
 from mpst.core import (GComm, GEnd, NodeStore, PEnd, PIn, POut, Session,
                        TermError, bisimilar,
@@ -15,7 +16,7 @@ from mpst.core import (GComm, GEnd, NodeStore, PEnd, PIn, POut, Session,
 from mpst.parser import (parse_global, parse_process, parse_session,
                          print_global, print_process, print_session)
 from mpst.semantics import global_enabled, session_enabled, standard_witness
-from mpst.typecheck import ProjectionError, project
+from mpst.typecheck import ProjectionError, leq, project
 
 import randgen
 from oracles import ref_intern_cycle, ref_participants
@@ -919,14 +920,14 @@ def test_session_accessors(cx):
 
 
 def test_session_equality_is_node_identity(store):
-    # the fidelity harness keys its visited pairs by the session: the same
-    # (participant, node) pairs, bound in either order, are one key
+    # sessions compare by their (participant, node) pairs: the same pairs,
+    # bound in either order, are one session
     P = parse_process("q!l . 0", store=store)
     Q = parse_process("p?l . 0", store=store)
     M, N = Session({"p": P, "q": Q}), Session({"q": Q, "p": P})
     assert M == N and hash(M) == hash(N)
     assert normalize_session(Session({"q": Q, "r": store.end_process, "p": P})) == M
-    # a bisimilar copy from a second store is another node, so another key
+    # a bisimilar copy from a second store is another node, so another session
     copy = Session({"p": parse_process("q!l . 0", store=NodeStore()), "q": Q})
     assert sessions_bisimilar(M, copy)
     assert M != copy
@@ -1009,6 +1010,69 @@ def test_adopt_is_idempotent(cx, store):
 def test_branches_sorted_by_label(store):
     P = parse_process("q?{m . 0, a . 0, k . 0}", store=store)
     assert node_labels(P) == ("a", "k", "m")
+    # label lookups bisect, so every producer of shapes must keep the
+    # labels strictly increasing: random terms, gateways, global steps,
+    # connected global types and standard witnesses, on every node made
+    rng = random.Random(33)
+    for _ in range(100):
+        gateway(randgen.random_process(rng, store), "g")
+        global_enabled(randgen.random_global(rng, store, branchiness=rng.random()))
+        pair = randgen.compatible_global_pair(rng, store)
+        if pair is not None:
+            try:
+                connect_globals(*pair)
+            except NoClauseApplies:
+                pass
+        G = randgen.random_wf_global(rng, store)
+        if G is not None:
+            standard_witness(randgen.self_projection(store, G), G)
+    for n in store._cons.values():
+        labels = node_labels(n)
+        assert all(a < b for a, b in zip(labels, labels[1:])), n
+
+
+class _CountedLabel(str):
+    """A label that counts the comparisons made with it."""
+    __hash__ = str.__hash__
+    count = 0
+
+    def _counted(compare):
+        def counted(self, other):
+            _CountedLabel.count += 1
+            return compare(self, other)
+        return counted
+
+    __eq__, __ne__ = _counted(str.__eq__), _counted(str.__ne__)
+    __lt__, __gt__ = _counted(str.__lt__), _counted(str.__gt__)
+    del _counted
+
+
+def test_wide_choices_compare_labels_n_log_n_times(store):
+    # label lookups in a 10^4-label choice: a scan per label compares about
+    # n^2/2 = 5 * 10^7 times, a bisection per label or one merge walk
+    # O(n log n) times (sorting the global step's candidates included)
+    n = 10 ** 4
+
+    def branches(end, skip=None):
+        return [(_CountedLabel(f"l{i}"), end) for i in range(n) if i != skip]
+
+    b = store.builder()
+    roots = [b.add_out("q", branches(store.end_process)),
+             b.add_in("p", branches(store.end_process)),
+             b.add_in("p", branches(store.end_process, skip=n // 2)),
+             b.add_comm("r", "s", [("a", b.add_comm("p", "q", branches(store.end_global)))])]
+    out, into, narrower, G = b.intern(roots)
+
+    def comparisons(f, *args):
+        _CountedLabel.count = 0
+        result = f(*args)
+        assert _CountedLabel.count <= 8 * n * math.log2(n), (f.__name__, _CountedLabel.count)
+        return result
+
+    assert comparisons(compatible, out, into)
+    assert comparisons(leq, into, narrower)
+    assert comparisons(gateway, out, "h").shape == ("pin", "h", node_labels(out))
+    assert len(comparisons(global_enabled, G)) == n + 1
 
 
 # ---------------------------------------------------------------------------

@@ -759,6 +759,21 @@ def test_fidelity_harness_stops_at_the_state_bound(store, monkeypatch):
     assert len(calls) <= 51
 
 
+def test_fidelity_harness_counts_session_states_before_pairs(store, monkeypatch):
+    # the session has three states, over a bound of two; the harness
+    # explores it first, so the bound stops it before the type's l2 branch,
+    # which the session never takes, could be reported as a divergence
+    G = parse_global("p -> q : {l1 . p -> q : l1 . end, l2 . p -> q : l1 . end}",
+                     store=store)
+    M = parse_session("p |> q!l1 . q!l1 . 0 || q |> p?{l1 . p?l1 . 0, l2 . p?l1 . 0}",
+                      store=store)
+    assert fidelity_harness(M, G, Mode.Plus).divergence["action"] == "p -l2-> q"
+    monkeypatch.setenv("MPST_STATE_BOUND", "2")
+    with pytest.raises(StateSpaceBoundExceeded) as exc:
+        fidelity_harness(M, G, Mode.Plus)
+    assert (exc.value.states, exc.value.bound) == (3, 2)
+
+
 def _relay(store, n):
     """An n-step relay p -> q -> r -> p ... and its self-projection."""
     G = parse_global(" . ".join(f"{'pqr'[i % 3]} -> {'pqr'[(i + 1) % 3]} : l"
@@ -807,10 +822,11 @@ def test_fidelity_harness_computes_depths_only_for_its_entry_check(monkeypatch):
 
 def test_fidelity_harness_steps_on_bindings_without_reports_or_sessions(monkeypatch):
     # the same 64-step relay: `typecheck` runs once, for the entry check;
-    # each step derives its moves without `session_enabled`; and the only
-    # Session made is the normalized initial state
+    # the session's states come from one `_explore` call, without
+    # `session_enabled`; and the only Session made is the normalized
+    # initial state
     M, G = _relay(NodeStore(), 64)
-    calls = {"typecheck": 0, "session_enabled": 0, "Session": 0}
+    calls = {"typecheck": 0, "session_enabled": 0, "_explore": 0, "Session": 0}
 
     def counted(name, f):
         def run(*args, **kwargs):
@@ -818,7 +834,7 @@ def test_fidelity_harness_steps_on_bindings_without_reports_or_sessions(monkeypa
             return f(*args, **kwargs)
         return run
 
-    for name in ("typecheck", "session_enabled"):
+    for name in ("typecheck", "session_enabled", "_explore"):
         monkeypatch.setattr(mpst.semantics, name,
                             counted(name, getattr(mpst.semantics, name)))
     trusted = Session._trusted.__func__
@@ -827,7 +843,7 @@ def test_fidelity_harness_steps_on_bindings_without_reports_or_sessions(monkeypa
     verdict = fidelity_harness(M, G)
     assert verdict.ok and verdict.divergence is None and verdict.visited == 65
     assert calls["typecheck"] == 1 and calls["session_enabled"] == 0
-    assert calls["Session"] <= 1
+    assert calls["_explore"] == 1 and calls["Session"] <= 1
 
 
 def test_fidelity_harness_tells_apart_senders_bound_to_one_output_node(store):
