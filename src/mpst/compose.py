@@ -28,6 +28,7 @@ from .core import (
     branch_pairs,
     check_ident,
     coinductive_closure,
+    label_index,
     node_branch,
     participants,
 )
@@ -224,13 +225,13 @@ def connect_globals(G, h, G_prime, k):
                 return (L, cont) if fwd else (cont, R)
 
             if isinstance(T, GComm) and T.sender == other:
-                cont = dict(zip(T.shape[-1], T.kids)).get(label)
-                if cont is not None and not relay:
+                i = label_index(T.shape[-1], label)
+                if i is not None and not relay:
                     return (("gcomm", me, other, (label,)),
                             [(h, k, marker, L, R, True)])
-                if cont is not None:
+                if i is not None:
                     return (("gcomm", other, T.receiver, (label,)),
-                            [(h, k, None, *moved(cont), False)])
+                            [(h, k, None, *moved(T.kids[i]), False)])
             elif isinstance(T, GComm) and T.receiver != other:
                 return (T.shape,
                         [(h, k, marker, *moved(cont), False)

@@ -159,8 +159,6 @@ def branch_pairs(x, y, labels):
     """[(x's child, y's child)] for each of `labels`, in their order; None
     when x or y has no branch for one of them.  One walk: all are sorted."""
     xl, yl = x.shape[-1], y.shape[-1]
-    if xl == yl:
-        return list(zip(x.kids, y.kids))
     out, i, j = [], 0, 0
     for l in labels:
         while i < len(xl) and xl[i] < l:

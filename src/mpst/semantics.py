@@ -102,8 +102,10 @@ def _pair_moves(p, P, Q):
     the peer is unbound: one (action, P's child, Q's child) per label of P,
     in label order, or none unless Q inputs every one of them from p."""
     _, q, labels = P.shape
-    pairs = isinstance(Q, PIn) and Q.shape[1] == p and branch_pairs(P, Q, labels)
-    if not pairs:
+    if not isinstance(Q, PIn) or Q.shape[1] != p:
+        return ()
+    pairs = branch_pairs(P, Q, labels)
+    if pairs is None:
         return ()
     return tuple([(CommAction(p, l, q), P2, Q2) for l, (P2, Q2) in zip(labels, pairs)])
 
@@ -728,14 +730,14 @@ def fidelity_harness(M, G, mode=Mode.Standard):
                 return diverge("global action unmatched by the session", action, i, g)
             if action not in ga:
                 return diverge("session action unmatched by the global type", action, i, g)
-            pair = t, gsucc = sa[action], ga[action]
+            t, gsucc = sa[action], ga[action]
             if next(_typing_faults(live(t), gsucc, mode), None):
                 return diverge("successors no longer typecheck", action, t, gsucc)
-            if pair not in visited:
+            if (t, gsucc) not in visited:
                 if len(visited) == bound:
                     raise StateSpaceBoundExceeded(bound + 1, bound)
-                visited.add(pair)
-                queue.append(pair)
+                visited.add((t, gsucc))
+                queue.append((t, gsucc))
     return FidelityVerdict(True, None, len(visited))
 
 

@@ -1032,9 +1032,12 @@ def test_branches_sorted_by_label(store):
 
 
 class _CountedLabel(str):
-    """A label that counts the comparisons made with it."""
-    __hash__ = str.__hash__
+    """A label that counts the comparisons and hashes made with it."""
     count = 0
+
+    def __hash__(self):
+        _CountedLabel.count += 1
+        return str.__hash__(self)
 
     def _counted(compare):
         def counted(self, other):
@@ -1049,7 +1052,8 @@ class _CountedLabel(str):
 
 def test_wide_choices_compare_labels_n_log_n_times(store):
     # label lookups in a 10^4-label choice: a scan per label compares about
-    # n^2/2 = 5 * 10^7 times, a bisection per label or one merge walk
+    # n^2/2 = 5 * 10^7 times, and a dict of the labels built per lookup
+    # hashes as often; a bisection per label or one merge walk compares
     # O(n log n) times (sorting the global step's candidates included)
     n = 10 ** 4
 
@@ -1060,8 +1064,10 @@ def test_wide_choices_compare_labels_n_log_n_times(store):
     roots = [b.add_out("q", branches(store.end_process)),
              b.add_in("p", branches(store.end_process)),
              b.add_in("p", branches(store.end_process, skip=n // 2)),
-             b.add_comm("r", "s", [("a", b.add_comm("p", "q", branches(store.end_global)))])]
-    out, into, narrower, G = b.intern(roots)
+             b.add_comm("r", "s", [("a", b.add_comm("p", "q", branches(store.end_global)))]),
+             b.add_comm("p", "h", branches(store.end_global)),
+             b.add_comm("k", "r", branches(store.end_global))]
+    out, into, narrower, G, left, right = b.intern(roots)
 
     def comparisons(f, *args):
         _CountedLabel.count = 0
@@ -1073,6 +1079,9 @@ def test_wide_choices_compare_labels_n_log_n_times(store):
     assert comparisons(leq, into, narrower)
     assert comparisons(gateway, out, "h").shape == ("pin", "h", node_labels(out))
     assert len(comparisons(global_enabled, G)) == n + 1
+    # each label is forwarded h -> k and then routed k -> r: two lookups
+    joined = comparisons(connect_globals, left, "h", right, "k")
+    assert joined.shape == ("gcomm", "p", "h", node_labels(left))
 
 
 # ---------------------------------------------------------------------------
