@@ -461,9 +461,10 @@ def _explore(names, start, limit):
     node); w is the bit length of the largest node count among the stores
     of the start nodes.  A participant's nodes all come from the store of
     its start node, so this numbers states exactly as keying them by their
-    (participant, nid) pairs would.  The moves of each (position, process,
-    peer's process) are derived once, each with the change it makes to the
-    code, so a successor's code is one addition and one lookup away.
+    (participant, nid) pairs would.  Each state derives its senders' moves
+    with `_pair_moves` where it reads them, and a successor's code from the
+    nids of the two nodes that move; a memo of moves would hit often only
+    where a product of independent parts is explored whole.
     States are numbered breadth first, and each distinct state's node
     vector is built once, when it is first found.  Returns the `_Space`, or
     None as soon as more than `limit` states are found.
@@ -478,10 +479,6 @@ def _explore(names, start, limit):
     actions = []
     involved = []
     binds = [(1 << len(names)) - 1]
-    # memo[k]: output node P at position k -> (peer's position or None,
-    # mask of both positions, {peer's node Q: the moves of P against Q,
-    # each with the change it makes to the code})
-    memo = [{} for _ in names]
     for i, vec in enumerate(vecs):
         code = codes[i]
         targets = []
@@ -490,24 +487,15 @@ def _explore(names, start, limit):
         for k, P in enumerate(vec):
             if not isinstance(P, POut):
                 continue
-            hit = memo[k].get(P)
-            if hit is None:
-                j = at.get(P.shape[1])
-                hit = memo[k][P] = (j, 0 if j is None else 1 << k | 1 << j, {})
-            j, pair, by_peer = hit
+            j = at.get(P.shape[1])
             if j is None:
                 continue
             Q = vec[j]
-            moves = by_peer.get(Q)
-            if moves is None:
-                moves = by_peer[Q] = [
-                    (action, P2, Q2,
-                     (P2.nid - P.nid << k * width) + (Q2.nid - Q.nid << j * width))
-                    for action, P2, Q2 in _pair_moves(names[k], P, Q)]
+            moves = _pair_moves(names[k], P, Q)
             if moves:
-                acts |= pair
-            for action, P2, Q2, delta in moves:
-                c = code + delta
+                acts |= 1 << k | 1 << j
+            for action, P2, Q2 in moves:
+                c = code + (P2.nid - P.nid << k * width) + (Q2.nid - Q.nid << j * width)
                 t = index.get(c)
                 if t is None:
                     t = len(vecs)

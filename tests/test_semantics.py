@@ -455,6 +455,8 @@ def _assert_engines_agree(M):
     assert [print_session(s) for s in graph.states] == \
         [print_session(s) for s in states]
     assert graph.states == states and states == graph.states
+    assert graph.states[1:] == states[1:]
+    assert graph.states[::2] == states[::2]
     assert graph.edges == edges
     assert explore(M) == explore(M)
     assert json.dumps(explore(M).to_json()) == json.dumps(_ref_json(states, edges))
