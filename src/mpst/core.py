@@ -16,21 +16,27 @@ itself then has canonical children, so it is bisimilar to an existing node
 exactly when that node has the same shape and the same child nids; one
 store-wide table maps (shape, child nids) to its node (hash-consing after
 Filliatre and Conchon, 2006), in O(1) per key.  Any other component
-is cyclic: it is minimised by partition refinement together with the
-existing nodes it reaches, which merges each class bisimilar to one of
-those.  Shapes are ranked by their per-store code: the store numbers each
-distinct shape once, when a cyclic component first meets it, and refinement
-starts from these integers.  Each round numbers its blocks by the rank of
-their signature, a flat tuple of ints, among the sorted distinct
-signatures, so a block id depends only on which bisimulation classes occur
-among the units.  A component that does not merge is looked up by one key,
-a flat tuple of ints: its new classes in block order, each as its shape's
-code and its children's blocks, a child outside the component by its nid.
-An isomorphic copy already in the store has the same children outside it,
-so its refinement met the same classes, with the same codes, and gave them
-the same blocks: the same key.  The codes are canonical within a store,
-which is all a key needs.  Nothing recurses on the size of a term, and only
-a cyclic component walks the nodes below it.
+is cyclic.  Shapes are ranked by their per-store code: the store numbers
+each distinct shape once, when a cyclic component first meets it.  Most
+cyclic components are closed loops of distinct shapes: no child lies
+outside the component, and bisimilar units share a shape, so each unit is
+its own class, numbered by the rank of its code.  Only a component that
+reaches an existing node or repeats a shape is minimised by partition
+refinement together with the existing nodes it reaches, which merges each
+class bisimilar to one of those; refinement starts from the codes, and
+each round numbers its blocks by the rank of their signature, a flat tuple
+of ints, among the sorted distinct signatures, so a block id depends only
+on which bisimulation classes occur among the units.  A component that
+does not merge is looked up by one key, a flat tuple of ints: its new
+classes in block order, each as its shape's code and its children's
+blocks, a child outside the component by its nid.  An isomorphic copy
+already in the store has the same children outside it, so its refinement
+met the same classes, with the same codes, and gave them the same blocks:
+the same key.  Both paths number blocks by rank, so a closed loop and an
+unrolled copy of it, which repeats shapes and is refined, share one key.
+The codes are canonical within a store, which is all a key needs.  Nothing
+recurses on the size of a term, and only a component that is refined
+walks the nodes below it.
 
 A node keeps its hash-cons key and nothing more: its shape, ("pend", ()),
 ("gend", ()), ("pin" | "pout", peer, labels) or ("gcomm", sender, receiver,
@@ -413,34 +419,41 @@ class NodeStore:
         """Resolve one cyclic component, (key, shape, child keys) triples,
         into `done`.
 
-        Partition refinement over the component and the existing nodes it
-        reaches merges every class bisimilar to one of those nodes; the
-        component is strongly connected, so either every class merges or
-        none does.  A unit's shape enters refinement as its code in the
-        store's table, numbered once when the store first meets the shape.
-        Any other existing node bisimilar to a class lies on a cycle that
-        the class does not reach; its component is then a copy of the
-        remaining classes, with the same children outside it.  Those
-        children reach the same existing nodes, so the copy's refinement met
-        the same bisimulation classes and, with the same codes, numbered
-        them with the same blocks.  The component is therefore looked up by
-        one key, a flat tuple of ints: its new classes in block order, each
-        as its shape's code and then its children's blocks, an existing
-        child as ~nid (a code fixes its shape, so how many children follow
-        it); the key maps to the component's nodes in the same order.  A
-        miss makes the nodes in the order of their first unit.
+        A unit's shape is ranked by its code in the store's table, numbered
+        once when the store first meets the shape.  Most components are a
+        closed loop of distinct shapes: no child lies outside the component,
+        and bisimilar units share a shape, so each unit is its own class and
+        `_intern_closed` looks the component up by its key alone.  Only a
+        component that reaches existing nodes or repeats a shape is refined:
+        partition refinement over it and the existing nodes it reaches
+        merges every class bisimilar to one of those nodes; the component is
+        strongly connected, so either every class merges or none does.  Any
+        other existing node bisimilar to a class lies on a cycle that the
+        class does not reach; its component is then a copy of the remaining
+        classes, with the same children outside it.  Those children reach
+        the same existing nodes, so the copy's refinement met the same
+        bisimulation classes and, with the same codes, numbered them with
+        the same blocks.  The component is therefore looked up by one key, a
+        flat tuple of ints: its new classes in block order, each as its
+        shape's code and then its children's blocks, an existing child as
+        ~nid (a code fixes its shape, so how many children follow it); the
+        key maps to the component's nodes in the same order.  Both paths
+        number blocks as refinement does, by rank, so a closed loop and an
+        unrolled copy of it, which repeats shapes, build one key.  A miss
+        makes the nodes in the order of their first unit.
         """
         codes = self._codes
+        sigs = [codes.setdefault(shape, len(codes)) for _, shape, _ in scc]
         k = len(scc)
+        if len(set(sigs)) == k and self._intern_closed(scc, sigs, done):
+            return
         unit = {}
         for u, entry in enumerate(scc):
             unit[entry[0]] = u
-        sigs = []                  # unit -> its shape's code
         children = []              # unit -> its children's units
         existing = []              # unit k + i -> node, for the existing units
         node_unit = {}             # existing node -> its unit
-        for _, shape, kids in scc:
-            sigs.append(codes.setdefault(shape, len(codes)))
+        for _, _, kids in scc:
             row = []
             for t in kids:
                 u = unit.get(t)
@@ -510,6 +523,50 @@ class NodeStore:
                 image.update(zip(order, nodes))
         for u, entry in enumerate(scc):
             done[entry[0]] = image[block[u]]
+
+    def _intern_closed(self, scc, sigs, done):
+        """Resolve a component of pairwise distinct shape codes `sigs` into
+        `done` if no child lies outside it, and say whether it did.
+
+        Each unit is its own class and reaches no existing node, so it
+        merges into none; its blocks are the ranks of the codes, which
+        refinement would give it too, and one lookup of the key finds an
+        existing copy.  A miss makes the nodes in unit order, with one
+        participant set: the units' own names.
+        """
+        order = sorted(range(len(sigs)), key=sigs.__getitem__)
+        block = {}                 # key -> its unit's block
+        for b, u in enumerate(order):
+            block[scc[u][0]] = b
+        key = []
+        for u in order:
+            key.append(sigs[u])
+            for t in scc[u][2]:
+                b = block.get(t)
+                if b is None:
+                    return False
+                key.append(b)
+        key = tuple(key)
+        nodes = self._cycles.get(key)
+        if nodes is None:
+            names = frozenset([n for _, shape, _ in scc for n in shape[1:-1]])
+            made = []
+            for _, shape, _ in scc:    # made first, linked once every unit has a node
+                node = object.__new__(_KINDS[shape[0]])
+                node.store = self
+                node.nid = self._count
+                self._count += 1
+                node._participants = names
+                node.shape = shape
+                made.append(node)
+            nodes = self._cycles[key] = tuple([made[u] for u in order])
+            cons = self._cons
+            for node, (_, shape, kids) in zip(made, scc):
+                node.kids = kids = tuple([nodes[block[t]] for t in kids])
+                cons[(shape, tuple([c.nid for c in kids]))] = node
+        for t, _, _ in scc:
+            done[t] = nodes[block[t]]
+        return True
 
 
 class GraphBuilder:

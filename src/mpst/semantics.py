@@ -110,28 +110,37 @@ def _pair_moves(p, P, Q):
     return tuple([(CommAction(p, l, q), P2, Q2) for l, (P2, Q2) in zip(labels, pairs)])
 
 
-def session_enabled(M):
-    """Enabled communications with their successors, rule comm.
-
-    Bindings are sorted by participant, branches by label, and a sender
-    talks to one peer, so the actions come out in CommAction order.
-    """
+def _session_moves(M):
+    """Rule comm's moves in a session, (action, sender's child, receiver's
+    child) triples.  Bindings are sorted by participant, branches by label,
+    and a sender talks to one peer, so the actions come out in CommAction
+    order."""
     out = []
     for p, P in M.items():
-        if not isinstance(P, POut):
-            continue
-        for action, P2, Q2 in _pair_moves(p, P, M.get(P.shape[1])):
-            succ = dict(M.items())
-            succ[p] = P2
-            succ[action.receiver] = Q2
-            out.append((action, Session._trusted(succ)))
+        if isinstance(P, POut):
+            out += _pair_moves(p, P, M.get(P.shape[1]))
     return out
 
 
+def _successor(M, move):
+    """The session after one of M's moves."""
+    action, P2, Q2 = move
+    succ = dict(M.items())
+    succ[action.sender] = P2
+    succ[action.receiver] = Q2
+    return Session._trusted(succ)
+
+
+def session_enabled(M):
+    """Enabled communications with their successors, rule comm, in
+    CommAction order."""
+    return [(move[0], _successor(M, move)) for move in _session_moves(M)]
+
+
 def session_step(M, action):
-    for a, succ in session_enabled(M):
-        if a == action:
-            return succ
+    for move in _session_moves(M):
+        if move[0] == action:
+            return _successor(M, move)
     return None
 
 
@@ -261,19 +270,24 @@ class SimulationResult:
 
 
 def simulate(M, steps, seed=0):
-    """Run a reproducible random walk of at most `steps` communications."""
+    """Run a reproducible random walk of at most `steps` communications.
+
+    Each step lists the moves, draws one and builds only its successor, so a
+    step costs time linear in the session's size.
+    """
     rng = random.Random(seed)
     trace = []
     cur = M
     for _ in range(steps):
-        en = session_enabled(cur)
-        if not en:
+        moves = _session_moves(cur)
+        if not moves:
             break
-        action, cur = rng.choice(en)
-        trace.append(action)
+        move = rng.choice(moves)
+        cur = _successor(cur, move)
+        trace.append(move[0])
     if cur.is_final():
         status = "final"
-    elif not session_enabled(cur):
+    elif not _session_moves(cur):
         status = "stuck"
     else:
         status = "bound"

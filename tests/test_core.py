@@ -886,6 +886,52 @@ def test_kernel_matches_the_reference(monkeypatch, seed):
     assert _fingerprint(store) == _fingerprint(ref)
 
 
+def _counting_refine(monkeypatch):
+    """Patch `mpst.core._refine` to record the number of units of each call."""
+    calls = []
+    real = mpst.core._refine
+
+    def counted(shapes, children):
+        calls.append(len(shapes))
+        return real(shapes, children)
+
+    monkeypatch.setattr(mpst.core, "_refine", counted)
+    return calls
+
+
+def test_a_loop_and_its_unrolling_share_one_node(monkeypatch):
+    # the loop is closed and its two shapes are distinct, so its key alone
+    # decides it; the unrolling repeats both shapes, so it is refined.  The
+    # two paths build one key, so whichever comes second finds the first's
+    # nodes.  A loop interned first numbers q!a and q?c, so the loop's codes
+    # are 0 and 2 but its blocks 0 and 1 in either path.
+    loop = "rec X . q!a . q?b . X"
+    unrolled = "rec X . q!a . q?b . q!a . q?b . X"
+    refined = _counting_refine(monkeypatch)
+    for texts in ((loop, unrolled), (unrolled, loop)):
+        store = NodeStore()
+        parse_process("rec X . q!a . q?c . X", store=store)
+        refined.clear()
+        a, b = (parse_process(text, store=store) for text in texts)
+        assert a is b and isinstance(a, POut) and node_branch(node_branch(a, "a"), "b") is a
+        assert store._count == 6 and len(store._cycles) == 2
+        assert refined == [4]
+
+
+def test_closed_loops_of_distinct_shapes_are_not_refined(monkeypatch, store):
+    # every process is a loop that reaches no other node, each unit of it
+    # with its own shape: one key lookup each, no partition refinement
+    refined = _counting_refine(monkeypatch)
+    M = parse_session(
+        "a |> rec X . b!ping . b?pong . X || b |> rec Y . a?ping . a!pong . Y"
+        " || c |> rec X . d!{go . d?{ack . X, nak . c2!x . X}, stop . X}"
+        " || d |> rec Y . c?{go . c!ack . Y, stop . Y}"
+        " || c2 |> rec Z . c?x . Z", store=store)
+    assert refined == [] and len(store._cycles) == len(M) == 5
+    assert parse_session(print_session(M), store=store) == M
+    assert refined == [] and len(store._cycles) == 5
+
+
 # ---------------------------------------------------------------------------
 # Sessions.
 

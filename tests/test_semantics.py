@@ -716,6 +716,24 @@ def test_simulation_statuses(store, cx):
     assert set(js) == {"trace", "final", "status"}
 
 
+def test_simulation_builds_only_the_successors_it_takes(store, monkeypatch):
+    # 500 ping-pong pairs enable 500 moves in every state: a step draws one
+    # and builds that successor alone, and the status check builds none
+    M = parse_session(_ping_pong(500), store=store)
+    made = []
+    trusted = Session._trusted.__func__
+
+    def counted(cls, bindings):
+        made.append(len(bindings))
+        return trusted(cls, bindings)
+
+    monkeypatch.setattr(Session, "_trusted", classmethod(counted))
+    assert simulate(M, 0).status == "bound" and made == []
+    run = simulate(M, 5)
+    assert run.status == "bound" and len(run.trace) == 5
+    assert made == [1000] * 5
+
+
 # ---------------------------------------------------------------------------
 # Fidelity and the Plus-to-Standard witness.
 
